@@ -17,6 +17,7 @@ import numpy as np
 
 from .circuits import circuit_covering_log_bound
 from .grassmann import (
+    KATO_DISTANCE_LIMIT,
     Projector,
     kato_unitary,
     product_covering_check,
@@ -51,7 +52,6 @@ EXIT_PASS = 0
 EXIT_USAGE = 1
 EXIT_VIOLATION = 2
 
-_KATO_LIMIT = 1.0 / math.sqrt(2.0)
 _LEMMA_EPSILONS = (0.6, 1.0, 1.5, 2.0)
 
 
@@ -64,11 +64,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(payload, out=None, format: str = "json") -> None:
-    text = emit_report(payload, format=format)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    text = emit_report(payload, format=format, path=out)
+    if out is None:
         sys.stdout.write(text)
 
 
@@ -165,7 +162,7 @@ def _random_projector_pair(n: int, m: int, seed_a: int, seed_b: int,
         rot = matrix_exp(random_skew_in_ball(m, theta, seed_b).array)
         q_mat = rot @ p.matrix @ rot.conj().T
         q = Projector(0.5 * (q_mat + q_mat.conj().T))
-        if projector_distance(p, q) <= _KATO_LIMIT:
+        if projector_distance(p, q) <= KATO_DISTANCE_LIMIT:
             return p, q
         # too far apart: shrink the rotation until inside the limit
         theta *= 0.5

@@ -19,6 +19,7 @@ from .linalg import (
     UnitaryMatrix,
     _as_square_array,
     _haar_batch,
+    _norm_within,
     operator_norm,
 )
 
@@ -42,7 +43,7 @@ class Subspace:
         if not np.all(np.isfinite(arr.view(float))):
             raise ValueError("basis has non-finite entries")
         gram = arr.conj().T @ arr - np.eye(n)
-        if operator_norm(gram) > _ORTHONORMAL_TOL:
+        if not _norm_within(gram, _ORTHONORMAL_TOL):
             raise ValueError("basis columns are not orthonormal within 1e-10")
         arr.setflags(write=False)
         self.basis = arr
@@ -66,9 +67,9 @@ class Projector:
 
     def __init__(self, matrix):
         arr = np.array(_as_square_array(matrix, "projector"), order="C")
-        if operator_norm(arr - arr.conj().T) > _ORTHONORMAL_TOL:
+        if not _norm_within(arr - arr.conj().T, _ORTHONORMAL_TOL):
             raise ValueError("projector must be Hermitian within 1e-10")
-        if operator_norm(arr @ arr - arr) > _PROJECTOR_TOL:
+        if not _norm_within(arr @ arr - arr, _PROJECTOR_TOL):
             raise ValueError("projector must be idempotent within 1e-9")
         trace = float(np.real(np.trace(arr)))
         rank = round(trace)

@@ -33,7 +33,6 @@ _GAUSS_ALPHA1 = 0.25 + _SQRT3 / 6.0
 _GAUSS_ALPHA2 = 0.25 - _SQRT3 / 6.0
 _MIN_TOL = 1e-12
 _EXACT_DIM_LIMIT = 64
-_ENVELOPE_GRID = 1024
 
 
 class ConstantEnvelope:
@@ -203,13 +202,10 @@ class TimeDependentHamiltonian:
 
 
 def term_norm_sup(term: HamiltonianTerm, t_final: float) -> float:
-    """sup over [0, T] of ||e(t) * base|| via a 1024-point grid plus exact extrema."""
+    """sup over [0, T] of ||e(t) * base||, from the envelope's exact sup_abs."""
     if t_final < 0:
         raise ValueError("final time must be non-negative")
-    base_norm = operator_norm(term.base)
-    grid = np.linspace(0.0, t_final, _ENVELOPE_GRID)
-    grid_sup = float(np.max(np.abs(term.envelope(grid))))
-    return base_norm * max(grid_sup, term.envelope.sup_abs(0.0, t_final))
+    return operator_norm(term.base) * term.envelope.sup_abs(0.0, t_final)
 
 
 def commutation_degree(h: TimeDependentHamiltonian) -> int:
@@ -302,8 +298,7 @@ def exact_propagator(h: TimeDependentHamiltonian, t_final: float,
                      tol: float = 1e-11) -> UnitaryMatrix:
     """Reference time-ordered propagator over [0, T] to accuracy ~tol.
 
-    Time-independent input reduces to the eigendecomposition exponential; the
-    result's unitarity defect stays within 10 * tol by construction.
+    The result's unitarity defect stays within 10 * tol by construction.
     """
     if t_final < 0:
         raise ValueError("final time must be non-negative")

@@ -17,7 +17,7 @@ from dynnets.grassmann import (
     quotient_distance_bounds,
     random_subspace,
 )
-from dynnets.linalg import matrix_exp, operator_norm
+from dynnets.linalg import _haar_batch, matrix_exp, operator_norm
 from dynnets.metric import FiniteMetricSpace, brute_force_covering_number
 
 KATO_RATIO = 5.0 / math.sqrt(2.0)
@@ -71,6 +71,35 @@ class TestSubspaceAndProjector:
     def test_rejects_nonidempotent(self):
         with pytest.raises(ValueError):
             Projector(np.diag([0.5, 0.5]))
+
+    @staticmethod
+    def _near_projector(offsets):
+        # eigenvalues 1 + e (first half) and e (second half), so P^2 - P has
+        # eigenvalues of modulus about |e|
+        m = len(offsets)
+        v = _haar_batch(m, 1, np.random.default_rng(13))[0]
+        eig = np.where(np.arange(m) < m // 2, 1.0, 0.0) + np.asarray(offsets)
+        p = (v * eig) @ v.conj().T
+        return 0.5 * (p + p.conj().T)
+
+    def test_accepts_idempotence_defect_above_tol_in_frobenius_norm(self):
+        p = self._near_projector(np.full(128, 0.5e-9))
+        defect = p @ p - p
+        assert np.linalg.norm(defect) > 1e-9 >= operator_norm(defect)
+        assert Projector(p).rank == 64
+
+    def test_rejects_idempotence_defect_just_above_tol(self):
+        offsets = np.full(128, 0.5e-9)
+        offsets[3] = 1.05e-9
+        with pytest.raises(ValueError,
+                           match="projector must be idempotent within 1e-9"):
+            Projector(self._near_projector(offsets))
+
+    def test_rejects_nan_entry(self):
+        a = np.diag([1.0, 0.0]).astype(complex)
+        a[0, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            Projector(a)
 
     def test_random_subspace_deterministic(self):
         s1 = random_subspace(2, 5, seed=8)

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dynnets.linalg import (
+    UNITARY_TOL,
     SkewHermitian,
     Spectrum,
     UnitaryMatrix,
+    _haar_batch,
     check_exp_lipschitz,
     haar_unitary,
     matrix_exp,
@@ -33,12 +35,22 @@ class TestOperatorNorm:
         assert operator_norm(np.zeros((4, 4))) == 0.0
 
     def test_large_matrix_power_iteration(self):
-        # above the dense-SVD cutoff the norm comes from power iteration
+        # a dimension above 64, with a well-separated top singular value
         rng = np.random.default_rng(2)
         a = rng.normal(size=(80, 80))
         np.testing.assert_allclose(operator_norm(a),
                                    np.linalg.svd(a, compute_uv=False)[0],
                                    rtol=1e-9)
+
+    def test_clustered_spectrum_not_under_estimated(self):
+        # singular values packed into [0.999, 1]: an iterative estimate that
+        # stops when it stagnates lands below the true norm here
+        n = 128
+        u, v = _haar_batch(n, 2, np.random.default_rng(7))
+        a = (u * np.linspace(0.999, 1.0, n)) @ v
+        svd_max = np.linalg.svd(a, compute_uv=False)[0]
+        eps = np.finfo(float).eps
+        assert operator_norm(a) >= svd_max - 2 * n * eps * svd_max
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
@@ -66,6 +78,33 @@ class TestMatrixClasses:
     def test_skew_rejects_hermitian(self):
         with pytest.raises(ValueError):
             SkewHermitian(np.array([[1.0, 0.0], [0.0, 2.0]]))
+
+    @staticmethod
+    def _near_unitary(defects):
+        # U = Q diag(sqrt(1 + d)) has U^dag U - 1 = diag(d) up to rounding
+        q = _haar_batch(len(defects), 1, np.random.default_rng(11))[0]
+        return q * np.sqrt(1.0 + np.asarray(defects))
+
+    def test_unitary_accepts_defect_above_tol_in_frobenius_norm(self):
+        u = self._near_unitary(np.full(128, 0.5e-10))
+        defect = u.conj().T @ u - np.eye(128)
+        assert np.linalg.norm(defect) > UNITARY_TOL >= operator_norm(defect)
+        assert UnitaryMatrix(u).dim == 128
+
+    def test_unitary_rejects_defect_just_above_tol(self):
+        defects = np.full(128, 0.5e-10)
+        defects[5] = 1.05e-10
+        with pytest.raises(ValueError,
+                           match=r"matrix is not unitary \(defect 1\.05\de-10\)"):
+            UnitaryMatrix(self._near_unitary(defects))
+
+    @pytest.mark.parametrize("build", [UnitaryMatrix, SkewHermitian,
+                                       matrix_exp, spectral_width])
+    def test_nan_entry_raises(self, build):
+        a = np.zeros((3, 3), dtype=complex)
+        a[1, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            build(a)
 
 
 class TestMatrixExp:

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from dynnets.circuits import QuditRegister
 from dynnets.linalg import operator_norm
@@ -109,6 +110,50 @@ class TestTermNormSup:
     def test_zero_base(self):
         term = HamiltonianTerm((0,), np.zeros((2, 2)), CosineEnvelope(1.0, 1.0))
         assert term_norm_sup(term, 1.0) == 0.0
+
+
+_coef = st.floats(-5.0, 5.0)
+
+
+@st.composite
+def envelope_and_window(draw):
+    """An envelope of each kind, a window [t0, t1] and a Lipschitz constant."""
+    kind = draw(st.sampled_from(["constant", "cosine", "pwl"]))
+    if kind == "pwl":
+        steps = draw(st.lists(st.floats(0.01, 2.0), min_size=1, max_size=7))
+        times = draw(st.floats(-5.0, 5.0)) + np.concatenate([[0.0],
+                                                            np.cumsum(steps)])
+        values = draw(st.lists(_coef, min_size=len(times),
+                               max_size=len(times)))
+        env = PiecewiseLinearEnvelope(times, values)
+        lo, hi = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2,
+                                      max_size=2)))
+        span = times[-1] - times[0]
+        t0, t1 = times[0] + lo * span, times[0] + hi * span
+        lipschitz = float(np.max(np.abs(np.diff(values) / np.diff(times))))
+        return env, t0, t1, lipschitz
+    t0 = draw(st.floats(-10.0, 10.0))
+    t1 = t0 + draw(st.floats(0.0, 10.0))
+    if kind == "constant":
+        return ConstantEnvelope(draw(_coef)), t0, t1, 0.0
+    amplitude, omega = draw(_coef), draw(st.floats(-20.0, 20.0))
+    env = CosineEnvelope(amplitude, omega, draw(st.floats(-10.0, 10.0)))
+    return env, t0, t1, abs(amplitude * omega)
+
+
+class TestSupAbs:
+    @given(envelope_and_window())
+    def test_matches_dense_sampling(self, case):
+        env, t0, t1, lipschitz = case
+        n_samples = 10_000
+        sampled = float(np.max(np.abs(env(np.linspace(t0, t1, n_samples)))))
+        sup = env.sup_abs(t0, t1)
+        # a few ulps cover np.cos against math.cos at the window endpoints
+        rounding = 8 * np.finfo(float).eps * max(sampled, 1.0)
+        assert sup >= sampled - rounding
+        # every point lies within half a sample spacing of a sample
+        missable = lipschitz * 0.5 * (t1 - t0) / (n_samples - 1)
+        assert sup <= sampled + missable + rounding
 
 
 class TestCommutationDegree:
