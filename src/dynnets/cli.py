@@ -156,14 +156,18 @@ def _cmd_verify_lipschitz(args) -> int:
 
 def _random_projector_pair(n: int, m: int, seed_a: int, seed_b: int,
                            theta: float):
-    """A rank-n projector and a rotated copy within the Kato distance limit."""
+    """A rank-n projector and a rotated copy within the Kato distance limit.
+
+    Returns (p, q, ||p - q||).
+    """
     p = projector_from_subspace(random_subspace(n, m, seed_a))
     while True:
         rot = matrix_exp(random_skew_in_ball(m, theta, seed_b).array)
         q_mat = rot @ p.matrix @ rot.conj().T
         q = Projector(0.5 * (q_mat + q_mat.conj().T))
-        if projector_distance(p, q) <= KATO_DISTANCE_LIMIT:
-            return p, q
+        dist = projector_distance(p, q)
+        if dist <= KATO_DISTANCE_LIMIT:
+            return p, q, dist
         # too far apart: shrink the rotation until inside the limit
         theta *= 0.5
 
@@ -179,9 +183,8 @@ def _cmd_verify_kato(args) -> int:
     worst_conj = 0.0
     for i in range(args.trials):
         theta = float(rng.uniform(0.05, 1.2))
-        p, q = _random_projector_pair(args.n, args.m, int(seeds[2 * i]),
-                                      int(seeds[2 * i + 1]), theta)
-        dist = projector_distance(p, q)
+        p, q, dist = _random_projector_pair(args.n, args.m, int(seeds[2 * i]),
+                                            int(seeds[2 * i + 1]), theta)
         v = kato_unitary(p, q)
         conj = operator_norm(v.array @ p.matrix @ v.array.conj().T - q.matrix)
         dev = operator_norm(np.eye(args.m) - v.array)
@@ -333,9 +336,6 @@ def build_parser() -> _Parser:
     vt.add_argument("--hamiltonian", required=True)
     _float_flag(vt, "--T")
     _int_flag(vt, "--nt")
-    vt.add_argument("--seed", type=int, default=None,
-                    help="accepted for interface stability; the check is "
-                         "deterministic")
     vt.set_defaults(handler=_cmd_verify_trotter)
 
     vl = vsub.add_parser("lipschitz", help="exp-map distortion bounds")

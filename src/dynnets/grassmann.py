@@ -20,6 +20,7 @@ from .linalg import (
     _as_square_array,
     _haar_batch,
     _norm_within,
+    _opnorm_stack,
     operator_norm,
 )
 
@@ -369,15 +370,14 @@ def empirical_grassmann_packing(n: int, m: int, epsilon: float, trials: int,
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = np.random.default_rng(seed)
-    accepted: list[np.ndarray] = []
+    stack = np.empty((trials, m, m), dtype=complex)
+    count = 0
     for _ in range(trials):
         u = _haar_batch(m, 1, rng)[0]
         b = u[:, :n]
         proj = b @ b.conj().T
-        if accepted:
-            diffs = np.asarray(accepted) - proj[None]
-            sigmas = np.linalg.svd(diffs, compute_uv=False)[:, 0]
-            if sigmas.min() <= epsilon:
-                continue
-        accepted.append(proj)
-    return len(accepted)
+        if count and _opnorm_stack(stack[:count] - proj).min() <= epsilon:
+            continue
+        stack[count] = proj
+        count += 1
+    return count

@@ -237,11 +237,16 @@ def _stack_distances(targets: np.ndarray, elements: np.ndarray) -> np.ndarray:
     if n == 1:
         return np.abs(diff[..., 0, 0])
     if n == 2:
-        # Closed-form largest singular value of a 2x2 matrix.
+        # Closed-form largest singular value of a 2x2 matrix. The
+        # discriminant cancels when the singular values nearly coincide;
+        # widening it by its rounding bound keeps the result from reading
+        # below the true norm there.
         fro2 = np.sum(np.abs(diff) ** 2, axis=(-2, -1))
         det = (diff[..., 0, 0] * diff[..., 1, 1]
                - diff[..., 0, 1] * diff[..., 1, 0])
-        gap = np.sqrt(np.maximum(fro2 ** 2 - 4.0 * np.abs(det) ** 2, 0.0))
+        eps = np.finfo(float).eps
+        gap = np.sqrt(np.maximum(fro2 ** 2 - 4.0 * np.abs(det) ** 2, 0.0)
+                      + 32.0 * eps * fro2 ** 2)
         return np.sqrt(0.5 * (fro2 + gap))
     return _opnorm_stack(diff)
 
@@ -292,17 +297,15 @@ def empirical_packing_lower_bound(n: int, epsilon: float, trials: int,
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = np.random.default_rng(seed)
-    accepted: list[np.ndarray] = []
-    stack = np.zeros((0, n, n), dtype=complex)
+    stack = np.empty((trials, n, n), dtype=complex)
+    count = 0
     for _ in range(trials):
         u = _haar_batch(n, 1, rng)[0]
-        if stack.shape[0]:
-            d = _nearest_distances(u[None], stack)[0]
-            if d <= epsilon:
-                continue
-        accepted.append(u)
-        stack = np.asarray(accepted)
-    return stack.shape[0]
+        if count and _nearest_distances(u[None], stack[:count])[0] <= epsilon:
+            continue
+        stack[count] = u
+        count += 1
+    return count
 
 
 def circle_covering_number(epsilon: float) -> int:

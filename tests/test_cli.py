@@ -132,6 +132,13 @@ class TestVerifyTrotter:
         assert payload["measured"] == 1.0
         assert payload["bound"] == 0.5
 
+    def test_seed_flag_rejected(self, capsys, hamiltonian_file):
+        code, _, err = run_cli(
+            ["verify", "trotter", "--hamiltonian", str(hamiltonian_file),
+             "--T", "1.0", "--nt", "4", "--seed", "3"], capsys)
+        assert code == 1
+        assert "--seed" in err
+
     def test_missing_file_exits_one(self, capsys, tmp_path):
         code, _, err = run_cli(
             ["verify", "trotter", "--hamiltonian", str(tmp_path / "no.json"),

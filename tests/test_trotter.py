@@ -156,6 +156,42 @@ class TestSupAbs:
         assert sup <= sampled + missable + rounding
 
 
+class TestIntegral:
+    @given(envelope_and_window())
+    def test_matches_dense_quadrature(self, case):
+        env, t0, t1, lipschitz = case
+        n_samples = 10_001
+        t = np.linspace(t0, t1, n_samples)
+        quad = float(np.trapezoid(env(t), t))
+        # the trapezoid rule misses at most L * h^2 / 4 per panel on an
+        # L-Lipschitz integrand
+        spacing = (t1 - t0) / (n_samples - 1)
+        missable = lipschitz * spacing * (t1 - t0) / 4.0
+        rounding = 1e-11 * (1.0 + env.sup_abs(t0, t1) * (t1 - t0))
+        assert abs(env.integral(t0, t1) - quad) <= missable + rounding
+
+    @pytest.mark.parametrize("omega", [0.0, 1e-9, -1e-9, 5e-324])
+    def test_cosine_small_frequency(self, omega):
+        # a / omega * (sin(b) - sin(a)) divides by zero at omega = 0, loses
+        # eps / omega at 1e-9 and overflows at 5e-324
+        env = CosineEnvelope(1.3, omega, 0.7)
+        t = np.linspace(-0.5, 2.5, 10_001)
+        quad = float(np.trapezoid(env(t), t))
+        assert env.integral(-0.5, 2.5) == pytest.approx(quad, rel=1e-12)
+
+    def test_pwl_exact_on_breakpoints(self):
+        env = PiecewiseLinearEnvelope([0.0, 1.0, 2.0], [0.0, -3.0, 1.0])
+        assert env.integral(0.0, 2.0) == pytest.approx(-2.5, rel=1e-15)
+        assert env.integral(0.5, 1.5) == pytest.approx(-2.125, rel=1e-15)
+
+    def test_pwl_domain_error(self):
+        env = PiecewiseLinearEnvelope([0.0, 1.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match="domain"):
+            env.integral(0.5, 2.0)
+        with pytest.raises(ValueError, match="domain"):
+            env.integral(-1.0, 0.5)
+
+
 class TestCommutationDegree:
     def test_single_term(self):
         reg = QuditRegister(2, 2)
@@ -238,12 +274,15 @@ class TestExactPropagator:
 class TestTrotterPropagator:
     def test_single_term_matches_exact(self):
         reg = QuditRegister(2, 2)
-        h = TimeDependentHamiltonian(
-            reg, [HamiltonianTerm((0, 1), ZZ, CosineEnvelope(1.0, 2.0))])
-        exact = exact_propagator(h, 1.0, tol=1e-11)
-        for n_steps in (1, 3, 8):
-            approx = trotter_propagator(h, 1.0, n_steps)
-            assert operator_norm(approx.array - exact.array) <= 1e-9
+        for env in (CosineEnvelope(1.0, 2.0),
+                    PiecewiseLinearEnvelope([0.0, 0.4, 1.0], [0.5, -1.0, 0.8]),
+                    ConstantEnvelope(0.7)):
+            h = TimeDependentHamiltonian(
+                reg, [HamiltonianTerm((0, 1), ZZ, env)])
+            exact = exact_propagator(h, 1.0, tol=1e-11)
+            for n_steps in (1, 3, 8):
+                approx = trotter_propagator(h, 1.0, n_steps)
+                assert operator_norm(approx.array - exact.array) <= 1e-9
 
     def test_commuting_terms_exact_for_any_steps(self):
         reg = QuditRegister(3, 2)
