@@ -42,15 +42,23 @@ def _opnorm_stack(stack: np.ndarray) -> np.ndarray:
     return np.linalg.svd(stack, compute_uv=False)[..., 0]
 
 
-def _norm_within(a: np.ndarray, tol: float) -> bool:
-    """Whether ||a|| <= tol, with the Frobenius norm as a cheap first answer.
+def _norm_within(stack: np.ndarray, tol: float) -> np.ndarray:
+    """Per-matrix verdicts ||A|| <= tol over a (..., n, n) stack.
 
     ||A|| <= ||A||_F, so a passing Frobenius test settles acceptance; only
-    when it fails is the exact spectral norm computed. The verdict is the
-    spectral one either way. Non-finite input fails the first test and
-    raises in operator_norm.
+    the matrices that fail it get an SVD. The verdict is the spectral one
+    either way. Non-finite entries fail the first test and raise.
     """
-    return bool(np.linalg.norm(a) <= tol) or operator_norm(a) <= tol
+    flat = stack.reshape(stack.shape[:-2] + (stack.shape[-2] * stack.shape[-1],))
+    ok = np.asarray(np.sqrt(np.vecdot(flat, flat).real) <= tol)
+    if ok.all():
+        return ok
+    doubtful = ~ok
+    rest = stack[doubtful]
+    if not np.all(np.isfinite(rest)):
+        raise ValueError("matrix has non-finite entries")
+    ok[doubtful] = _opnorm_stack(rest) <= tol
+    return ok
 
 
 class UnitaryMatrix:
@@ -143,18 +151,12 @@ def matrix_exp(x) -> np.ndarray:
     UnitaryMatrix invariant. Other inputs go through scipy's expm.
     """
     if isinstance(x, SkewHermitian):
-        return _exp_skew_array(x.array)
-    arr = _as_square_array(x)
-    if _norm_within(arr + arr.conj().T, SKEW_TOL):
-        return _exp_skew_array(arr)
-    return scipy.linalg.expm(arr)
-
-
-def _exp_skew_array(x: np.ndarray) -> np.ndarray:
-    h = -1j * x
-    h = 0.5 * (h + h.conj().T)
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * w)) @ v.conj().T
+        arr = x.array
+    else:
+        arr = _as_square_array(x)
+        if not _norm_within(arr + arr.conj().T, SKEW_TOL):
+            return scipy.linalg.expm(arr)
+    return _exp_skew_stack(arr[None])[0]
 
 
 def _exp_skew_stack(stack: np.ndarray) -> np.ndarray:
@@ -162,8 +164,7 @@ def _exp_skew_stack(stack: np.ndarray) -> np.ndarray:
     h = -1j * stack
     h = 0.5 * (h + np.conj(np.swapaxes(h, -1, -2)))
     w, v = np.linalg.eigh(h)
-    phases = np.exp(1j * w)
-    return np.einsum("...ik,...k,...jk->...ij", v, phases, np.conj(v))
+    return (v * np.exp(1j * w)[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
 
 
 def haar_unitary(n: int, seed: int) -> UnitaryMatrix:
@@ -259,8 +260,18 @@ def check_exp_lipschitz(x, y) -> tuple[float, float, float]:
     ya = y.array if isinstance(y, SkewHermitian) else SkewHermitian(y).array
     if xa.shape != ya.shape:
         raise ValueError("matrices must have matching dimensions")
-    diff = operator_norm(xa - ya)
-    mid = operator_norm(matrix_exp(xa) - matrix_exp(ya))
-    r = max(operator_norm(xa), operator_norm(ya))
-    factor = max(2.0 - np.exp(r), 0.0)
-    return (factor * diff, mid, diff)
+    lower, mid, upper = _exp_lipschitz_stack(xa[None], ya[None])
+    return (float(lower[0]), float(mid[0]), float(upper[0]))
+
+
+def _exp_lipschitz_stack(xs: np.ndarray, ys: np.ndarray
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """check_exp_lipschitz over (k, n, n) stacks of validated skew pairs.
+
+    Returns the (lower, mid, upper) arrays, one entry per pair, from one
+    exponential call and one SVD call.
+    """
+    ex, ey = _exp_skew_stack(np.stack([xs, ys]))
+    diff, mid, rx, ry = _opnorm_stack(np.stack([xs - ys, ex - ey, xs, ys]))
+    factor = np.maximum(2.0 - np.exp(np.maximum(rx, ry)), 0.0)
+    return factor * diff, mid, diff

@@ -20,6 +20,7 @@ import numpy as np
 
 from .circuits import circuit_covering_log_bound
 from .grassmann import projector_covering_bounds
+from .linalg import _require_hermitian
 from .trotter import evolution_covering_log_bound
 
 _RESOURCES = ("circuit", "time")
@@ -118,11 +119,7 @@ def coarse_grain_hermitian(matrix: np.ndarray, center1: float,
     eps/2 because no eigenvalue moves farther than that.
     """
     _check_centers(center1, center2, epsilon)
-    a = np.asarray(matrix, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    if np.max(np.abs(a - a.conj().T)) > 1e-10:
-        raise ValueError("matrix must be Hermitian")
+    a = _require_hermitian(matrix)
     half = 0.5 * epsilon
     w, v = np.linalg.eigh(a)
     snapped = np.array([_snap_eigenvalue(x, center1, center2, half)

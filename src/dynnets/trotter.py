@@ -25,7 +25,7 @@ from .circuits import QuditRegister, _apply_gate
 from .linalg import (
     UnitaryMatrix,
     _as_square_array,
-    _exp_skew_array,
+    _exp_skew_stack,
     _require_hermitian,
     operator_norm,
 )
@@ -142,6 +142,7 @@ class PiecewiseLinearEnvelope:
         return np.interp(arr, self.times, self.values)
 
     def sup_abs(self, t0: float, t1: float) -> float:
+        t0, t1 = sorted((t0, t1))
         self._check_domain(t0, t1)
         # Piecewise-linear |e| peaks at window endpoints or interior breakpoints.
         candidates = [t0, t1] + [float(t) for t in self.times if t0 < t < t1]
@@ -149,6 +150,8 @@ class PiecewiseLinearEnvelope:
                    for c in candidates)
 
     def integral(self, t0: float, t1: float) -> float:
+        if t1 < t0:
+            return -self.integral(t1, t0)
         self._check_domain(t0, t1)
         # The trapezoid rule is exact on each linear piece.
         nodes = np.array([t0] + [float(t) for t in self.times if t0 < t < t1]
@@ -258,7 +261,8 @@ def _cf4_step(hfun, t: float, h: float) -> np.ndarray:
     h2 = hfun(t2)
     x1 = -1j * h * (_GAUSS_ALPHA1 * h1 + _GAUSS_ALPHA2 * h2)
     x2 = -1j * h * (_GAUSS_ALPHA2 * h1 + _GAUSS_ALPHA1 * h2)
-    return _exp_skew_array(x2) @ _exp_skew_array(x1)
+    e2, e1 = _exp_skew_stack(np.stack([x2, x1]))
+    return e2 @ e1
 
 
 def _adaptive_unitary(hfun, t0: float, t1: float, dim: int,
@@ -352,8 +356,8 @@ def trotter_propagator(h: TimeDependentHamiltonian, t_final: float,
         t0 = step * delta
         t1 = (step + 1) * delta
         for term in h.terms:
-            local = _exp_skew_array(
-                -1j * term.envelope.integral(t0, t1) * term.base)
+            local = _exp_skew_stack(
+                -1j * term.envelope.integral(t0, t1) * term.base[None])[0]
             u = _apply_gate(local, term.support, u, reg.L, reg.d)
     return UnitaryMatrix(u, _validated=True)
 

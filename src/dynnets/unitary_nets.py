@@ -21,6 +21,7 @@ from .linalg import (
     UnitaryMatrix,
     _exp_skew_stack,
     _haar_batch,
+    _norm_within,
     _opnorm_stack,
     matrix_exp,
     operator_norm,
@@ -30,6 +31,8 @@ from .linalg import (
 
 _GRID_DIM_LIMIT = 3
 _CANDIDATE_CAP = 20_000_000
+_MAX_ELEMENTS = 5_000_000
+_CHUNK = 65536
 
 
 @dataclass(frozen=True)
@@ -73,12 +76,12 @@ class UnitaryNet:
         if epsilon <= 0:
             raise ValueError("epsilon must be positive")
         eye = np.eye(n)
-        for start in range(0, arr.shape[0], 65536):
-            chunk = arr[start:start + 65536]
+        for start in range(0, arr.shape[0], _CHUNK):
+            chunk = arr[start:start + _CHUNK]
             gram = np.einsum("cji,cjk->cik", np.conj(chunk), chunk) - eye
-            defects = _opnorm_stack(gram)
-            if np.any(defects > UNITARY_TOL):
-                worst = float(defects.max())
+            ok = _norm_within(gram, UNITARY_TOL)
+            if not ok.all():
+                worst = float(_opnorm_stack(gram[~ok]).max())
                 raise ValueError(f"net element is not unitary (defect {worst:.3e})")
         arr.setflags(write=False)
         self.n = int(n)
@@ -135,15 +138,14 @@ def _grid_coordinates(dim: int, spacing: float, radius: float,
     return coords
 
 
-def build_unitary_net(n: int, epsilon: float, *,
-                      max_elements: int = 5_000_000) -> UnitaryNet:
+def build_unitary_net(n: int, epsilon: float) -> UnitaryNet:
     """Explicit grid net: certified epsilon-covering of U(n) for n <= 3.
 
     Grid spacing is 2*eps/n in Frobenius-orthonormal coordinates on u(n), so
     rounding any principal logarithm to the grid moves it by at most eps;
     grid points are kept when their operator norm is at most pi + eps, which
     retains every possible rounding image. The count is checked against
-    ``max_elements`` and construction fails rather than degrading the radius.
+    ``_MAX_ELEMENTS`` and construction fails rather than degrading the radius.
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
@@ -158,42 +160,34 @@ def build_unitary_net(n: int, epsilon: float, *,
     radius = math.sqrt(n) * (math.pi + epsilon)
 
     projected_log = _ball_volume_log(dim, radius) - dim * math.log(spacing)
-    if projected_log > math.log(1000.0 * max_elements):
+    if projected_log > math.log(1000.0 * _MAX_ELEMENTS):
         raise ValueError(
             f"net too large: projected {math.exp(min(projected_log, 700.0)):.3e} "
-            f"grid candidates for max_elements={max_elements}")
+            f"grid candidates for at most {_MAX_ELEMENTS} elements")
 
     coords = _grid_coordinates(dim, spacing, radius, _CANDIDATE_CAP)
     basis = skew_basis(n)
 
     retained = []
-    for start in range(0, coords.shape[0], 65536):
-        chunk = coords[start:start + 65536]
-        x = np.einsum("cd,dij->cij", chunk, basis)
-        eigs = np.linalg.eigvalsh(-1j * x)
-        opnorms = np.abs(eigs).max(axis=1)
-        keep = chunk[opnorms <= math.pi + epsilon + 1e-12]
-        retained.append(keep)
-        if sum(c.shape[0] for c in retained) > max_elements:
+    count = 0
+    for start in range(0, coords.shape[0], _CHUNK):
+        x = np.einsum("cd,dij->cij", coords[start:start + _CHUNK], basis)
+        opnorms = np.abs(np.linalg.eigvalsh(-1j * x)).max(axis=1)
+        keep = x[opnorms <= math.pi + epsilon + 1e-12]
+        count += keep.shape[0]
+        if count > _MAX_ELEMENTS:
             raise ValueError(
-                f"net too large: retained element count exceeds "
-                f"max_elements={max_elements}")
-    kept = np.vstack(retained)
-
-    mats = np.empty((kept.shape[0], n, n), dtype=complex)
-    for start in range(0, kept.shape[0], 65536):
-        chunk = kept[start:start + 65536]
-        x = np.einsum("cd,dij->cij", chunk, basis)
-        mats[start:start + chunk.shape[0]] = _exp_skew_stack(x)
+                f"net too large: retained element count exceeds {_MAX_ELEMENTS}")
+        retained.append(_exp_skew_stack(keep))
 
     log = {
         "method": "lie-algebra-grid",
         "spacing": spacing,
         "source_radius": math.pi + epsilon,
         "candidates": int(coords.shape[0]),
-        "retained": int(kept.shape[0]),
+        "retained": count,
     }
-    return UnitaryNet(n, epsilon, mats, log)
+    return UnitaryNet(n, epsilon, np.concatenate(retained), log)
 
 
 class ImplicitGridNet:

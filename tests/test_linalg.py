@@ -7,7 +7,9 @@ from dynnets.linalg import (
     SkewHermitian,
     Spectrum,
     UnitaryMatrix,
+    _exp_lipschitz_stack,
     _haar_batch,
+    _norm_within,
     check_exp_lipschitz,
     haar_unitary,
     matrix_exp,
@@ -105,6 +107,22 @@ class TestMatrixClasses:
         a[1, 2] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             build(a)
+
+
+class TestNormWithin:
+    def test_stack_verdicts(self):
+        stack = np.zeros((3, 2, 2), dtype=complex)
+        stack[0] = np.diag([0.5e-10, 0.5e-10])  # Frobenius 0.71e-10
+        stack[1] = np.diag([0.8e-10, 0.8e-10])  # Frobenius 1.13e-10, norm 0.8e-10
+        stack[2] = np.diag([1.2e-10, 0.0])
+        np.testing.assert_array_equal(_norm_within(stack, 1e-10),
+                                      [True, True, False])
+
+    def test_nan_in_stack_raises(self):
+        stack = np.zeros((3, 2, 2), dtype=complex)
+        stack[1, 0, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            _norm_within(stack, 1e-10)
 
 
 class TestMatrixExp:
@@ -246,6 +264,19 @@ class TestExpLipschitz:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             check_exp_lipschitz(np.zeros((2, 2)), np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("n, radius", [(1, 0.4), (3, 0.4), (4, np.pi),
+                                           (8, 0.6)])
+    def test_stack_matches_pairwise(self, n, radius):
+        xs = np.stack([random_skew_in_ball(n, radius, seed=s).array
+                       for s in range(12)])
+        ys = np.stack([random_skew_in_ball(n, radius, seed=100 + s).array
+                       for s in range(12)])
+        ys[3] = xs[3]  # an identical pair gives exact zeros
+        stacked = np.stack(_exp_lipschitz_stack(xs, ys), axis=1)
+        pairwise = np.array([check_exp_lipschitz(x, y) for x, y in zip(xs, ys)])
+        np.testing.assert_array_equal(stacked, pairwise)
+        np.testing.assert_array_equal(stacked[3], 0.0)
 
     @given(st.integers(0, 10_000))
     def test_lower_never_exceeds_mid_at_small_radius(self, seed):

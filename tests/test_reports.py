@@ -133,6 +133,20 @@ class TestCoarseGrainHermitian:
         with pytest.raises(ValueError):
             coarse_grain_hermitian(np.zeros((2, 3)), 0.0, 2.0, 1.0)
 
+    def test_rejects_nan(self):
+        obs = np.diag([1.0, np.nan])
+        with pytest.raises(ValueError, match="non-finite"):
+            coarse_grain_hermitian(obs, 0.0, 2.0, 1.0)
+
+    def test_rejects_small_entries_with_large_antihermitian_norm(self):
+        # every off-diagonal entry of A - A^dag is 0.9e-10 in magnitude, but
+        # its operator norm is 9.1e-10: the shared 1e-10 gate must reject it
+        obs = np.zeros((16, 16))
+        obs[np.triu_indices(16, 1)] = 0.9e-10
+        assert np.max(np.abs(obs - obs.T)) <= 1e-10 < operator_norm(obs - obs.T)
+        with pytest.raises(ValueError, match="Hermitian"):
+            coarse_grain_hermitian(obs, 0.0, 2.0, 1.0)
+
 
 class TestDegeneracyProfile:
     def test_single_site(self):

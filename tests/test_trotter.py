@@ -170,6 +170,12 @@ class TestIntegral:
         rounding = 1e-11 * (1.0 + env.sup_abs(t0, t1) * (t1 - t0))
         assert abs(env.integral(t0, t1) - quad) <= missable + rounding
 
+    @given(envelope_and_window())
+    def test_reversed_window(self, case):
+        env, t0, t1, _ = case
+        assert env.integral(t1, t0) == -env.integral(t0, t1)
+        assert env.sup_abs(t1, t0) == env.sup_abs(t0, t1)
+
     @pytest.mark.parametrize("omega", [0.0, 1e-9, -1e-9, 5e-324])
     def test_cosine_small_frequency(self, omega):
         # a / omega * (sin(b) - sin(a)) divides by zero at omega = 0, loses
@@ -183,6 +189,8 @@ class TestIntegral:
         env = PiecewiseLinearEnvelope([0.0, 1.0, 2.0], [0.0, -3.0, 1.0])
         assert env.integral(0.0, 2.0) == pytest.approx(-2.5, rel=1e-15)
         assert env.integral(0.5, 1.5) == pytest.approx(-2.125, rel=1e-15)
+        assert env.integral(2.0, 0.0) == pytest.approx(2.5, rel=1e-15)
+        assert env.sup_abs(2.0, 0.0) == 3.0
 
     def test_pwl_domain_error(self):
         env = PiecewiseLinearEnvelope([0.0, 1.0], [1.0, 1.0])

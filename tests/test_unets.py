@@ -120,6 +120,12 @@ class TestUnitaryNetType:
         with pytest.raises(ValueError, match="not unitary"):
             UnitaryNet(2, 0.5, bad)
 
+    def test_rejects_bad_element_past_first_chunk(self):
+        mats = np.broadcast_to(np.eye(2, dtype=complex), (70_000, 2, 2)).copy()
+        mats[66_000] *= 1.1
+        with pytest.raises(ValueError, match=r"not unitary \(defect 2\.100e-01\)"):
+            UnitaryNet(2, 0.5, mats)
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             UnitaryNet(2, 0.5, np.zeros((0, 2, 2)))
