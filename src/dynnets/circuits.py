@@ -214,40 +214,58 @@ def topology_count_log(L: int, k: int, n_gates: int) -> float:
     return k * n_gates * math.log(L)
 
 
+def _encode_matrix(matrix: np.ndarray) -> list[list[float]]:
+    """Row-major [re, im] pairs of a complex matrix."""
+    pairs = np.ascontiguousarray(matrix, dtype=complex).view(float)
+    return pairs.reshape(-1, 2).tolist()
+
+
+def _decode_matrix(raw, dim: int, what: str) -> np.ndarray:
+    """The (dim, dim) complex matrix written as row-major [re, im] pairs."""
+    pairs = np.ascontiguousarray(raw, dtype=float)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError(f"{what} must be a list of [re, im] pairs")
+    if pairs.shape[0] != dim * dim:
+        raise ValueError(
+            f"{what} has {pairs.shape[0]} entries, expected {dim * dim}")
+    return pairs.view(complex).reshape(dim, dim)
+
+
+def _parse_json(data, kind: str, items: str, field: str, what: str):
+    """Register and lazily decoded (support, matrix, entry) items of a document.
+
+    ``data`` is JSON text or an already parsed dict with keys ``L``, ``d`` and
+    ``items``; each item carries ``support`` and a ``field`` matrix. Items are
+    decoded one at a time, so the caller's per-item checks run in order.
+    """
+    if isinstance(data, (str, bytes)):
+        data = json.loads(data)
+    try:
+        reg = QuditRegister(int(data["L"]), int(data["d"]))
+        entries = data[items]
+    except KeyError as exc:
+        raise ValueError(f"{kind} JSON missing key {exc}") from None
+
+    def decoded():
+        for entry in entries:
+            support = tuple(int(s) for s in entry["support"])
+            matrix = _decode_matrix(entry[field], reg.d ** len(support), what)
+            yield support, matrix, entry
+
+    return reg, decoded()
+
+
 def circuit_to_json(circuit: Circuit) -> dict:
     """Circuit as a JSON-ready dict: {"L", "d", "gates": [{"support", "matrix"}]}.
 
     Matrix entries are [re, im] pairs, flattened row-major.
     """
-    gates = []
-    for g in circuit.gates:
-        flat = g.matrix.array.reshape(-1)
-        gates.append({
-            "support": list(g.support),
-            "matrix": [[float(z.real), float(z.imag)] for z in flat],
-        })
+    gates = [{"support": list(g.support), "matrix": _encode_matrix(g.matrix.array)}
+             for g in circuit.gates]
     return {"L": circuit.register.L, "d": circuit.register.d, "gates": gates}
 
 
 def circuit_from_json(data) -> Circuit:
     """Parse the JSON circuit format; validates unitarity of every gate."""
-    if isinstance(data, (str, bytes)):
-        data = json.loads(data)
-    try:
-        reg = QuditRegister(int(data["L"]), int(data["d"]))
-        raw_gates = data["gates"]
-    except KeyError as exc:
-        raise ValueError(f"circuit JSON missing key {exc}") from None
-    gates = []
-    for entry in raw_gates:
-        support = tuple(int(s) for s in entry["support"])
-        pairs = np.asarray(entry["matrix"], dtype=float)
-        if pairs.ndim != 2 or pairs.shape[1] != 2:
-            raise ValueError("gate matrix must be a list of [re, im] pairs")
-        dim = reg.d ** len(support)
-        if pairs.shape[0] != dim * dim:
-            raise ValueError(
-                f"gate matrix has {pairs.shape[0]} entries, expected {dim * dim}")
-        mat = (pairs[:, 0] + 1j * pairs[:, 1]).reshape(dim, dim)
-        gates.append(Gate(support, mat))
-    return Circuit(reg, gates)
+    reg, items = _parse_json(data, "circuit", "gates", "matrix", "gate matrix")
+    return Circuit(reg, [Gate(support, mat) for support, mat, _ in items])

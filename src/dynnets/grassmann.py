@@ -9,7 +9,7 @@ covering inequalities are checked exactly on small structured spaces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any
 
 import numpy as np
@@ -181,16 +181,7 @@ class ProjectorCoveringBounds:
     lower_nontrivial: bool
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "epsilon": self.epsilon,
-            "lower_log": self.lower_log,
-            "upper_log": self.upper_log,
-            "lower_valid": self.lower_valid,
-            "upper_valid": self.upper_valid,
-            "lower_nontrivial": self.lower_nontrivial,
-        }
+        return asdict(self)
 
 
 def projector_covering_bounds(n: int, m: int, epsilon: float) -> ProjectorCoveringBounds:
@@ -233,20 +224,7 @@ class ProductCoveringReport:
     passed: bool
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "epsilon": self.epsilon,
-            "size1": self.size1,
-            "size2": self.size2,
-            "cover1_eps": self.cover1_eps,
-            "cover2_eps": self.cover2_eps,
-            "cover1_2eps": self.cover1_2eps,
-            "cover2_2eps": self.cover2_2eps,
-            "product_cover_eps": self.product_cover_eps,
-            "product_pack_eps": self.product_pack_eps,
-            "lower_ok": self.lower_ok,
-            "upper_ok": self.upper_ok,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def product_covering_check(space1: metric.FiniteMetricSpace,
@@ -299,18 +277,7 @@ class QuotientCoveringReport:
     passed: bool
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "order": self.order,
-            "subgroup_order": self.subgroup_order,
-            "epsilon": self.epsilon,
-            "group_cover_2eps": self.group_cover_2eps,
-            "subgroup_cover_eps": self.subgroup_cover_eps,
-            "quotient_cover_eps": self.quotient_cover_eps,
-            "group_cover_half_eps": self.group_cover_half_eps,
-            "lower_ok": self.lower_ok,
-            "upper_ok": self.upper_ok,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def quotient_covering_check(order: int, subgroup_order: int,

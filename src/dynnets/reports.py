@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Sequence
 
 import numpy as np
@@ -151,13 +151,7 @@ class CrossoverRow:
     min_time: float | None
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "L": self.L,
-            "m": self.m,
-            "lower_log": self.lower_log,
-            "min_gates": self.min_gates,
-            "min_time": self.min_time,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -186,15 +180,9 @@ class CrossoverReport:
         return float(v)
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "resource": self.resource,
-            "d": self.d,
-            "k": self.k,
-            "epsilon": self.epsilon,
-            "rows": [r.as_dict() for r in self.rows],
-            "fit": self.fit,
-            "metadata": self.metadata,
-        }
+        payload = asdict(self)
+        payload["rows"] = list(payload["rows"])
+        return payload
 
 
 def _minimal_gates(d: int, k: int, L: int, epsilon: float, target: float) -> int:

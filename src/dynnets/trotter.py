@@ -14,14 +14,13 @@ over [0, T].
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy as np
 
-from .circuits import QuditRegister, _apply_gate
+from .circuits import QuditRegister, _apply_gate, _encode_matrix, _parse_json
 from .linalg import (
     UnitaryMatrix,
     _as_square_array,
@@ -465,37 +464,14 @@ def evolution_covering_log_bound(L: int, d: int, k: int, K: int, z: int,
 
 def hamiltonian_to_json(h: TimeDependentHamiltonian) -> dict[str, Any]:
     """Hamiltonian as a JSON-ready dict mirroring the circuit format."""
-    terms = []
-    for term in h.terms:
-        flat = term.base.reshape(-1)
-        terms.append({
-            "support": list(term.support),
-            "base": [[float(x.real), float(x.imag)] for x in flat],
-            "envelope": term.envelope.to_json(),
-        })
+    terms = [{"support": list(term.support), "base": _encode_matrix(term.base),
+              "envelope": term.envelope.to_json()} for term in h.terms]
     return {"L": h.register.L, "d": h.register.d, "terms": terms}
 
 
 def hamiltonian_from_json(data) -> TimeDependentHamiltonian:
     """Parse the JSON Hamiltonian format; validates Hermiticity of each base."""
-    if isinstance(data, (str, bytes)):
-        data = json.loads(data)
-    try:
-        reg = QuditRegister(int(data["L"]), int(data["d"]))
-        raw_terms = data["terms"]
-    except KeyError as exc:
-        raise ValueError(f"Hamiltonian JSON missing key {exc}") from None
-    terms = []
-    for entry in raw_terms:
-        support = tuple(int(s) for s in entry["support"])
-        pairs = np.asarray(entry["base"], dtype=float)
-        if pairs.ndim != 2 or pairs.shape[1] != 2:
-            raise ValueError("term base must be a list of [re, im] pairs")
-        dim = reg.d ** len(support)
-        if pairs.shape[0] != dim * dim:
-            raise ValueError(
-                f"term base has {pairs.shape[0]} entries, expected {dim * dim}")
-        base = (pairs[:, 0] + 1j * pairs[:, 1]).reshape(dim, dim)
-        terms.append(HamiltonianTerm(support, base,
-                                     envelope_from_json(entry["envelope"])))
-    return TimeDependentHamiltonian(reg, terms)
+    reg, items = _parse_json(data, "Hamiltonian", "terms", "base", "term base")
+    return TimeDependentHamiltonian(reg, [
+        HamiltonianTerm(support, base, envelope_from_json(entry["envelope"]))
+        for support, base, entry in items])

@@ -33,6 +33,8 @@ _GRID_DIM_LIMIT = 3
 _CANDIDATE_CAP = 20_000_000
 _MAX_ELEMENTS = 5_000_000
 _CHUNK = 65536
+_NET_HEADER = struct.Struct("<IdQ")
+_NET_ENTRY = np.dtype("<c16")
 
 
 @dataclass(frozen=True)
@@ -318,31 +320,22 @@ def save_net(net: UnitaryNet, path) -> None:
     Header: n (uint32 LE), epsilon (float64 LE), count (uint64 LE); then each
     element row-major, each entry as two little-endian float64 (re, im).
     """
-    count = len(net)
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<I", net.n))
-        fh.write(struct.pack("<d", net.epsilon))
-        fh.write(struct.pack("<Q", count))
-        interleaved = np.empty((count, net.n, net.n, 2), dtype="<f8")
-        interleaved[..., 0] = net.matrices.real
-        interleaved[..., 1] = net.matrices.imag
-        fh.write(interleaved.tobytes())
+        fh.write(_NET_HEADER.pack(net.n, net.epsilon, len(net)))
+        fh.write(net.matrices.astype(_NET_ENTRY).tobytes())
 
 
 def load_net(path) -> UnitaryNet:
     """Read a net written by save_net; re-validates unitarity of every element."""
     with open(path, "rb") as fh:
-        header = fh.read(20)
-        if len(header) != 20:
+        header = fh.read(_NET_HEADER.size)
+        if len(header) != _NET_HEADER.size:
             raise ValueError("truncated net file header")
-        n = struct.unpack("<I", header[0:4])[0]
-        epsilon = struct.unpack("<d", header[4:12])[0]
-        count = struct.unpack("<Q", header[12:20])[0]
+        n, epsilon, count = _NET_HEADER.unpack(header)
         payload = fh.read()
-    expected = count * n * n * 16
+    expected = count * n * n * _NET_ENTRY.itemsize
     if len(payload) != expected:
         raise ValueError(
             f"net file payload has {len(payload)} bytes, expected {expected}")
-    flat = np.frombuffer(payload, dtype="<f8").reshape(count, n, n, 2)
-    mats = flat[..., 0] + 1j * flat[..., 1]
+    mats = np.frombuffer(payload, dtype=_NET_ENTRY).reshape(count, n, n)
     return UnitaryNet(n, epsilon, mats, {"method": "deserialized"})

@@ -268,3 +268,21 @@ class TestCircuitJson:
     def test_rejects_missing_keys(self):
         with pytest.raises(ValueError):
             circuit_from_json({"L": 2, "gates": []})
+
+    @pytest.mark.parametrize("data, message", [
+        ({"d": 2, "gates": []}, "circuit JSON missing key 'L'"),
+        ({"L": 2, "gates": []}, "circuit JSON missing key 'd'"),
+        ({"L": 2, "d": 2}, "circuit JSON missing key 'gates'"),
+        ({"L": 1, "d": 2, "gates": [{"support": [0], "matrix": [1, 0, 0, 1]}]},
+         "gate matrix must be a list of [re, im] pairs"),
+        ({"L": 1, "d": 2, "gates": [{"support": [0],
+                                     "matrix": [[1, 0, 0]] * 4}]},
+         "gate matrix must be a list of [re, im] pairs"),
+        ({"L": 1, "d": 2, "gates": [{"support": [0],
+                                     "matrix": [[1, 0], [0, 0], [0, 0]]}]},
+         "gate matrix has 3 entries, expected 4"),
+    ])
+    def test_error_messages(self, data, message):
+        with pytest.raises(ValueError) as exc:
+            circuit_from_json(data)
+        assert str(exc.value) == message

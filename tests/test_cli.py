@@ -166,6 +166,14 @@ class TestVerifyGeometry:
         assert payload["passed"] is True
         assert payload["trials"] == 25
 
+    def test_lipschitz_blocks_match_one_stack(self, capsys, monkeypatch):
+        argv = ["verify", "lipschitz", "--n", "3", "--radius", "3.0",
+                "--trials", "23", "--seed", "4"]
+        _, whole, _ = run_cli(argv, capsys)
+        monkeypatch.setattr("dynnets.cli._LIPSCHITZ_BLOCK", 5)
+        _, blocked, _ = run_cli(argv, capsys)
+        assert blocked == whole
+
     def test_kato(self, capsys):
         code, out, _ = run_cli(["verify", "kato", "--n", "2", "--m", "5",
                                 "--trials", "20", "--seed", "9"], capsys)

@@ -442,6 +442,25 @@ class TestHamiltonianJson:
         with pytest.raises(ValueError):
             hamiltonian_from_json({"L": 2, "d": 2})
 
+    @pytest.mark.parametrize("data, message", [
+        ({"d": 2, "terms": []}, "Hamiltonian JSON missing key 'L'"),
+        ({"L": 2, "terms": []}, "Hamiltonian JSON missing key 'd'"),
+        ({"L": 2, "d": 2}, "Hamiltonian JSON missing key 'terms'"),
+        ('{"L": 1, "d": 2}', "Hamiltonian JSON missing key 'terms'"),
+        ({"L": 1, "d": 2, "terms": [{"support": [0], "base": [1, 0, 0, 1],
+                                     "envelope": {"kind": "constant",
+                                                  "value": 1.0}}]},
+         "term base must be a list of [re, im] pairs"),
+        ({"L": 2, "d": 2, "terms": [{"support": [0, 1], "base": [[0, 0]] * 5,
+                                     "envelope": {"kind": "constant",
+                                                  "value": 1.0}}]},
+         "term base has 5 entries, expected 16"),
+    ])
+    def test_error_messages(self, data, message):
+        with pytest.raises(ValueError) as exc:
+            hamiltonian_from_json(data)
+        assert str(exc.value) == message
+
     def test_rejects_nonhermitian_base(self):
         data = {
             "L": 1, "d": 2,

@@ -247,6 +247,26 @@ class TestNetSerialization:
         save_net(load_net(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_header_bytes(self, tmp_path):
+        path = tmp_path / "u1.bin"
+        save_net(UnitaryNet(1, 0.5, np.ones((1, 1, 1), dtype=complex)), path)
+        # n = 1 (uint32), epsilon = 0.5 (float64), count = 1 (uint64), then 1 + 0i
+        assert path.read_bytes().hex() == (
+            "01000000" "000000000000e03f" "0100000000000000"
+            "000000000000f03f" "0000000000000000")
+
+    def test_signed_zero_roundtrip(self, tmp_path):
+        mats = np.array([[[complex(-1.0, -0.0)]], [[complex(-0.0, 1.0)]],
+                         [[complex(0.0, -1.0)]], [[complex(1.0, -0.0)]]])
+        p1 = tmp_path / "a.bin"
+        p2 = tmp_path / "b.bin"
+        save_net(UnitaryNet(1, 0.25, mats), p1)
+        loaded = load_net(p1)
+        np.testing.assert_array_equal(np.signbit(loaded.matrices.view(float)),
+                                      np.signbit(mats.view(float)))
+        save_net(loaded, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+
     def test_load_rejects_corrupt_file(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"\x00" * 10)
