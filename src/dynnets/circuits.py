@@ -231,15 +231,18 @@ def _decode_matrix(raw, dim: int, what: str) -> np.ndarray:
     return pairs.view(complex).reshape(dim, dim)
 
 
-def _parse_json(data, kind: str, items: str, field: str, what: str):
-    """Register and lazily decoded (support, matrix, entry) items of a document.
+def _parse_json(data, kind: str, items: str, fields: tuple[str, ...], what: str):
+    """Register and lazily decoded (support, matrix, *rest) items of a document.
 
     ``data`` is JSON text or an already parsed dict with keys ``L``, ``d`` and
-    ``items``; each item carries ``support`` and a ``field`` matrix. Items are
-    decoded one at a time, so the caller's per-item checks run in order.
+    ``items``; each item carries ``support`` and the ``fields``, the first of
+    them a matrix. Items are decoded one at a time, so the caller's per-item
+    checks run in order. A missing key raises ``ValueError`` naming it.
     """
     if isinstance(data, (str, bytes)):
         data = json.loads(data)
+    if not isinstance(data, dict):
+        raise ValueError(f"{kind} JSON must be an object, got {type(data).__name__}")
     try:
         reg = QuditRegister(int(data["L"]), int(data["d"]))
         entries = data[items]
@@ -248,9 +251,13 @@ def _parse_json(data, kind: str, items: str, field: str, what: str):
 
     def decoded():
         for entry in entries:
-            support = tuple(int(s) for s in entry["support"])
-            matrix = _decode_matrix(entry[field], reg.d ** len(support), what)
-            yield support, matrix, entry
+            try:
+                support = tuple(int(s) for s in entry["support"])
+                matrix, *rest = (entry[key] for key in fields)
+            except KeyError as exc:
+                raise ValueError(
+                    f"{kind} JSON item in {items!r} missing key {exc}") from None
+            yield support, _decode_matrix(matrix, reg.d ** len(support), what), *rest
 
     return reg, decoded()
 
@@ -267,5 +274,5 @@ def circuit_to_json(circuit: Circuit) -> dict:
 
 def circuit_from_json(data) -> Circuit:
     """Parse the JSON circuit format; validates unitarity of every gate."""
-    reg, items = _parse_json(data, "circuit", "gates", "matrix", "gate matrix")
-    return Circuit(reg, [Gate(support, mat) for support, mat, _ in items])
+    reg, items = _parse_json(data, "circuit", "gates", ("matrix",), "gate matrix")
+    return Circuit(reg, [Gate(support, mat) for support, mat in items])

@@ -18,9 +18,9 @@ from . import metric
 from .linalg import (
     UnitaryMatrix,
     _as_square_array,
+    _greedy_packing,
     _haar_batch,
     _norm_within,
-    _opnorm_stack,
     operator_norm,
 )
 
@@ -337,14 +337,7 @@ def empirical_grassmann_packing(n: int, m: int, epsilon: float, trials: int,
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = np.random.default_rng(seed)
-    stack = np.empty((trials, m, m), dtype=complex)
-    count = 0
-    for _ in range(trials):
-        u = _haar_batch(m, 1, rng)[0]
-        b = u[:, :n]
-        proj = b @ b.conj().T
-        if count and _opnorm_stack(stack[:count] - proj).min() <= epsilon:
-            continue
-        stack[count] = proj
-        count += 1
-    return count
+    bases = np.concatenate([_haar_batch(m, 1, rng) for _ in range(trials)])[..., :n]
+    projectors = bases @ np.conj(np.swapaxes(bases, -1, -2))
+    # P - Q has rank at most 2n, and at most m
+    return _greedy_packing(projectors, min(2 * n, m), epsilon)

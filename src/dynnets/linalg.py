@@ -1,8 +1,9 @@
 """Dense complex linear algebra kernels.
 
 Operator norms, skew-Hermitian exponentials, Haar-random unitaries, principal
-logarithms, and the two-sided Lipschitz comparison for the exponential map.
-Everything here is deterministic for a fixed seed.
+logarithms, the two-sided Lipschitz comparison for the exponential map, and
+the Frobenius-bracket search behind nearest-element queries and greedy
+packings. Everything here is deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import scipy.linalg
 UNITARY_TOL = 1e-10
 SKEW_TOL = 1e-12
 HERMITIAN_TOL = 1e-10
+# (target, element) pairs per block of a nearest-element search
+_PAIR_BLOCK = 1 << 20
 
 def _as_square_array(a, name: str = "matrix") -> np.ndarray:
     arr = np.asarray(a, dtype=complex)
@@ -40,6 +43,92 @@ def _opnorm_stack(stack: np.ndarray) -> np.ndarray:
     if stack.shape[-1] == 0:
         return np.zeros(stack.shape[:-2])
     return np.linalg.svd(stack, compute_uv=False)[..., 0]
+
+
+def _flat_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real [re, im] rows of a (count, n, n) stack and their squared norms."""
+    flat = np.ascontiguousarray(stack, dtype=complex).reshape(len(stack), -1)
+    flat = flat.view(float)
+    return flat, np.einsum("ij,ij->i", flat, flat)
+
+
+def _frobenius_bracket(t: np.ndarray, tsq: np.ndarray, e: np.ndarray,
+                       esq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds lo2 <= ||T_i - E_j||_F^2 <= up2 for every (target, element) pair.
+
+    Takes ``_flat_stack`` rows and norms. ||T - E||_F^2 = |T|^2 + |E|^2
+    - 2 Re<T, E>, and the inner products of the whole block are one real GEMM.
+    """
+    total = np.add.outer(tsq, esq)
+    fro2 = t @ e.T
+    fro2 *= -2.0
+    fro2 += total
+    # |T|^2, |E|^2 and Re<T, E> are dot products of k = 2 n^2 real terms, each
+    # off by at most gamma_k ~ k eps / 2 times its sum of |products|: |T|^2,
+    # |E|^2 and at most (|T|^2 + |E|^2) / 2. With the two additions, fro2 is
+    # off by at most about (k + 1.5) eps (|T|^2 + |E|^2). The slack doubles
+    # (k + 2) to cover the SVD's own rounding of the norms it is compared with.
+    total *= (2 * t.shape[1] + 4) * np.finfo(float).eps
+    lo2 = fro2 - total
+    fro2 += total
+    return lo2, np.maximum(fro2, 0.0, out=fro2)
+
+
+def _nearest(targets: np.ndarray, elements: np.ndarray,
+             rank: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index of and operator-norm distance to each target's nearest element.
+
+    Every difference has rank at most ``rank``, so ||D||_F / sqrt(rank) <=
+    ||D|| <= ||D||_F: an element whose lower bound exceeds the smallest upper
+    bound of its row cannot be nearest. Only the survivors get an SVD of their
+    explicit difference, and ties go to the first index, as with argmin.
+    Targets run in blocks of at most ``_PAIR_BLOCK`` pairs.
+    """
+    t, tsq = _flat_stack(targets)
+    e, esq = _flat_stack(elements)
+    idx = np.empty(len(targets), dtype=np.intp)
+    dist = np.empty(len(targets))
+    block = max(1, _PAIR_BLOCK // len(elements))
+    for start in range(0, len(targets), block):
+        stop = min(start + block, len(targets))
+        lo2, up2 = _frobenius_bracket(t[start:stop], tsq[start:stop], e, esq)
+        rows, cols = np.nonzero(lo2 <= rank * up2.min(axis=1, keepdims=True))
+        norms = _opnorm_stack(targets[start + rows] - elements[cols])
+        order = np.lexsort((cols, norms, rows))
+        ranked = rows[order]
+        first = order[np.r_[True, ranked[1:] != ranked[:-1]]]
+        idx[start:stop] = cols[first]
+        dist[start:stop] = norms[first]
+    return idx, dist
+
+
+def _greedy_packing(candidates: np.ndarray, rank: int, epsilon: float) -> int:
+    """Size of the epsilon-packing grown greedily from a (count, n, n) stack.
+
+    A candidate is kept unless a kept element lies within epsilon of it in
+    operator norm, every difference having rank at most ``rank``. The
+    Frobenius bracket rejects on ||D||_F <= epsilon and accepts on
+    ||D||_F > sqrt(rank) epsilon; only the pairs in between get an SVD.
+    """
+    flat, sq = _flat_stack(candidates)
+    kept = np.empty(candidates.shape, dtype=complex)
+    kept_flat = kept.reshape(len(kept), -1).view(float)
+    kept_sq = np.empty_like(sq)
+    eps2 = epsilon * epsilon
+    count = 0
+    for cand, row, norm2 in zip(candidates, flat, sq):
+        lo2, up2 = _frobenius_bracket(row[None], norm2[None],
+                                      kept_flat[:count], kept_sq[:count])
+        if (up2 <= eps2).any():
+            continue
+        undecided = lo2[0] <= rank * eps2
+        if (undecided.any()
+                and (_opnorm_stack(kept[:count][undecided] - cand) <= epsilon).any()):
+            continue
+        kept[count] = cand
+        kept_sq[count] = norm2
+        count += 1
+    return count
 
 
 def _norm_within(stack: np.ndarray, tol: float) -> np.ndarray:

@@ -168,13 +168,16 @@ class PiecewiseLinearEnvelope:
 
 def envelope_from_json(obj) -> ConstantEnvelope | CosineEnvelope | PiecewiseLinearEnvelope:
     kind = obj.get("kind")
-    if kind == "constant":
-        return ConstantEnvelope(obj["value"])
-    if kind == "cosine":
-        return CosineEnvelope(obj["amplitude"], obj["omega"],
-                              obj.get("phase", 0.0))
-    if kind == "pwl":
-        return PiecewiseLinearEnvelope(obj["times"], obj["values"])
+    try:
+        if kind == "constant":
+            return ConstantEnvelope(obj["value"])
+        if kind == "cosine":
+            return CosineEnvelope(obj["amplitude"], obj["omega"],
+                                  obj.get("phase", 0.0))
+        if kind == "pwl":
+            return PiecewiseLinearEnvelope(obj["times"], obj["values"])
+    except KeyError as exc:
+        raise ValueError(f"{kind} envelope missing key {exc}") from None
     raise ValueError(f"unknown envelope kind {kind!r}")
 
 
@@ -471,7 +474,8 @@ def hamiltonian_to_json(h: TimeDependentHamiltonian) -> dict[str, Any]:
 
 def hamiltonian_from_json(data) -> TimeDependentHamiltonian:
     """Parse the JSON Hamiltonian format; validates Hermiticity of each base."""
-    reg, items = _parse_json(data, "Hamiltonian", "terms", "base", "term base")
+    reg, items = _parse_json(data, "Hamiltonian", "terms", ("base", "envelope"),
+                             "term base")
     return TimeDependentHamiltonian(reg, [
-        HamiltonianTerm(support, base, envelope_from_json(entry["envelope"]))
-        for support, base, entry in items])
+        HamiltonianTerm(support, base, envelope_from_json(envelope))
+        for support, base, envelope in items])

@@ -20,7 +20,9 @@ from .linalg import (
     UNITARY_TOL,
     UnitaryMatrix,
     _exp_skew_stack,
+    _greedy_packing,
     _haar_batch,
+    _nearest,
     _norm_within,
     _opnorm_stack,
     matrix_exp,
@@ -90,27 +92,18 @@ class UnitaryNet:
         self.epsilon = float(epsilon)
         self.matrices = arr
         self.construction_log = dict(construction_log or {})
-        self._elements: tuple[UnitaryMatrix, ...] | None = None
 
     def __len__(self) -> int:
         return self.matrices.shape[0]
-
-    @property
-    def elements(self) -> tuple[UnitaryMatrix, ...]:
-        if self._elements is None:
-            self._elements = tuple(
-                UnitaryMatrix(m, _validated=True) for m in self.matrices)
-        return self._elements
 
     def nearest(self, u) -> tuple[UnitaryMatrix, float]:
         """Net element closest to ``u`` in operator norm, with its distance."""
         target = u.array if isinstance(u, UnitaryMatrix) else UnitaryMatrix(u).array
         if target.shape[0] != self.n:
             raise ValueError(f"expected a {self.n}-dimensional unitary")
-        dists = _stack_distances(target[None], self.matrices)[0]
-        idx = int(np.argmin(dists))
-        return (UnitaryMatrix(self.matrices[idx], _validated=True),
-                float(dists[idx]))
+        idx, dist = _nearest(target[None], self.matrices, self.n)
+        return (UnitaryMatrix(self.matrices[idx[0]], _validated=True),
+                float(dist[0]))
 
     def __repr__(self) -> str:
         return f"UnitaryNet(n={self.n}, epsilon={self.epsilon}, count={len(self)})"
@@ -226,39 +219,6 @@ class ImplicitGridNet:
         return f"ImplicitGridNet(n={self.n}, epsilon={self.epsilon})"
 
 
-def _stack_distances(targets: np.ndarray, elements: np.ndarray) -> np.ndarray:
-    """(S, N) operator-norm distances between two stacks of n x n matrices."""
-    n = targets.shape[-1]
-    diff = targets[:, None, :, :] - elements[None, :, :, :]
-    if n == 1:
-        return np.abs(diff[..., 0, 0])
-    if n == 2:
-        # Closed-form largest singular value of a 2x2 matrix. The
-        # discriminant cancels when the singular values nearly coincide;
-        # widening it by its rounding bound keeps the result from reading
-        # below the true norm there.
-        fro2 = np.sum(np.abs(diff) ** 2, axis=(-2, -1))
-        det = (diff[..., 0, 0] * diff[..., 1, 1]
-               - diff[..., 0, 1] * diff[..., 1, 0])
-        eps = np.finfo(float).eps
-        gap = np.sqrt(np.maximum(fro2 ** 2 - 4.0 * np.abs(det) ** 2, 0.0)
-                      + 32.0 * eps * fro2 ** 2)
-        return np.sqrt(0.5 * (fro2 + gap))
-    return _opnorm_stack(diff)
-
-
-def _nearest_distances(targets: np.ndarray, elements: np.ndarray) -> np.ndarray:
-    """Min operator-norm distance from each target to the element stack."""
-    n = targets.shape[-1]
-    count = elements.shape[0]
-    out = np.empty(targets.shape[0])
-    chunk = max(1, int(4_000_000 // max(count * n * n, 1)))
-    for start in range(0, targets.shape[0], chunk):
-        t = targets[start:start + chunk]
-        out[start:start + t.shape[0]] = _stack_distances(t, elements).min(axis=1)
-    return out
-
-
 def empirical_covering_check(net: UnitaryNet, samples: int,
                              seed: int) -> tuple[float, bool]:
     """Max over Haar samples of the distance to the net, and pass/fail.
@@ -274,7 +234,7 @@ def empirical_covering_check(net: UnitaryNet, samples: int,
     while remaining > 0:
         batch = min(remaining, 2048)
         haar = _haar_batch(net.n, batch, rng)
-        gaps = _nearest_distances(haar, net.matrices)
+        gaps = _nearest(haar, net.matrices, net.n)[1]
         max_gap = max(max_gap, float(gaps.max()))
         remaining -= batch
     return max_gap, max_gap <= net.epsilon + 1e-12
@@ -293,15 +253,8 @@ def empirical_packing_lower_bound(n: int, epsilon: float, trials: int,
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = np.random.default_rng(seed)
-    stack = np.empty((trials, n, n), dtype=complex)
-    count = 0
-    for _ in range(trials):
-        u = _haar_batch(n, 1, rng)[0]
-        if count and _nearest_distances(u[None], stack[:count])[0] <= epsilon:
-            continue
-        stack[count] = u
-        count += 1
-    return count
+    draws = np.concatenate([_haar_batch(n, 1, rng) for _ in range(trials)])
+    return _greedy_packing(draws, n, epsilon)
 
 
 def circle_covering_number(epsilon: float) -> int:

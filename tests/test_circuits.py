@@ -15,7 +15,7 @@ from dynnets.circuits import (
     discretize_circuit,
     topology_count_log,
 )
-from dynnets.linalg import haar_unitary, operator_norm, spectral_width
+from dynnets.linalg import UnitaryMatrix, haar_unitary, operator_norm, spectral_width
 from dynnets.unitary_nets import ImplicitGridNet, build_unitary_net
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -136,7 +136,7 @@ class TestConjugateObservable:
 class TestDiscretizeCircuit:
     def test_gates_already_in_net_give_zero_bound(self):
         net = build_unitary_net(2, 0.5)
-        gate_matrix = net.elements[137]
+        gate_matrix = UnitaryMatrix(net.matrices[137])
         c = Circuit(QuditRegister(2, 2), [Gate((0,), gate_matrix),
                                           Gate((1,), gate_matrix)])
         c_net, bound = discretize_circuit(c, net)
@@ -281,6 +281,11 @@ class TestCircuitJson:
         ({"L": 1, "d": 2, "gates": [{"support": [0],
                                      "matrix": [[1, 0], [0, 0], [0, 0]]}]},
          "gate matrix has 3 entries, expected 4"),
+        ({"L": 1, "d": 2, "gates": [{"matrix": [[1, 0], [0, 0], [0, 0], [1, 0]]}]},
+         "circuit JSON item in 'gates' missing key 'support'"),
+        ({"L": 1, "d": 2, "gates": [{"support": [0]}]},
+         "circuit JSON item in 'gates' missing key 'matrix'"),
+        ([], "circuit JSON must be an object, got list"),
     ])
     def test_error_messages(self, data, message):
         with pytest.raises(ValueError) as exc:

@@ -107,6 +107,18 @@ class TestCrossover:
         assert "vacuous" in err
 
 
+_TERM = {"support": [0], "base": [[0, 0], [1, 0], [1, 0], [0, 0]],
+         "envelope": {"kind": "constant", "value": 0.5}}
+
+
+def _without(entry, key):
+    return {k: v for k, v in entry.items() if k != key}
+
+
+def _document(term):
+    return {"L": 1, "d": 2, "terms": [term]}
+
+
 class TestVerifyTrotter:
     def test_pass(self, capsys, hamiltonian_file):
         code, out, _ = run_cli(
@@ -154,6 +166,36 @@ class TestVerifyTrotter:
              "--T", "1.0", "--nt", "4"], capsys)
         assert code == 1
         assert err
+
+
+    @pytest.mark.parametrize("document, message", [
+        (_document(_without(_TERM, "support")),
+         "Hamiltonian JSON item in 'terms' missing key 'support'"),
+        (_document(_without(_TERM, "base")),
+         "Hamiltonian JSON item in 'terms' missing key 'base'"),
+        (_document(_without(_TERM, "envelope")),
+         "Hamiltonian JSON item in 'terms' missing key 'envelope'"),
+        (_document({**_TERM, "envelope": {"kind": "constant"}}),
+         "constant envelope missing key 'value'"),
+        (_document({**_TERM, "envelope": {"kind": "cosine", "omega": 2.0}}),
+         "cosine envelope missing key 'amplitude'"),
+        (_document({**_TERM, "envelope": {"kind": "cosine", "amplitude": 0.8}}),
+         "cosine envelope missing key 'omega'"),
+        (_document({**_TERM, "envelope": {"kind": "pwl", "values": [0, 1]}}),
+         "pwl envelope missing key 'times'"),
+        (_document({**_TERM, "envelope": {"kind": "pwl", "times": [0, 1]}}),
+         "pwl envelope missing key 'values'"),
+        ([_document(_TERM)], "Hamiltonian JSON must be an object, got list"),
+    ])
+    def test_missing_field_exits_one(self, capsys, tmp_path, document, message):
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        code, out, err = run_cli(
+            ["verify", "trotter", "--hamiltonian", str(path),
+             "--T", "1.0", "--nt", "4"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"dynnets: error: {message}\n"
 
 
 class TestVerifyGeometry:

@@ -8,7 +8,10 @@ from dynnets.linalg import (
     Spectrum,
     UnitaryMatrix,
     _exp_lipschitz_stack,
+    _exp_skew_stack,
+    _greedy_packing,
     _haar_batch,
+    _nearest,
     _norm_within,
     check_exp_lipschitz,
     haar_unitary,
@@ -19,6 +22,8 @@ from dynnets.linalg import (
     skew_basis,
     spectral_width,
 )
+from dynnets.grassmann import empirical_grassmann_packing
+from dynnets.unitary_nets import empirical_packing_lower_bound
 
 
 class TestOperatorNorm:
@@ -123,6 +128,93 @@ class TestNormWithin:
         stack[1, 0, 1] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             _norm_within(stack, 1e-10)
+
+
+class TestNearest:
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_cluster_matches_svd_argmin(self, n):
+        # 64 elements 1e-12 to 1e-7 from the target: their squared Frobenius
+        # distances are below the rounding of |T|^2 + |E|^2 - 2 Re<T, E>,
+        # so only the bracket's slack keeps the nearest one alive
+        rng = np.random.default_rng(30 + n)
+        basis = skew_basis(n)
+        for _ in range(200):
+            target = _haar_batch(n, 1, rng)[0]
+            coeffs = rng.standard_normal((64, n * n))
+            radii = 10.0 ** rng.uniform(-12.0, -7.0, 64)
+            coeffs *= (radii / np.linalg.norm(coeffs, axis=1))[:, None]
+            elements = target @ _exp_skew_stack(
+                np.einsum("cd,dij->cij", coeffs, basis))
+            svd = np.linalg.svd(target - elements, compute_uv=False)[:, 0]
+            idx, dist = _nearest(target[None], elements, n)
+            assert idx[0] == np.argmin(svd)
+            assert dist[0] == svd.min()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_haar_targets_match_svd_argmin(self, n):
+        # the operator-norm nearest is often not the Frobenius nearest, so
+        # this fails if the bracket's sqrt(rank) factor is dropped
+        rng = np.random.default_rng(40 + n)
+        targets = _haar_batch(n, 64, rng)
+        elements = _haar_batch(n, 500, rng)
+        svd = np.linalg.svd(targets[:, None] - elements[None],
+                            compute_uv=False)[..., 0]
+        idx, dist = _nearest(targets, elements, n)
+        np.testing.assert_array_equal(idx, np.argmin(svd, axis=1))
+        np.testing.assert_array_equal(dist, svd.min(axis=1))
+
+    def test_near_degenerate_pairs_never_under_svd(self):
+        # V = U Q diag(e^{i theta}, e^{-i theta (1 + delta)}) Q^dag gives
+        # U - V two nearly equal singular values
+        rng = np.random.default_rng(20)
+        count = 2000
+        u = _haar_batch(2, count, rng)
+        q = _haar_batch(2, count, rng)
+        theta = rng.uniform(0.05, 3.0, count)
+        delta = 10.0 ** rng.uniform(-16.0, -4.0, count)
+        phases = np.stack([np.exp(1j * theta),
+                           np.exp(-1j * theta * (1.0 + delta))], axis=-1)
+        v = u @ (q * phases[:, None, :]) @ np.conj(np.swapaxes(q, -1, -2))
+        svd_max = np.linalg.svd(u - v, compute_uv=False)[:, 0]
+        dist = np.array([_nearest(u[i:i + 1], v[i:i + 1], 2)[1][0]
+                         for i in range(count)])
+        eps = np.finfo(float).eps
+        assert np.all(dist >= svd_max * (1.0 - 4.0 * eps))
+        assert np.all(dist <= svd_max * (1.0 + 1e-7))
+
+
+def _svd_greedy_count(candidates, epsilon):
+    """Greedy packing size with an SVD of every candidate-kept difference."""
+    kept = []
+    for c in candidates:
+        if kept and np.linalg.svd(np.array(kept) - c,
+                                  compute_uv=False)[:, 0].min() <= epsilon:
+            continue
+        kept.append(c)
+    return len(kept)
+
+
+class TestGreedyPacking:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_unitary_packing_matches_svd_greedy(self, seed):
+        rng = np.random.default_rng(seed)
+        draws = [_haar_batch(2, 1, rng)[0] for _ in range(300)]
+        assert (empirical_packing_lower_bound(2, 0.5, 300, seed)
+                == _svd_greedy_count(draws, 0.5))
+
+    # rank-1 lines in C^2 and rank-2 planes in C^3 bound rank(P - Q) by m
+    @pytest.mark.parametrize("n, m", [(2, 4), (1, 2), (2, 3)])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_grassmann_packing_matches_svd_greedy(self, n, m, seed):
+        rng = np.random.default_rng(seed)
+        bases = [_haar_batch(m, 1, rng)[0][:, :n] for _ in range(200)]
+        expected = _svd_greedy_count([b @ b.conj().T for b in bases], 0.5)
+        assert empirical_grassmann_packing(n, m, 0.5, 200, seed) == expected
+
+    def test_exact_duplicate_rejected(self):
+        u = haar_unitary(3, seed=8).array
+        for epsilon in (0.5, 1e-12):
+            assert _greedy_packing(np.stack([u, u]), 3, epsilon) == 1
 
 
 class TestMatrixExp:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dynnets.linalg import _haar_batch, haar_unitary, operator_norm
+from dynnets.linalg import haar_unitary, operator_norm
 from dynnets.unitary_nets import (
     ImplicitGridNet,
     UnitaryNet,
@@ -11,7 +11,6 @@ from dynnets.unitary_nets import (
     circle_covering_number,
     empirical_covering_check,
     empirical_packing_lower_bound,
-    _stack_distances,
     load_net,
     save_net,
     unitary_covering_bounds,
@@ -130,11 +129,6 @@ class TestUnitaryNetType:
         with pytest.raises(ValueError):
             UnitaryNet(2, 0.5, np.zeros((0, 2, 2)))
 
-    def test_elements_are_validated_matrices(self):
-        net = UnitaryNet(1, 2.0, np.ones((1, 1, 1), dtype=complex))
-        assert len(net.elements) == 1
-        assert net.elements[0].dim == 1
-
 
 class TestEmpiricalCoveringCheck:
     def test_single_element_u1_diameter(self):
@@ -161,29 +155,6 @@ class TestEmpiricalCoveringCheck:
         gap1, _ = empirical_covering_check(u2_net, 100, seed=5)
         gap2, _ = empirical_covering_check(u2_net, 100, seed=5)
         assert gap1 == gap2
-
-
-class TestStackDistances:
-    def test_near_degenerate_pairs_never_under_svd(self):
-        # V = U Q diag(e^{i theta}, e^{-i theta (1 + delta)}) Q^dag gives
-        # U - V two nearly equal singular values, where the closed-form
-        # discriminant cancels
-        rng = np.random.default_rng(20)
-        count = 2000
-        u = _haar_batch(2, count, rng)
-        q = _haar_batch(2, count, rng)
-        theta = rng.uniform(0.05, 3.0, count)
-        delta = 10.0 ** rng.uniform(-16.0, -4.0, count)
-        phases = np.stack([np.exp(1j * theta),
-                           np.exp(-1j * theta * (1.0 + delta))], axis=-1)
-        v = u @ (q * phases[:, None, :]) @ np.conj(np.swapaxes(q, -1, -2))
-        svd_max = np.linalg.svd(u - v, compute_uv=False)[:, 0]
-        dist = np.concatenate([
-            np.diagonal(_stack_distances(u[i:i + 250], v[i:i + 250]))
-            for i in range(0, count, 250)])
-        eps = np.finfo(float).eps
-        assert np.all(dist >= svd_max * (1.0 - 4.0 * eps))
-        assert np.all(dist <= svd_max * (1.0 + 1e-7))
 
 
 class TestEmpiricalPackingLowerBound:
