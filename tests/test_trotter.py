@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, strategies as st
 
-from dynnets.circuits import QuditRegister
-from dynnets.linalg import operator_norm
+import dynnets.trotter as trotter_module
+from dynnets.circuits import QuditRegister, _apply_gate
+from dynnets.linalg import _exp_skew_stack, operator_norm
 from dynnets.trotter import (
     CertificateViolation,
     ConstantEnvelope,
@@ -44,6 +46,21 @@ def qubit_pair_hamiltonian():
 def random_hermitian(rng, dim):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return 0.5 * (g + g.conj().T)
+
+
+def mixed_envelope_chain(t_final=1.0):
+    """3-site chain with cosine, piecewise-linear and constant envelopes."""
+    rng = np.random.default_rng(31)
+    reg = QuditRegister(3, 2)
+    terms = [
+        HamiltonianTerm((0, 1), random_hermitian(rng, 4),
+                        CosineEnvelope(0.8, 2.5, 0.3)),
+        HamiltonianTerm((1, 2), random_hermitian(rng, 4),
+                        PiecewiseLinearEnvelope([0.0, 0.45 * t_final, t_final],
+                                                [0.6, -0.9, 0.4])),
+        HamiltonianTerm((2,), SX, ConstantEnvelope(-0.7)),
+    ]
+    return TimeDependentHamiltonian(reg, terms)
 
 
 class TestEnvelopes:
@@ -279,7 +296,80 @@ class TestExactPropagator:
             exact_propagator(h, 1.0)
 
 
+class TestBatchedAttempt:
+    """The six-node attempt against three textbook CF4 steps."""
+
+    @staticmethod
+    def textbook_cf4(hamiltonian, t, h):
+        # Blanes-Moan CF4: nodes t + (1/2 -+ sqrt(3)/6) h, weights
+        # 1/4 +- sqrt(3)/6; exp(-i h (a1 H1 + a2 H2)) acts first.
+        a1, a2 = 0.25 + math.sqrt(3) / 6, 0.25 - math.sqrt(3) / 6
+        h1 = hamiltonian(t + (0.5 - math.sqrt(3) / 6) * h)
+        h2 = hamiltonian(t + (0.5 + math.sqrt(3) / 6) * h)
+        return (scipy.linalg.expm(-1j * h * (a2 * h1 + a1 * h2))
+                @ scipy.linalg.expm(-1j * h * (a1 * h1 + a2 * h2)))
+
+    def test_matches_three_textbook_steps(self):
+        h = mixed_envelope_chain()
+        eye = np.eye(2)
+        dense = [np.kron(h.terms[0].base, eye), np.kron(eye, h.terms[1].base),
+                 np.kron(np.eye(4), h.terms[2].base)]
+
+        def hamiltonian(t):
+            return sum(float(term.envelope(t)) * b
+                       for term, b in zip(h.terms, dense))
+
+        envelopes = [term.envelope for term in h.terms]
+        bases = trotter_module._embedded_bases(h)
+        for t, step in ((0.0, 0.3), (0.21, 0.37), (0.5, 0.5)):
+            coarse, fine = trotter_module._cf4_attempt(envelopes, bases, t, step)
+            half = 0.5 * step
+            expect_coarse = self.textbook_cf4(hamiltonian, t, step)
+            expect_fine = (self.textbook_cf4(hamiltonian, t + half, half)
+                           @ self.textbook_cf4(hamiltonian, t, half))
+            assert operator_norm(coarse - expect_coarse) <= 1e-13
+            assert operator_norm(fine - expect_fine) <= 1e-13
+
+    def test_one_exponential_and_one_norm_per_attempt(self, monkeypatch):
+        counts = {"attempt": 0, "exp": 0, "norm": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(trotter_module, "_cf4_attempt",
+                            counted("attempt", trotter_module._cf4_attempt))
+        monkeypatch.setattr(trotter_module, "_exp_skew_stack",
+                            counted("exp", trotter_module._exp_skew_stack))
+        monkeypatch.setattr(trotter_module, "operator_norm",
+                            counted("norm", trotter_module.operator_norm))
+        exact_propagator(mixed_envelope_chain(), 1.0)
+        assert counts["attempt"] > 0
+        assert counts["exp"] == counts["norm"] == counts["attempt"]
+
+
 class TestTrotterPropagator:
+    @pytest.mark.parametrize("n_steps", [1, 7, 64])
+    @pytest.mark.parametrize("kind", [0, 1, 2])
+    def test_matches_slice_by_slice_loop(self, kind, n_steps):
+        full = mixed_envelope_chain(1.3)
+        # Every term gets the same envelope kind, so each kind is pinned alone.
+        h = TimeDependentHamiltonian(full.register, [
+            HamiltonianTerm(term.support, term.base, full.terms[kind].envelope)
+            for term in full.terms])
+        reg = h.register
+        u = np.eye(reg.dim, dtype=complex)
+        delta = 1.3 / n_steps
+        for step in range(n_steps):
+            t0, t1 = step * delta, (step + 1) * delta
+            for term in h.terms:
+                local = _exp_skew_stack(
+                    -1j * term.envelope.integral(t0, t1) * term.base[None])[0]
+                u = _apply_gate(local, term.support, u, reg.L, reg.d)
+        assert np.array_equal(trotter_propagator(h, 1.3, n_steps).array, u)
+
     def test_single_term_matches_exact(self):
         reg = QuditRegister(2, 2)
         for env in (CosineEnvelope(1.0, 2.0),
