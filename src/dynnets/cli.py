@@ -2,13 +2,15 @@
 
 Exit codes: 0 when the command ran and every checked property held, 2 when a
 verification ran to completion but a property was violated, 1 for usage
-errors (bad flags, invalid parameter ranges, unreadable files). All reports
-go to stdout as deterministic JSON unless --out is given.
+errors (bad flags, invalid parameter ranges, unreadable files). Each
+handler returns its report; ``main`` serializes it once, to stdout as
+deterministic JSON unless --out is given, and exits 2 on ``passed: false``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -19,7 +21,7 @@ from .circuits import circuit_covering_log_bound
 from .grassmann import (
     KATO_DISTANCE_LIMIT,
     Projector,
-    kato_unitary,
+    _kato_unitary,
     product_covering_check,
     projector_covering_bounds,
     projector_distance,
@@ -65,62 +67,42 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _emit(payload, out=None, format: str = "json") -> None:
-    text = emit_report(payload, format=format, path=out)
-    if out is None:
-        sys.stdout.write(text)
+def _cmd_bounds_circuit(args):
+    return circuit_covering_log_bound(args.d, args.k, args.L, args.ng, args.eps)
 
 
-def _cmd_bounds_circuit(args) -> int:
-    bound = circuit_covering_log_bound(args.d, args.k, args.L, args.ng,
-                                       args.eps)
-    _emit(bound.as_dict())
-    return EXIT_PASS
+def _cmd_bounds_tevol(args):
+    return evolution_covering_log_bound(args.L, args.d, args.k, args.K,
+                                        args.z, args.h, args.T, args.eps)
 
 
-def _cmd_bounds_tevol(args) -> int:
-    bound = evolution_covering_log_bound(args.L, args.d, args.k, args.K,
-                                         args.z, args.h, args.T, args.eps)
-    _emit(bound.as_dict())
-    return EXIT_PASS
+def _cmd_bounds_grassmann(args):
+    return projector_covering_bounds(args.n, args.m, args.eps)
 
 
-def _cmd_bounds_grassmann(args) -> int:
-    bounds = projector_covering_bounds(args.n, args.m, args.eps)
-    _emit(bounds.as_dict())
-    return EXIT_PASS
+def _cmd_crossover(args):
+    return crossover_analysis(args.d, args.k, args.eps,
+                              range(args.lmin, args.lmax + 1), args.resource)
 
 
-def _cmd_crossover(args) -> int:
-    report = crossover_analysis(args.d, args.k, args.eps,
-                                range(args.lmin, args.lmax + 1),
-                                args.resource)
-    _emit(report, out=args.out, format=args.format)
-    return EXIT_PASS
-
-
-def _cmd_verify_trotter(args) -> int:
+def _cmd_verify_trotter(args) -> dict:
     with open(args.hamiltonian, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     h = hamiltonian_from_json(data)
     try:
         cert = certify_trotter(h, args.T, args.nt)
     except CertificateViolation as exc:
-        _emit({
+        return {
             "passed": False,
             "T": args.T,
             "N_t": args.nt,
             "measured": exc.measured,
             "bound": exc.bound,
-        })
-        return EXIT_VIOLATION
-    payload = cert.as_dict()
-    payload["passed"] = True
-    _emit(payload)
-    return EXIT_PASS
+        }
+    return {**cert.as_dict(), "passed": True}
 
 
-def _cmd_verify_lipschitz(args) -> int:
+def _cmd_verify_lipschitz(args) -> dict:
     if args.trials < 1:
         raise ValueError("trials must be positive")
     seeds = np.random.SeedSequence(args.seed).generate_state(2 * args.trials,
@@ -138,17 +120,15 @@ def _cmd_verify_lipschitz(args) -> int:
             worst = {"lower": float(lower[i]), "mid": float(mid[i]),
                      "upper": float(upper[i]), "slack": float(slack[i])}
         violations += int(np.sum((lower > mid + 1e-10) | (mid > upper + 1e-10)))
-    passed = violations == 0
-    _emit({
+    return {
         "n": args.n,
         "radius": args.radius,
         "trials": args.trials,
         "seed": args.seed,
         "violations": violations,
         "worst_triple": worst,
-        "passed": passed,
-    })
-    return EXIT_PASS if passed else EXIT_VIOLATION
+        "passed": violations == 0,
+    }
 
 
 def _random_projector_pair(n: int, m: int, seed_a: int, seed_b: int,
@@ -169,7 +149,7 @@ def _random_projector_pair(n: int, m: int, seed_a: int, seed_b: int,
         theta *= 0.5
 
 
-def _cmd_verify_kato(args) -> int:
+def _cmd_verify_kato(args) -> dict:
     if args.trials < 1:
         raise ValueError("trials must be positive")
     rng = np.random.default_rng(args.seed)
@@ -182,7 +162,7 @@ def _cmd_verify_kato(args) -> int:
         theta = float(rng.uniform(0.05, 1.2))
         p, q, dist = _random_projector_pair(args.n, args.m, int(seeds[2 * i]),
                                             int(seeds[2 * i + 1]), theta)
-        v = kato_unitary(p, q)
+        v = _kato_unitary(p, q, dist)
         conj = operator_norm(v.array @ p.matrix @ v.array.conj().T - q.matrix)
         dev = operator_norm(np.eye(args.m) - v.array)
         ratio = dev / dist if dist > 1e-14 else 0.0
@@ -190,8 +170,7 @@ def _cmd_verify_kato(args) -> int:
         worst_conj = max(worst_conj, conj)
         if conj > 1e-8 or dev > 5.0 / math.sqrt(2.0) * dist + 1e-9:
             failures += 1
-    passed = failures == 0
-    _emit({
+    return {
         "n": args.n,
         "m": args.m,
         "trials": args.trials,
@@ -200,15 +179,14 @@ def _cmd_verify_kato(args) -> int:
         "worst_deviation_ratio": worst_ratio,
         "ratio_limit": 5.0 / math.sqrt(2.0),
         "worst_conjugation_defect": worst_conj,
-        "passed": passed,
-    })
-    return EXIT_PASS if passed else EXIT_VIOLATION
+        "passed": failures == 0,
+    }
 
 
-def _cmd_verify_nets(args) -> int:
+def _cmd_verify_nets(args) -> dict:
     net = build_unitary_net(args.n, args.eps)
     max_gap, covered = empirical_covering_check(net, args.samples, args.seed)
-    _emit({
+    return {
         "n": args.n,
         "epsilon": args.eps,
         "elements": len(net),
@@ -216,8 +194,7 @@ def _cmd_verify_nets(args) -> int:
         "seed": args.seed,
         "max_gap": max_gap,
         "passed": covered,
-    })
-    return EXIT_PASS if covered else EXIT_VIOLATION
+    }
 
 
 def _lemma_product_cases() -> list[dict]:
@@ -270,104 +247,84 @@ def _lemma_sandwich_cases() -> list[dict]:
     return cases
 
 
-def _cmd_verify_lemmas(args) -> int:
+def _cmd_verify_lemmas(args) -> dict:
     runners = {
         "product": _lemma_product_cases,
         "quotient": _lemma_quotient_cases,
         "sandwich": _lemma_sandwich_cases,
     }
     cases = runners[args.which]()
-    passed = all(case["passed"] for case in cases)
-    _emit({"which": args.which, "cases": cases, "passed": passed})
-    return EXIT_PASS if passed else EXIT_VIOLATION
+    return {"which": args.which, "cases": cases,
+            "passed": all(case["passed"] for case in cases)}
 
 
-def _int_flag(parser, name: str) -> None:
-    parser.add_argument(name, type=int, required=True)
+def _command(sub, name: str, help: str, handler, ints=(), floats=()):
+    """Add a subcommand with required int flags, then required float flags."""
+    parser = sub.add_parser(name, help=help)
+    for flag in ints:
+        parser.add_argument(flag, type=int, required=True)
+    for flag in floats:
+        parser.add_argument(flag, type=float, required=True)
+    parser.set_defaults(handler=handler)
+    return parser
 
 
-def _float_flag(parser, name: str) -> None:
-    parser.add_argument(name, type=float, required=True)
-
-
+@functools.cache
 def build_parser() -> _Parser:
+    """The dynnets parser, built once per process and shared; do not mutate."""
     parser = _Parser(prog="dynnets", allow_abbrev=False,
                      description=__doc__.splitlines()[0])
+    # only crossover declares --out/--format; every other command emits JSON
+    parser.set_defaults(out=None, format="json")
     sub = parser.add_subparsers(dest="command", required=True)
 
     bounds = sub.add_parser("bounds", help="log-domain covering bounds")
     bsub = bounds.add_subparsers(dest="target", required=True)
+    _command(bsub, "circuit", "circuit covering upper bound",
+             _cmd_bounds_circuit, ("--d", "--k", "--L", "--ng"), ("--eps",))
+    _command(bsub, "tevol", "time-evolution covering upper bound",
+             _cmd_bounds_tevol, ("--d", "--k", "--L", "--K", "--z"),
+             ("--h", "--T", "--eps"))
+    _command(bsub, "grassmann", "projector covering bounds",
+             _cmd_bounds_grassmann, ("--n", "--m"), ("--eps",))
 
-    bc = bsub.add_parser("circuit", help="circuit covering upper bound")
-    for flag in ("--d", "--k", "--L", "--ng"):
-        _int_flag(bc, flag)
-    _float_flag(bc, "--eps")
-    bc.set_defaults(handler=_cmd_bounds_circuit)
-
-    bt = bsub.add_parser("tevol", help="time-evolution covering upper bound")
-    for flag in ("--d", "--k", "--L", "--K", "--z"):
-        _int_flag(bt, flag)
-    for flag in ("--h", "--T", "--eps"):
-        _float_flag(bt, flag)
-    bt.set_defaults(handler=_cmd_bounds_tevol)
-
-    bg = bsub.add_parser("grassmann", help="projector covering bounds")
-    for flag in ("--n", "--m"):
-        _int_flag(bg, flag)
-    _float_flag(bg, "--eps")
-    bg.set_defaults(handler=_cmd_bounds_grassmann)
-
-    cx = sub.add_parser("crossover", help="minimal resource vs system size")
-    for flag in ("--d", "--k", "--lmin", "--lmax"):
-        _int_flag(cx, flag)
-    _float_flag(cx, "--eps")
+    cx = _command(sub, "crossover", "minimal resource vs system size",
+                  _cmd_crossover, ("--d", "--k", "--lmin", "--lmax"), ("--eps",))
     cx.add_argument("--resource", choices=("circuit", "time"), required=True)
     cx.add_argument("--out", default=None)
     cx.add_argument("--format", choices=("json", "csv"), default="json")
-    cx.set_defaults(handler=_cmd_crossover)
 
     verify = sub.add_parser("verify", help="property verifications")
     vsub = verify.add_subparsers(dest="check", required=True)
-
-    vt = vsub.add_parser("trotter", help="certify a Trotter run")
+    vt = _command(vsub, "trotter", "certify a Trotter run", _cmd_verify_trotter)
     vt.add_argument("--hamiltonian", required=True)
-    _float_flag(vt, "--T")
-    _int_flag(vt, "--nt")
-    vt.set_defaults(handler=_cmd_verify_trotter)
-
-    vl = vsub.add_parser("lipschitz", help="exp-map distortion bounds")
-    for flag in ("--n", "--trials", "--seed"):
-        _int_flag(vl, flag)
-    _float_flag(vl, "--radius")
-    vl.set_defaults(handler=_cmd_verify_lipschitz)
-
-    vk = vsub.add_parser("kato", help="projector-pair conjugating unitary")
-    for flag in ("--n", "--m", "--trials", "--seed"):
-        _int_flag(vk, flag)
-    vk.set_defaults(handler=_cmd_verify_kato)
-
-    vn = vsub.add_parser("nets", help="unitary net covering check")
-    for flag in ("--n", "--samples", "--seed"):
-        _int_flag(vn, flag)
-    _float_flag(vn, "--eps")
-    vn.set_defaults(handler=_cmd_verify_nets)
-
-    vlem = vsub.add_parser("lemmas", help="exact small-instance lemma checks")
+    vt.add_argument("--T", type=float, required=True)
+    vt.add_argument("--nt", type=int, required=True)
+    _command(vsub, "lipschitz", "exp-map distortion bounds",
+             _cmd_verify_lipschitz, ("--n", "--trials", "--seed"), ("--radius",))
+    _command(vsub, "kato", "projector-pair conjugating unitary",
+             _cmd_verify_kato, ("--n", "--m", "--trials", "--seed"))
+    _command(vsub, "nets", "unitary net covering check", _cmd_verify_nets,
+             ("--n", "--samples", "--seed"), ("--eps",))
+    vlem = _command(vsub, "lemmas", "exact small-instance lemma checks",
+                    _cmd_verify_lemmas)
     vlem.add_argument("--which", choices=("product", "quotient", "sandwich"),
                       required=True)
-    vlem.set_defaults(handler=_cmd_verify_lemmas)
-
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        report = args.handler(args)
+        text = emit_report(report, format=args.format, path=args.out)
+        if args.out is None:
+            sys.stdout.write(text)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"dynnets: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    violated = isinstance(report, dict) and report["passed"] is False
+    return EXIT_VIOLATION if violated else EXIT_PASS
 
 
 if __name__ == "__main__":

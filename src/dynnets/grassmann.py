@@ -127,11 +127,11 @@ def kato_unitary(p: Projector, q: Projector) -> UnitaryMatrix:
     V = (1 - R)^(-1/2) (Q P + (1 - Q)(1 - P)) with R = (P - Q)^2. Satisfies
     ||1 - V|| <= (5/sqrt(2)) ||P - Q||.
     """
-    if p.m != q.m:
-        raise ValueError("projectors act on different spaces")
-    if p.rank != q.rank:
-        raise ValueError("projectors must have equal rank")
-    dist = operator_norm(p.matrix - q.matrix)
+    return _kato_unitary(p, q, projector_distance(p, q))
+
+
+def _kato_unitary(p: Projector, q: Projector, dist: float) -> UnitaryMatrix:
+    """kato_unitary for a checked pair whose distance ||P - Q|| is known."""
     if dist > KATO_DISTANCE_LIMIT + 1e-12:
         raise ValueError(
             f"Kato precondition violated: ||P - Q|| = {dist:.6f} > 1/sqrt(2)")
@@ -157,7 +157,7 @@ def quotient_distance_bounds(p: Projector, q: Projector) -> tuple[float, float]:
     ||1 - V|| lies between them.
     """
     dist = projector_distance(p, q)
-    v = kato_unitary(p, q)
+    v = _kato_unitary(p, q, dist)
     upper = operator_norm(np.eye(p.m) - v.array)
     return (0.5 * dist, upper)
 

@@ -63,13 +63,11 @@ class FiniteMetricSpace:
         if np.max(np.abs(mat - mat.T)) > _METRIC_TOL:
             raise ValueError("metric must be symmetric")
         if n <= 8:
-            triples = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
+            i, j, k = np.indices((n, n, n)).reshape(3, -1)
         else:
-            rng = np.random.default_rng(0)
-            triples = rng.integers(0, n, size=(512, 3))
-        for i, j, k in triples:
-            if mat[i, k] > mat[i, j] + mat[j, k] + _METRIC_TOL:
-                raise ValueError("triangle inequality violated")
+            i, j, k = np.random.default_rng(0).integers(0, n, size=(512, 3)).T
+        if np.any(mat[i, k] > mat[i, j] + mat[j, k] + _METRIC_TOL):
+            raise ValueError("triangle inequality violated")
 
     @property
     def points(self) -> tuple:

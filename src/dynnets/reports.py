@@ -23,7 +23,9 @@ from .grassmann import projector_covering_bounds
 from .linalg import _require_hermitian
 from .trotter import evolution_covering_log_bound
 
-_RESOURCES = ("circuit", "time")
+# the CrossoverRow field that holds each resource's minimal value
+_RESOURCE_FIELDS = {"circuit": "min_gates", "time": "min_time"}
+_RESOURCES = tuple(_RESOURCE_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -150,6 +152,9 @@ class CrossoverRow:
     min_gates: int | None
     min_time: float | None
 
+    def value(self, resource: str) -> int | float | None:
+        return getattr(self, _RESOURCE_FIELDS[resource])
+
     def as_dict(self) -> dict[str, Any]:
         return asdict(self)
 
@@ -174,7 +179,7 @@ class CrossoverReport:
             raise ValueError("resource values must be non-decreasing in L")
 
     def _row_value(self, row: CrossoverRow) -> float:
-        v = row.min_gates if self.resource == "circuit" else row.min_time
+        v = row.value(self.resource)
         if v is None:
             raise ValueError(f"row for L={row.L} lacks a {self.resource} value")
         return float(v)
@@ -278,14 +283,15 @@ def crossover_analysis(d: int, k: int, epsilon: float, l_range,
         raise ValueError(f"unknown crossover parameters: {sorted(params)}")
     if resource == "time" and ls[0] < 2:
         raise ValueError("time resource needs L >= 2 (K = L - 1 terms)")
+    if ls[0] < 1:
+        # d >= 2, so every L >= 1 gives 1 <= m // 2 < m = d^L
+        raise ValueError(
+            f"dimension d^L = {d ** ls[0]} too small for half-rank split")
 
     rows = []
     for L in ls:
         m = d ** L
-        n = m // 2
-        if n < 1 or n >= m:
-            raise ValueError(f"dimension d^L = {m} too small for half-rank split")
-        demand = projector_covering_bounds(n, m, epsilon)
+        demand = projector_covering_bounds(m // 2, m, epsilon)
         if not demand.lower_valid:
             raise ValueError(
                 f"epsilon {epsilon} outside the lower bound's validity "
@@ -303,9 +309,7 @@ def crossover_analysis(d: int, k: int, epsilon: float, l_range,
                               demand.lower_log)
             rows.append(CrossoverRow(L, m, demand.lower_log, None, t))
 
-    values = [r.min_gates if resource == "circuit" else r.min_time
-              for r in rows]
-    fit = _growth_fit(ls, values)
+    fit = _growth_fit(ls, [r.value(resource) for r in rows])
     metadata: dict[str, Any] = {
         "scope": "finite-size trend over the reported range; no asymptotic claim",
         "rank_split": "n = floor(d^L / 2)",
@@ -389,12 +393,11 @@ def emit_report(report, format: str = "json", path=None) -> str:
     elif format == "csv":
         if not isinstance(report, CrossoverReport):
             raise ValueError("CSV output is only defined for crossover reports")
-        column = "min_gates" if report.resource == "circuit" else "min_time"
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["L", "m", "lower_log", column])
+        writer.writerow(["L", "m", "lower_log", _RESOURCE_FIELDS[report.resource]])
         for row in report.rows:
-            value = row.min_gates if report.resource == "circuit" else row.min_time
+            value = row.value(report.resource)
             cell = (str(value) if isinstance(value, int)
                     else f"{float(value):.17g}")
             writer.writerow([row.L, row.m, f"{row.lower_log:.17g}", cell])

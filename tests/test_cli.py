@@ -1,13 +1,21 @@
+import dataclasses
 import json
+import pathlib
+import shlex
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from dynnets import cli
 from dynnets.circuits import QuditRegister, circuit_covering_log_bound
 from dynnets.cli import main
-from dynnets.grassmann import projector_covering_bounds
+from dynnets.grassmann import (
+    product_covering_check,
+    projector_covering_bounds,
+)
+from dynnets.linalg import UnitaryMatrix
 from dynnets.reports import crossover_analysis
 from dynnets.trotter import (
     CertificateViolation,
@@ -33,15 +41,18 @@ def run_cli(argv, capsys):
     return code, out, err
 
 
-@pytest.fixture()
-def hamiltonian_file(tmp_path):
+def write_chain(path):
     reg = QuditRegister(2, 2)
     terms = [HamiltonianTerm((0, 1), ZZ, CosineEnvelope(0.8, 2.0)),
              HamiltonianTerm((0,), SX, ConstantEnvelope(0.5))]
     h = TimeDependentHamiltonian(reg, terms)
-    path = tmp_path / "chain.json"
     path.write_text(json.dumps(hamiltonian_to_json(h)), encoding="utf-8")
     return path
+
+
+@pytest.fixture()
+def hamiltonian_file(tmp_path):
+    return write_chain(tmp_path / "chain.json")
 
 
 class TestBounds:
@@ -241,6 +252,51 @@ class TestVerifyGeometry:
         assert all(case["passed"] for case in payload["cases"])
 
 
+def _fake_lipschitz_stack(xs, ys):
+    mid = np.ones(len(xs))
+    return mid + 1.0, mid, mid + 2.0
+
+
+def _failing_product_check(s1, s2, eps):
+    return dataclasses.replace(product_covering_check(s1, s2, eps),
+                               passed=False)
+
+
+class TestViolationExitsTwo:
+    """A completed check that finds a violation still prints its report."""
+
+    @pytest.mark.parametrize("name, fake, argv, keys, counts", [
+        ("_exp_lipschitz_stack", _fake_lipschitz_stack,
+         ["lipschitz", "--n", "2", "--radius", "0.4", "--trials", "5",
+          "--seed", "3"],
+         ["n", "radius", "trials", "seed", "violations", "worst_triple",
+          "passed"], {"violations": 5}),
+        ("_kato_unitary", lambda p, q, dist: UnitaryMatrix(-np.eye(p.m)),
+         ["kato", "--n", "2", "--m", "5", "--trials", "4", "--seed", "9"],
+         ["n", "m", "trials", "seed", "failures", "worst_deviation_ratio",
+          "ratio_limit", "worst_conjugation_defect", "passed"],
+         {"failures": 4}),
+        ("empirical_covering_check", lambda net, samples, seed: (1.0, False),
+         ["nets", "--n", "1", "--eps", "0.3", "--samples", "10",
+          "--seed", "11"],
+         ["n", "epsilon", "elements", "samples", "seed", "max_gap",
+          "passed"], {"max_gap": 1.0}),
+        ("product_covering_check", _failing_product_check,
+         ["lemmas", "--which", "product"],
+         ["which", "cases", "passed"], {}),
+    ])
+    def test_report_printed(self, capsys, monkeypatch, name, fake, argv,
+                            keys, counts):
+        monkeypatch.setattr(f"dynnets.cli.{name}", fake)
+        code, out, err = run_cli(["verify"] + argv, capsys)
+        assert code == 2
+        assert err == ""
+        payload = json.loads(out)
+        assert list(payload) == keys
+        assert payload["passed"] is False
+        assert {key: payload[key] for key in counts} == counts
+
+
 class TestUsageErrors:
     def test_missing_flag(self, capsys):
         code, _, err = run_cli(["bounds", "circuit", "--d", "2"], capsys)
@@ -261,6 +317,43 @@ class TestUsageErrors:
     def test_no_arguments(self, capsys):
         code, _, err = run_cli([], capsys)
         assert code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "grassmann", "--n", "2", "--m", "4", "--eps", "0.01",
+         "--out", "x.json"],
+        ["verify", "nets", "--n", "1", "--eps", "0.3", "--samples", "10",
+         "--seed", "1", "--format", "json"],
+        ["verify", "lemmas", "--which", "product", "--format", "csv"],
+    ])
+    def test_out_and_format_only_on_crossover(self, capsys, argv):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments" in err
+
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+
+def _readme_commands():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text(encoding="utf-8").split("## Command line")[1]
+    block = block.split("```sh")[1].split("```")[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines
+            if line.startswith("dynnets ")]
+
+
+def test_readme_commands_exit_zero(capsys, tmp_path, monkeypatch):
+    commands = _readme_commands()
+    assert len(commands) == 9
+    monkeypatch.chdir(tmp_path)
+    write_chain(tmp_path / "chain.json")
+    for argv in commands:
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, ""), argv
+        if "--out" not in argv:
+            assert json.loads(out)
 
 
 def test_module_entry_point():

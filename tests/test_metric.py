@@ -88,6 +88,34 @@ class TestFiniteMetricSpace:
         with pytest.raises(ValueError):
             FiniteMetricSpace([0, 1, 2], mat)
 
+    @pytest.mark.parametrize("size", [2, 5, 8, 9, 12, 30])
+    def test_triangle_policy(self, size):
+        # every triple up to 8 points, the 512 default_rng(0) triples above
+        def looped_verdict(mat):
+            n = mat.shape[0]
+            if n <= 8:
+                triples = itertools.product(range(n), repeat=3)
+            else:
+                triples = np.random.default_rng(0).integers(0, n, size=(512, 3))
+            return all(mat[i, k] <= mat[i, j] + mat[j, k] + 1e-12
+                       for i, j, k in triples)
+
+        rng = np.random.default_rng(size)
+        verdicts = []
+        for _ in range(40):
+            mat = random_space(rng, size).matrix.copy()
+            a, b = rng.choice(size, 2, replace=False)
+            mat[a, b] = mat[b, a] = mat[a, b] * rng.uniform(1.0, 3.0)
+            try:
+                FiniteMetricSpace(range(size), mat)
+                verdicts.append(True)
+            except ValueError as exc:
+                assert str(exc) == "triangle inequality violated"
+                verdicts.append(False)
+            assert verdicts[-1] == looped_verdict(mat)
+        if size > 2:
+            assert not all(verdicts)
+
     def test_rejects_duplicate_points(self):
         with pytest.raises(ValueError):
             FiniteMetricSpace([0, 0], np.zeros((2, 2)))

@@ -243,6 +243,12 @@ class TestCrossoverCircuit:
         with pytest.raises(ValueError, match="1/71"):
             crossover_analysis(2, 2, 0.05, range(8, 10), "circuit")
 
+    def test_sizes_below_one_rejected(self):
+        with pytest.raises(ValueError, match=r"d\^L = 1 too small"):
+            crossover_analysis(2, 2, 0.001, range(0, 3), "circuit")
+        with pytest.raises(ValueError, match=r"d\^L = 0.5 too small"):
+            crossover_analysis(2, 2, 0.001, [8, -1], "circuit")
+
     def test_bad_inputs(self):
         with pytest.raises(ValueError, match="resource"):
             crossover_analysis(2, 2, 0.001, range(8, 10), "depth")
@@ -290,6 +296,11 @@ class TestReportValidation:
                 CrossoverRow(5, 32, 40.0, 20, None))
         with pytest.raises(ValueError, match="non-decreasing"):
             CrossoverReport("circuit", 2, 2, 0.001, rows, None, {})
+
+    def test_row_value_follows_resource(self):
+        row = CrossoverRow(4, 16, 10.0, 50, 0.25)
+        assert row.value("circuit") == 50
+        assert row.value("time") == 0.25
 
     def test_unknown_resource_rejected(self):
         with pytest.raises(ValueError):
