@@ -60,7 +60,7 @@ class FiniteMetricSpace:
             raise ValueError("distances must be non-negative")
         if np.any(np.abs(np.diagonal(mat)) > _METRIC_TOL):
             raise ValueError("self-distance must be zero")
-        if np.max(np.abs(mat - mat.T)) > _METRIC_TOL:
+        if np.any(np.abs(mat - mat.T) > _METRIC_TOL):
             raise ValueError("metric must be symmetric")
         if n <= 8:
             i, j, k = np.indices((n, n, n)).reshape(3, -1)
@@ -181,33 +181,34 @@ def greedy_maximal_packing(space: FiniteMetricSpace, epsilon: float, seed: int) 
     )
 
 
-def _ball_masks(space: FiniteMetricSpace, epsilon: float) -> list[int]:
-    masks = []
-    mat = space.matrix
-    for j in range(space.size):
-        mask = 0
-        for i in np.nonzero(mat[:, j] <= epsilon + COVERING_SLACK)[0]:
-            mask |= 1 << int(i)
-        masks.append(mask)
-    return masks
+def _row_masks(within: np.ndarray) -> list[int]:
+    """Row i of a boolean matrix as the int whose bit j is within[i, j]."""
+    packed = np.packbits(within, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def _check_limit(space: FiniteMetricSpace, limit: int) -> None:
+def _search_size(space: FiniteMetricSpace, epsilon: float, limit: int) -> int:
+    """Point count for an exact search: limit first, then epsilon if nonempty."""
     if space.size > limit:
         raise ValueError(
             f"exact search limit exceeded: {space.size} points > limit {limit}")
+    # "not >" also rejects NaN, which empties every ball: the cover never ends
+    if space.size and not epsilon > 0:
+        raise ValueError("epsilon must be positive")
+    return space.size
 
 
 def brute_force_covering_number(space: FiniteMetricSpace, epsilon: float, *,
                                 limit: int = EXACT_SEARCH_LIMIT) -> int:
     """Exact minimum number of closed epsilon-balls covering the space."""
-    _check_limit(space, limit)
-    n = space.size
+    n = _search_size(space, epsilon, limit)
     if n == 0:
         return 0
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    balls = _ball_masks(space, epsilon)
+    # The matrix is symmetric, so row j is ball j and row i lists the balls
+    # that contain point i.
+    within = space.matrix <= epsilon + COVERING_SLACK
+    balls = _row_masks(within)
+    containing = [[balls[j] for j in np.flatnonzero(row)] for row in within]
     full = (1 << n) - 1
 
     # Greedy cover gives the initial upper bound.
@@ -218,12 +219,6 @@ def brute_force_covering_number(space: FiniteMetricSpace, epsilon: float, *,
         uncovered &= ~best
         greedy += 1
     best_count = greedy
-
-    containing: list[list[int]] = [[] for _ in range(n)]
-    for b in balls:
-        for i in range(n):
-            if b >> i & 1:
-                containing[i].append(b)
 
     def search(uncovered: int, count: int) -> None:
         nonlocal best_count
@@ -250,20 +245,12 @@ def brute_force_covering_number(space: FiniteMetricSpace, epsilon: float, *,
 def brute_force_packing_number(space: FiniteMetricSpace, epsilon: float, *,
                                limit: int = EXACT_SEARCH_LIMIT) -> int:
     """Exact maximum size of an epsilon-packing (pairwise distance > epsilon)."""
-    _check_limit(space, limit)
-    n = space.size
+    n = _search_size(space, epsilon, limit)
     if n == 0:
         return 0
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    mat = space.matrix
-    adj = []
-    for i in range(n):
-        mask = 0
-        for j in np.nonzero(mat[i] <= epsilon)[0]:
-            if j != i:
-                mask |= 1 << int(j)
-        adj.append(mask)
+    conflicts = space.matrix <= epsilon
+    np.fill_diagonal(conflicts, False)
+    adj = _row_masks(conflicts)
 
     # Greedy min-degree independent set warm-starts the search bound.
     best = 0

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 from dataclasses import asdict, dataclass
 from typing import Any, Sequence
@@ -340,19 +341,7 @@ def _json_scalar(value) -> str:
             raise ValueError("reports must not contain non-finite floats")
         return f"{x:.17g}"
     if isinstance(value, str):
-        out = io.StringIO()
-        out.write('"')
-        for ch in value:
-            if ch == '"':
-                out.write('\\"')
-            elif ch == "\\":
-                out.write("\\\\")
-            elif ord(ch) < 0x20:
-                out.write(f"\\u{ord(ch):04x}")
-            else:
-                out.write(ch)
-        out.write('"')
-        return out.getvalue()
+        return json.dumps(value, ensure_ascii=False)
     raise TypeError(f"cannot serialize {type(value).__name__} in a report")
 
 

@@ -49,33 +49,10 @@ _ATTEMPT_MIX = np.kron(
     np.diag([1.0, 0.5, 0.5]),
     np.array([[_GAUSS_ALPHA2, _GAUSS_ALPHA1], [_GAUSS_ALPHA1, _GAUSS_ALPHA2]]))
 _MIN_TOL = 1e-12
+# Attempted steps allowed per _adaptive_unitary call; criterion 1's segments
+# take at most a few hundred, so a run past this is a broken controller.
+_MAX_ATTEMPTS = 100_000
 _EXACT_DIM_LIMIT = 64
-
-
-class ConstantEnvelope:
-    """Envelope e(t) = value."""
-
-    kind = "constant"
-
-    def __init__(self, value: float):
-        self.value = float(value)
-        if not math.isfinite(self.value):
-            raise ValueError("envelope value must be finite")
-
-    def __call__(self, t):
-        return self.value * np.ones_like(np.asarray(t, dtype=float))
-
-    def sup_abs(self, t0: float, t1: float) -> float:
-        return abs(self.value)
-
-    def integral(self, t0: float, t1: float) -> float:
-        return self.value * (t1 - t0)
-
-    def breakpoints(self) -> tuple[float, ...]:
-        return ()
-
-    def to_json(self) -> dict[str, Any]:
-        return {"kind": self.kind, "value": self.value}
 
 
 class CosineEnvelope:
@@ -121,6 +98,25 @@ class CosineEnvelope:
                 "omega": self.omega, "phase": self.phase}
 
 
+class ConstantEnvelope(CosineEnvelope):
+    """Envelope e(t) = value: a cosine of frequency and phase 0, on which
+    cos 0 = 1 and the sinc's x == 0 branch make every method exact."""
+
+    kind = "constant"
+
+    def __init__(self, value: float):
+        if not math.isfinite(float(value)):
+            raise ValueError("envelope value must be finite")
+        super().__init__(value, 0.0)
+
+    @property
+    def value(self) -> float:
+        return self.amplitude
+
+    def to_json(self) -> dict[str, Any]:
+        return {"kind": self.kind, "value": self.value}
+
+
 class PiecewiseLinearEnvelope:
     """Piecewise-linear envelope through (times[i], values[i]) breakpoints.
 
@@ -155,22 +151,23 @@ class PiecewiseLinearEnvelope:
         self._check_domain(float(arr.min()), float(arr.max()))
         return np.interp(arr, self.times, self.values)
 
-    def sup_abs(self, t0: float, t1: float) -> float:
-        t0, t1 = sorted((t0, t1))
+    def _window(self, t0: float, t1: float) -> tuple[np.ndarray, np.ndarray]:
+        """Window endpoints and the breakpoints strictly inside, with values."""
         self._check_domain(t0, t1)
+        nodes = np.array([t0] + [t for t in self.times.tolist() if t0 < t < t1]
+                         + [t1])
+        return nodes, np.interp(nodes, self.times, self.values)
+
+    def sup_abs(self, t0: float, t1: float) -> float:
         # Piecewise-linear |e| peaks at window endpoints or interior breakpoints.
-        candidates = [t0, t1] + [float(t) for t in self.times if t0 < t < t1]
-        return max(abs(float(np.interp(c, self.times, self.values)))
-                   for c in candidates)
+        _, v = self._window(*sorted((t0, t1)))
+        return float(np.max(np.abs(v)))
 
     def integral(self, t0: float, t1: float) -> float:
         if t1 < t0:
             return -self.integral(t1, t0)
-        self._check_domain(t0, t1)
         # The trapezoid rule is exact on each linear piece.
-        nodes = np.array([t0] + [float(t) for t in self.times if t0 < t < t1]
-                         + [t1])
-        v = np.interp(nodes, self.times, self.values)
+        nodes, v = self._window(t0, t1)
         return float(0.5 * np.sum(np.diff(nodes) * (v[1:] + v[:-1])))
 
     def breakpoints(self) -> tuple[float, ...]:
@@ -181,7 +178,7 @@ class PiecewiseLinearEnvelope:
                 "values": self.values.tolist()}
 
 
-def envelope_from_json(obj) -> ConstantEnvelope | CosineEnvelope | PiecewiseLinearEnvelope:
+def envelope_from_json(obj) -> CosineEnvelope | PiecewiseLinearEnvelope:
     kind = obj.get("kind")
     try:
         if kind == "constant":
@@ -306,7 +303,12 @@ def _adaptive_unitary(envelopes, bases: np.ndarray, t0: float, t1: float,
     # additive floor keeps the controller from chasing that noise on the
     # final sliver of an interval where the proportional share vanishes.
     noise_floor = 32.0 * np.finfo(float).eps * math.sqrt(dim)
+    attempts = 0
     while t < t1 - 1e-15 * span:
+        attempts += 1
+        if attempts > _MAX_ATTEMPTS:
+            raise ValueError(f"adaptive propagator exceeded {_MAX_ATTEMPTS} "
+                             f"attempted steps on [{t0}, {t1}]")
         h = min(h, t1 - t)
         coarse, fine = _cf4_attempt(envelopes, bases, t, h)
         est = operator_norm(fine - coarse)

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from dynnets.metric import (
     FiniteMetricSpace,
+    _row_masks,
     ball_covering_bounds,
     brute_force_covering_number,
     brute_force_packing_number,
@@ -261,6 +262,26 @@ class TestBruteForce:
             brute_force_covering_number(space, 1.0)
         assert brute_force_covering_number(space, 1.0, limit=16) == 6
 
+    @pytest.mark.parametrize("search", [brute_force_covering_number,
+                                        brute_force_packing_number])
+    def test_prologue_order(self, search):
+        # limit first, then 0 for an empty space, then epsilon > 0
+        empty = FiniteMetricSpace([], np.zeros((0, 0)))
+        assert search(empty, 0.0) == 0
+        assert search(empty, -1.0) == 0
+        big = FiniteMetricSpace.cycle(16)
+        with pytest.raises(ValueError, match="limit"):
+            search(big, 0.0)
+        with pytest.raises(ValueError, match="positive"):
+            search(FiniteMetricSpace.cycle(3), 0.0)
+
+    @pytest.mark.parametrize("search", [brute_force_covering_number,
+                                        brute_force_packing_number])
+    def test_nan_epsilon_rejected(self, search):
+        # a NaN radius empties every ball, and the greedy cover never ends
+        with pytest.raises(ValueError, match="positive"):
+            search(FiniteMetricSpace.cycle(4), float("nan"))
+
     @given(st.integers(3, 10), st.floats(0.3, 3.0))
     def test_cycle_covering_closed_form(self, n, eps):
         # on a cycle each point covers floor(eps) hops to each side; the
@@ -269,6 +290,20 @@ class TestBruteForce:
         reach = 2 * int(np.floor(eps + 1e-12)) + 1
         expect = max(1, -(-n // reach))
         assert brute_force_covering_number(space, eps) == expect
+
+
+def test_row_masks_match_bit_loop():
+    # sizes cross byte boundaries and the 64-bit word boundary
+    rng = np.random.default_rng(5)
+    for n in range(1, 71):
+        within = rng.random((n, n)) < 0.4
+        expect = []
+        for row in within:
+            mask = 0
+            for j in np.nonzero(row)[0]:
+                mask |= 1 << int(j)
+            expect.append(mask)
+        assert _row_masks(within) == expect, n
 
 
 class TestBallCoveringBounds:

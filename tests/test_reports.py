@@ -351,6 +351,13 @@ class TestEmitReport:
         with pytest.raises(ValueError, match="finite"):
             emit_report({"x": float("inf")})
 
+    def test_strings_roundtrip(self):
+        text = 'say "hi" \\ caf\u00e9 \u03b5-net \b\t\n\f\r \x00\x1f\x7f'
+        report = {text: [text, "\u2028"], "plain": "ok"}
+        emitted = emit_report(report)
+        assert json.loads(emitted) == report
+        assert "caf\u00e9" in emitted  # non-ASCII stays unescaped
+
 
 class TestHighPrecisionSpotValues:
     """Log-domain evaluators vs 50-digit arithmetic on ten parameter sets."""

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 import dynnets.trotter as trotter_module
 from dynnets.circuits import QuditRegister, _apply_gate
+from dynnets.cli import main as cli_main
 from dynnets.linalg import _exp_skew_stack, operator_norm
 from dynnets.trotter import (
     CertificateViolation,
@@ -217,6 +218,31 @@ class TestIntegral:
             env.integral(-1.0, 0.5)
 
 
+class TestConstantEnvelope:
+    """A constant is the cosine of frequency and phase 0, exactly."""
+
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
+    def test_exact_values(self, v, t0, t1):
+        env = ConstantEnvelope(v)
+        assert env(t0) == v
+        assert np.all(env(np.array([t0, t1])) == v)
+        assert env.integral(t0, t1) == v * (t1 - t0)
+        assert env.sup_abs(t0, t1) == abs(v)
+
+    def test_is_zero_frequency_cosine(self):
+        env = ConstantEnvelope(-0.7)
+        assert isinstance(env, CosineEnvelope)
+        assert (env.omega, env.phase, env.value) == (0.0, 0.0, -0.7)
+        assert env.to_json() == {"kind": "constant", "value": -0.7}
+        with pytest.raises(AttributeError):
+            env.value = 1.0
+
+    def test_rejects_nonfinite(self):
+        with pytest.raises(ValueError, match="envelope value must be finite"):
+            ConstantEnvelope(float("nan"))
+
+
 class TestCommutationDegree:
     def test_single_term(self):
         reg = QuditRegister(2, 2)
@@ -294,6 +320,46 @@ class TestExactPropagator:
             reg, [HamiltonianTerm((0,), SX, ConstantEnvelope(1.0))])
         with pytest.raises(ValueError):
             exact_propagator(h, 1.0)
+
+
+def runaway_chain():
+    """3-site cosine chain: about 214 attempted steps over [0, 1] when sound."""
+    reg = QuditRegister(3, 2)
+    return TimeDependentHamiltonian(reg, [
+        HamiltonianTerm((0, 1), ZZ, CosineEnvelope(0.9, 2.0)),
+        HamiltonianTerm((1,), SX, CosineEnvelope(0.7, 1.3, 0.4)),
+        HamiltonianTerm((1, 2), ZZ, CosineEnvelope(0.5, 2.5)),
+    ])
+
+
+def break_step_control(monkeypatch):
+    # Both half steps on the first half's nodes: the doubling estimate never
+    # falls under its budget for a time-dependent chain.
+    monkeypatch.setattr(trotter_module, "_ATTEMPT_STARTS", np.zeros(6))
+    monkeypatch.setattr(trotter_module, "_MAX_ATTEMPTS", 2000)
+
+
+class TestStepBudget:
+    def test_sound_controller_within_budget(self, monkeypatch):
+        monkeypatch.setattr(trotter_module, "_MAX_ATTEMPTS", 2000)
+        exact_propagator(runaway_chain(), 1.0)
+
+    def test_runaway_controller_raises(self, monkeypatch):
+        break_step_control(monkeypatch)
+        with pytest.raises(ValueError, match="exceeded 2000 attempted steps"):
+            exact_propagator(runaway_chain(), 1.0)
+
+    def test_runaway_cli_exits_one(self, monkeypatch, capsys, tmp_path):
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(hamiltonian_to_json(runaway_chain())),
+                        encoding="utf-8")
+        break_step_control(monkeypatch)
+        code = cli_main(["verify", "trotter", "--hamiltonian", str(path),
+                         "--T", "1.0", "--nt", "4"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err.startswith("dynnets: error: adaptive propagator exceeded")
 
 
 class TestBatchedAttempt:
