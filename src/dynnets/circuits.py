@@ -187,7 +187,7 @@ def circuit_covering_log_bound(d: int, k: int, L: int, n_gates: int,
     """
     if d < 2 or k < 1 or L < 1 or n_gates < 1:
         raise ValueError("d >= 2, k >= 1, L >= 1, and n_gates >= 1 required")
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if epsilon / (2.0 * n_gates) > 0.1:
         raise ValueError(

@@ -258,13 +258,24 @@ def _cmd_verify_lemmas(args) -> dict:
             "passed": all(case["passed"] for case in cases)}
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for float flags: NaN and infinities are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _command(sub, name: str, help: str, handler, ints=(), floats=()):
-    """Add a subcommand with required int flags, then required float flags."""
+    """Add a subcommand with required int flags, then required finite floats."""
     parser = sub.add_parser(name, help=help)
     for flag in ints:
         parser.add_argument(flag, type=int, required=True)
     for flag in floats:
-        parser.add_argument(flag, type=float, required=True)
+        parser.add_argument(flag, type=_finite_float, required=True)
     parser.set_defaults(handler=handler)
     return parser
 
@@ -298,7 +309,7 @@ def build_parser() -> _Parser:
     vsub = verify.add_subparsers(dest="check", required=True)
     vt = _command(vsub, "trotter", "certify a Trotter run", _cmd_verify_trotter)
     vt.add_argument("--hamiltonian", required=True)
-    vt.add_argument("--T", type=float, required=True)
+    vt.add_argument("--T", type=_finite_float, required=True)
     vt.add_argument("--nt", type=int, required=True)
     _command(vsub, "lipschitz", "exp-map distortion bounds",
              _cmd_verify_lipschitz, ("--n", "--trials", "--seed"), ("--radius",))

@@ -188,7 +188,7 @@ def projector_covering_bounds(n: int, m: int, epsilon: float) -> ProjectorCoveri
     """Two-sided covering-number bounds for the rank-n projector manifold."""
     if not 1 <= n < m:
         raise ValueError("need 1 <= n < m")
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     exponent = 2.0 * n * (m - n)
     msq = float(m * m)
@@ -289,7 +289,7 @@ def quotient_covering_check(order: int, subgroup_order: int,
     """
     if order < 1 or subgroup_order < 1 or order % subgroup_order != 0:
         raise ValueError("subgroup order must divide the group order")
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     group = metric.FiniteMetricSpace.cycle(order)
     gmat = group.matrix
@@ -332,7 +332,7 @@ def empirical_grassmann_packing(n: int, m: int, epsilon: float, trials: int,
         raise ValueError("need 1 <= n < m")
     if m > 16:
         raise ValueError("ambient dimension capped at 16 for the empirical packing")
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if trials < 1:
         raise ValueError("need at least one trial")

@@ -8,6 +8,8 @@ packings. Everything here is deterministic for a fixed seed.
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +20,15 @@ SKEW_TOL = 1e-12
 HERMITIAN_TOL = 1e-10
 # (target, element) pairs per block of a nearest-element search
 _PAIR_BLOCK = 1 << 20
+# Entry m - 1 is the largest 1-norm theta at which the degree-m Taylor
+# polynomial of exp meets theta^(m+1) / (m+1)! * e^theta <= 2^-53, rounded
+# down to four significant digits; m runs from 1 to 18.
+_TAYLOR_THETA = (1.490e-08, 8.733e-06, 2.271e-04, 1.677e-03, 6.556e-03,
+                 1.772e-02, 3.795e-02, 6.944e-02, 1.136e-01, 1.713e-01,
+                 2.426e-01, 3.274e-01, 4.252e-01, 5.353e-01, 6.569e-01,
+                 7.893e-01, 9.317e-01, 1.083)
+_INV_FACTORIAL = np.array([1.0 / math.factorial(k)
+                           for k in range(len(_TAYLOR_THETA) + 1)])
 
 def _as_square_array(a, name: str = "matrix") -> np.ndarray:
     arr = np.asarray(a, dtype=complex)
@@ -256,6 +267,52 @@ def _exp_skew_stack(stack: np.ndarray) -> np.ndarray:
     return (v * np.exp(1j * w)[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
 
 
+def _exp_skew_series(stack: np.ndarray) -> np.ndarray:
+    """Exponentials of a (k, n, n) stack of skew-Hermitian matrices of small norm.
+
+    theta, the stack's largest 1-norm, bounds every matrix's operator norm,
+    since a skew-Hermitian matrix has equal 1- and infinity-norms. The
+    degree-m Taylor polynomial is then off by at most theta^(m+1) / (m+1)!
+    * e^theta <= 2^-53 for the smallest m with theta <= _TAYLOR_THETA[m - 1].
+    Above the table the stack is scaled by 2^-s and the result squared s
+    times. The polynomial is evaluated by Paterson-Stockmeyer: powers up to
+    X^q, one real GEMM for the blocks of q coefficients, and a Horner pass in
+    X^q, about 2 sqrt(m) stacked matrix products in all. The result is
+    unitary to rounding, where ``_exp_skew_stack`` is unitary by
+    construction; for norms near pi, as in nets, the eigendecomposition is
+    also the cheaper of the two.
+    """
+    theta = float(np.abs(stack).sum(axis=-2).max(initial=0.0))
+    squarings = 0
+    if theta > _TAYLOR_THETA[-1]:
+        squarings = math.frexp(theta / _TAYLOR_THETA[-1])[1]
+        stack = stack * math.ldexp(1.0, -squarings)
+        theta = math.ldexp(theta, -squarings)
+    # min() absorbs a last-bit rounding of theta / _TAYLOR_THETA[-1].
+    degree = min(bisect.bisect_left(_TAYLOR_THETA, theta) + 1, len(_TAYLOR_THETA))
+    q = math.isqrt(degree - 1) + 1
+    blocks = degree // q + 1
+    powers = np.empty((q + 1,) + stack.shape, dtype=complex)
+    powers[0] = np.eye(stack.shape[-1])
+    powers[1] = stack
+    for i in range(2, q + 1):
+        np.matmul(powers[i - 1], stack, out=powers[i])
+    coeffs = np.zeros(blocks * q)
+    coeffs[:degree + 1] = _INV_FACTORIAL[:degree + 1]
+    # Block j is sum_i coeffs[j q + i] X^i over i < q: real coefficients
+    # times the [re, im] rows of I, X, ..., X^(q-1).
+    flat = powers[:q].reshape(q, -1).view(float)
+    b = (coeffs.reshape(blocks, q) @ flat).view(complex).reshape(
+        (blocks,) + stack.shape)
+    result = b[-1]
+    for j in range(blocks - 2, -1, -1):
+        result = powers[q] @ result
+        result += b[j]
+    for _ in range(squarings):
+        result = result @ result
+    return result
+
+
 def haar_unitary(n: int, seed: int) -> UnitaryMatrix:
     """Haar-distributed random unitary via QR of a complex Ginibre matrix."""
     rng = np.random.default_rng(seed)
@@ -278,7 +335,7 @@ def random_skew_in_ball(n: int, radius: float, seed: int) -> SkewHermitian:
     Antihermitizes a complex Gaussian matrix, then rescales to u * radius
     where u is uniform on (0, 1].
     """
-    if radius <= 0:
+    if not radius > 0:
         raise ValueError("radius must be positive")
     rng = np.random.default_rng(seed)
     return SkewHermitian(_skew_ball_batch(n, radius, 1, rng)[0], _validated=True)

@@ -163,7 +163,7 @@ def greedy_maximal_packing(space: FiniteMetricSpace, epsilon: float, seed: int) 
     """
     if space.size == 0:
         raise ValueError("empty metric space")
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     rng = np.random.default_rng(seed)
     order = rng.permutation(space.size)
@@ -295,7 +295,7 @@ def ball_covering_bounds(radius: float, dim: float, epsilon: float) -> tuple[flo
 
     Returns ((R/eps)^D, (1 + 2R/eps)^D); the lower bound assumes eps <= R.
     """
-    if radius <= 0 or epsilon <= 0 or dim <= 0:
+    if not (radius > 0 and epsilon > 0 and dim > 0):
         raise ValueError("radius, dimension, and epsilon must be positive")
     lower = (radius / epsilon) ** dim
     upper = (1.0 + 2.0 * radius / epsilon) ** dim

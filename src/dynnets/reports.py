@@ -79,7 +79,7 @@ def _snap_eigenvalue(eig: float, center1: float, center2: float,
 
 
 def _check_centers(center1: float, center2: float, epsilon: float) -> None:
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if center2 - center1 <= epsilon:
         raise ValueError(

@@ -58,7 +58,7 @@ def unitary_covering_bounds(n: int, epsilon: float) -> UnitaryCoveringBounds:
     """ln of (3/(4 eps))^(n^2) <= N(U(n), eps) <= (7/eps)^(n^2) for eps <= 1/10."""
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if epsilon > 0.1:
         return UnitaryCoveringBounds(n, float(epsilon), None, None, False)
@@ -77,7 +77,7 @@ class UnitaryNet:
             raise ValueError(f"expected a (count, {n}, {n}) stack, got {arr.shape}")
         if arr.shape[0] == 0:
             raise ValueError("net must contain at least one element")
-        if epsilon <= 0:
+        if not epsilon > 0:
             raise ValueError("epsilon must be positive")
         eye = np.eye(n)
         for start in range(0, arr.shape[0], _CHUNK):
@@ -148,7 +148,7 @@ def build_unitary_net(n: int, epsilon: float) -> UnitaryNet:
         raise ValueError(
             f"explicit grid construction supports n <= {_GRID_DIM_LIMIT}; "
             f"use ImplicitGridNet for n = {n}")
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     dim = n * n
     spacing = 2.0 * epsilon / n
@@ -196,7 +196,7 @@ class ImplicitGridNet:
     def __init__(self, n: int, epsilon: float):
         if n < 1:
             raise ValueError("dimension must be at least 1")
-        if epsilon <= 0:
+        if not epsilon > 0:
             raise ValueError("epsilon must be positive")
         self.n = int(n)
         self.epsilon = float(epsilon)
@@ -248,7 +248,7 @@ def empirical_packing_lower_bound(n: int, epsilon: float, trials: int,
     sandwich inequalities also a lower-bound witness for N_cov(epsilon/2)
     and an upper-bound check against any covering bound at epsilon/2.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -259,7 +259,7 @@ def empirical_packing_lower_bound(n: int, epsilon: float, trials: int,
 
 def circle_covering_number(epsilon: float) -> int:
     """Exact minimal number of closed epsilon-balls covering U(1) (chordal)."""
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if epsilon >= 2.0:
         return 1

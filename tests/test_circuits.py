@@ -218,6 +218,10 @@ class TestCircuitCoveringLogBound:
         with pytest.raises(ValueError, match="epsilon"):
             circuit_covering_log_bound(2, 2, 4, 5, 1.5)  # needs eps <= ng/5
 
+    def test_rejects_nan_epsilon(self):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            circuit_covering_log_bound(2, 2, 4, 5, math.nan)
+
     def test_gates_exceed_sites_flag(self):
         assert circuit_covering_log_bound(
             2, 1, 4, 5, 0.1).context["hypothesis_gates_exceed_sites"]

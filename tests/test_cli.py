@@ -331,6 +331,24 @@ class TestUsageErrors:
         assert out == ""
         assert "unrecognized arguments" in err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["verify", "nets", "--n", "1", "--eps", "nan", "--samples", "10",
+          "--seed", "1"], "--eps"),
+        (["bounds", "grassmann", "--n", "2", "--m", "4", "--eps", "nan"],
+         "--eps"),
+        (["bounds", "tevol", "--d", "2", "--k", "2", "--L", "4", "--K", "3",
+          "--z", "3", "--h", "inf", "--T", "1", "--eps", "0.1"], "--h"),
+        (["verify", "lipschitz", "--n", "2", "--trials", "3", "--seed", "1",
+          "--radius", "NaN"], "--radius"),
+        (["verify", "trotter", "--hamiltonian", "chain.json", "--T=-inf",
+          "--nt", "4"], "--T"),
+    ])
+    def test_non_finite_float_names_flag(self, capsys, argv, flag):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert f"error: argument {flag}: expected a finite number" in err
+
     def test_parser_built_once(self):
         assert cli.build_parser() is cli.build_parser()
 

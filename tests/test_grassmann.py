@@ -350,3 +350,14 @@ class TestEmpiricalGrassmannPacking:
         counts = [empirical_grassmann_packing(1, 2, eps, trials=150, seed=2)
                   for eps in (0.2, 0.4, 0.6, 0.8)]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: projector_covering_bounds(2, 4, math.nan),
+    lambda: quotient_covering_check(6, 2, math.nan),
+    lambda: empirical_grassmann_packing(2, 4, math.nan, 5, 1),
+], ids=["projector_covering_bounds", "quotient_covering_check",
+        "empirical_grassmann_packing"])
+def test_nan_epsilon_rejected(call):
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        call()

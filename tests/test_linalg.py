@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -7,7 +9,9 @@ from dynnets.linalg import (
     SkewHermitian,
     Spectrum,
     UnitaryMatrix,
+    _TAYLOR_THETA,
     _exp_lipschitz_stack,
+    _exp_skew_series,
     _exp_skew_stack,
     _greedy_packing,
     _haar_batch,
@@ -238,6 +242,61 @@ class TestMatrixExp:
         np.testing.assert_array_equal(matrix_exp(np.zeros((3, 3))), np.eye(3))
 
 
+def skew_stack(rng, n, norm1, count=6):
+    """count skew-Hermitian n x n matrices with largest 1-norm norm1."""
+    g = rng.normal(size=(count, n, n)) + 1j * rng.normal(size=(count, n, n))
+    x = 0.5 * (g - np.conj(np.swapaxes(g, -1, -2)))
+    x *= rng.uniform(0.1, 1.0, size=(count, 1, 1))
+    return x * (norm1 / np.abs(x).sum(axis=-2).max())
+
+
+SERIES_NORMS = [0.0, 1e-9, 1e-4, 3.3e-3, 0.12, 0.5, 1.083, 1.2, 3.0, 10.0, 50.0]
+
+
+class TestExpSkewSeries:
+    # Rounding-level agreement: c n eps max(1, ||X||) with c = 8, per matrix.
+    @staticmethod
+    def rounding_bound(n, x):
+        norms = np.linalg.svd(x, compute_uv=False)[:, 0]
+        return 8 * n * np.finfo(float).eps * np.maximum(1.0, norms)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16, 32, 64])
+    def test_matches_eigendecomposition(self, n):
+        rng = np.random.default_rng(100 + n)
+        for norm1 in SERIES_NORMS:
+            x = skew_stack(rng, n, norm1)
+            diff = np.linalg.svd(_exp_skew_series(x) - _exp_skew_stack(x),
+                                 compute_uv=False)[:, 0]
+            assert np.all(diff <= self.rounding_bound(n, x)), (norm1, diff)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16, 32, 64])
+    def test_unitary_to_rounding(self, n):
+        rng = np.random.default_rng(200 + n)
+        for norm1 in SERIES_NORMS:
+            x = skew_stack(rng, n, norm1)
+            u = _exp_skew_series(x)
+            defect = np.conj(np.swapaxes(u, -1, -2)) @ u - np.eye(n)
+            norms = np.linalg.svd(defect, compute_uv=False)[:, 0]
+            assert np.all(norms <= self.rounding_bound(n, x)), (norm1, norms)
+
+    @pytest.mark.parametrize("n", [1, 4, 64])
+    def test_zero_stack_gives_identity(self, n):
+        u = _exp_skew_series(np.zeros((6, n, n), dtype=complex))
+        np.testing.assert_array_equal(u, np.broadcast_to(np.eye(n), (6, n, n)))
+
+    def test_threshold_table_from_remainder_bound(self):
+        # Entry m - 1 is the remainder bound's largest admissible 1-norm for
+        # degree m, rounded down to four significant digits.
+        def remainder(theta, m):
+            return theta ** (m + 1) / math.factorial(m + 1) * math.exp(theta)
+
+        assert len(_TAYLOR_THETA) == 18
+        for m, theta in enumerate(_TAYLOR_THETA, start=1):
+            digit = 10.0 ** (math.floor(math.log10(theta)) - 3)
+            assert remainder(theta, m) <= 2.0 ** -53, m
+            assert remainder(theta + digit, m) > 2.0 ** -53, m
+
+
 class TestHaarUnitary:
     def test_unitarity_and_determinism(self):
         u1 = haar_unitary(4, seed=9)
@@ -273,6 +332,10 @@ class TestRandomSkewInBall:
                  for s in range(200)]
         assert min(norms) < 0.5
         assert max(norms) > 0.9
+
+    def test_rejects_nan_radius(self):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            random_skew_in_ball(2, float("nan"), seed=0)
 
 
 class TestSkewBasis:

@@ -337,3 +337,15 @@ class TestBallCoveringBounds:
             ball_covering_bounds(1.0, 0, 0.1)
         with pytest.raises(ValueError):
             ball_covering_bounds(1.0, 3, 0.0)
+
+
+def test_greedy_packing_rejects_nan_epsilon():
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        greedy_maximal_packing(FiniteMetricSpace.cycle(5), float("nan"), 0)
+
+
+@pytest.mark.parametrize("args", [(float("nan"), 3, 0.1), (1.0, float("nan"), 0.1),
+                                  (1.0, 3, float("nan"))])
+def test_ball_covering_bounds_rejects_nan(args):
+    with pytest.raises(ValueError, match="must be positive"):
+        ball_covering_bounds(*args)

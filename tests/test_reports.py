@@ -78,6 +78,13 @@ class TestCoarseGrainSpectrum:
         assert new.degeneracies == (5, 5)
         assert (deg1, deg2) == (5, 5)
 
+    def test_rejects_nan_epsilon(self):
+        profile = degeneracy_profile_extensive_z(4)
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            coarse_grain_spectrum(profile, 0.0, 2.0, float("nan"))
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            coarse_grain_hermitian(np.diag([0.1, 1.9]), 0.0, 2.0, float("nan"))
+
     def test_far_eigenvalues_untouched(self):
         p = SpectrumProfile((-5.0, 0.1, 7.0), (1, 2, 1))
         new, _, deg1, deg2 = coarse_grain_spectrum(p, 0.0, 2.0, 1.0)

@@ -407,8 +407,8 @@ class TestBatchedAttempt:
 
         monkeypatch.setattr(trotter_module, "_cf4_attempt",
                             counted("attempt", trotter_module._cf4_attempt))
-        monkeypatch.setattr(trotter_module, "_exp_skew_stack",
-                            counted("exp", trotter_module._exp_skew_stack))
+        monkeypatch.setattr(trotter_module, "_exp_skew_series",
+                            counted("exp", trotter_module._exp_skew_series))
         monkeypatch.setattr(trotter_module, "operator_norm",
                             counted("norm", trotter_module.operator_norm))
         exact_propagator(mixed_envelope_chain(), 1.0)
@@ -572,6 +572,13 @@ class TestEvolutionCoveringLogBound:
     def test_validity_window(self):
         with pytest.raises(ValueError, match="epsilon"):
             evolution_covering_log_bound(4, 2, 2, 1, 1, 0.1, 0.1, 0.5)
+
+    @pytest.mark.parametrize("position", [5, 6, 7])
+    def test_rejects_nan(self, position):
+        args = [4, 2, 2, 3, 3, 1.0, 1.0, 0.1]
+        args[position] = math.nan
+        with pytest.raises(ValueError, match="must be positive"):
+            evolution_covering_log_bound(*args)
 
     def test_implied_step_count_in_context(self):
         bound = evolution_covering_log_bound(4, 2, 2, 3, 3, 1.0, 1.0, 0.1)

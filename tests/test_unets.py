@@ -243,3 +243,18 @@ class TestNetSerialization:
         path.write_bytes(b"\x00" * 10)
         with pytest.raises(ValueError):
             load_net(path)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: unitary_covering_bounds(2, math.nan),
+    lambda: UnitaryNet(1, math.nan, np.ones((1, 1, 1))),
+    lambda: build_unitary_net(1, math.nan),
+    lambda: ImplicitGridNet(2, math.nan),
+    lambda: empirical_packing_lower_bound(2, math.nan, 5, 1),
+    lambda: circle_covering_number(math.nan),
+], ids=["unitary_covering_bounds", "UnitaryNet", "build_unitary_net",
+        "ImplicitGridNet", "empirical_packing_lower_bound",
+        "circle_covering_number"])
+def test_nan_epsilon_rejected(call):
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        call()
