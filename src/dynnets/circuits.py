@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .linalg import UnitaryMatrix, _require_hermitian
-from .logdomain import LogBound
+from .logdomain import EpsilonTooSmall, LogBound
 
 _DENSE_DIM_LIMIT = 4096
 
@@ -196,6 +196,8 @@ def circuit_covering_log_bound(d: int, k: int, L: int, n_gates: int,
     topology = topology_count_log(L, k, n_gates)
     ln_value = topology + (d ** (2 * k)) * n_gates * math.log(
         14.0 * n_gates / epsilon)
+    if not math.isfinite(ln_value):
+        raise EpsilonTooSmall(epsilon)
     return LogBound(ln_value, {
         "d": d,
         "k": k,

@@ -35,6 +35,7 @@ from .linalg import (
     operator_norm,
     random_skew_in_ball,
 )
+from .logdomain import EpsilonTooSmall
 from .metric import (
     FiniteMetricSpace,
     brute_force_covering_number,
@@ -103,6 +104,8 @@ def _cmd_verify_trotter(args) -> dict:
 
 
 def _cmd_verify_lipschitz(args) -> dict:
+    if args.n < 1:
+        raise ValueError(f"argument --n: must be at least 1, got {args.n}")
     if args.trials < 1:
         raise ValueError("trials must be positive")
     seeds = np.random.SeedSequence(args.seed).generate_state(2 * args.trials,
@@ -150,6 +153,9 @@ def _random_projector_pair(n: int, m: int, seed_a: int, seed_b: int,
 
 
 def _cmd_verify_kato(args) -> dict:
+    if not 1 <= args.n <= args.m:
+        raise ValueError(f"arguments --n and --m: need 1 <= n <= m, "
+                         f"got n = {args.n}, m = {args.m}")
     if args.trials < 1:
         raise ValueError("trials must be positive")
     rng = np.random.default_rng(args.seed)
@@ -331,6 +337,9 @@ def main(argv=None) -> int:
         text = emit_report(report, format=args.format, path=args.out)
         if args.out is None:
             sys.stdout.write(text)
+    except EpsilonTooSmall as exc:
+        print(f"dynnets: error: argument --eps: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"dynnets: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

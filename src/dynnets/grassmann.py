@@ -23,6 +23,7 @@ from .linalg import (
     _norm_within,
     operator_norm,
 )
+from .logdomain import EpsilonTooSmall
 
 _ORTHONORMAL_TOL = 1e-10
 _PROJECTOR_TOL = 1e-9
@@ -194,6 +195,8 @@ def projector_covering_bounds(n: int, m: int, epsilon: float) -> ProjectorCoveri
     msq = float(m * m)
     lower = -msq * math.log(19.0) + exponent * math.log(9.0 / (5.0 * epsilon))
     upper = msq * math.log(38.0) + exponent * math.log(3.0 / (4.0 * epsilon))
+    if not (math.isfinite(lower) and math.isfinite(upper)):
+        raise EpsilonTooSmall(epsilon)
     return ProjectorCoveringBounds(
         n=n,
         m=m,

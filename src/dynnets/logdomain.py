@@ -7,6 +7,15 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 
+class EpsilonTooSmall(ValueError):
+    """A covering bound whose natural log overflows float64 at this epsilon."""
+
+    def __init__(self, epsilon: float):
+        super().__init__(f"epsilon {epsilon!r} is too small: the log of the "
+                         "bound overflows float64")
+        self.epsilon = epsilon
+
+
 @dataclass(frozen=True)
 class LogBound:
     """A bound stored as its natural logarithm, with the inputs that produced it.

@@ -3,9 +3,12 @@
 Explicit nets come from a cubic grid in the Lie algebra u(n): grid points
 within a ball slightly larger than the image of the principal logarithm are
 exponentiated, and the exponential map's 1-Lipschitz upper bound certifies
-the covering radius. An implicit variant materializes only the grid element
-nearest (in log coordinates) to a query, which is what makes discretization
-feasible for n >= 4 where the explicit grid would be astronomically large.
+the covering radius. The grid is a union of phase lines along i I, on which
+the spectrum only shifts and the exponential only gains a phase, so the
+build takes one eigendecomposition per line rather than per point. An
+implicit variant materializes only the grid element nearest (in log
+coordinates) to a query, which is what makes discretization feasible for
+n >= 4 where the explicit grid would be astronomically large.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ import numpy as np
 from .linalg import (
     UNITARY_TOL,
     UnitaryMatrix,
-    _exp_skew_stack,
     _greedy_packing,
     _haar_batch,
     _nearest,
@@ -30,6 +32,7 @@ from .linalg import (
     principal_log,
     skew_basis,
 )
+from .logdomain import EpsilonTooSmall
 
 _GRID_DIM_LIMIT = 3
 _CANDIDATE_CAP = 20_000_000
@@ -65,6 +68,8 @@ def unitary_covering_bounds(n: int, epsilon: float) -> UnitaryCoveringBounds:
     nsq = n * n
     lower = nsq * math.log(3.0 / (4.0 * epsilon))
     upper = nsq * math.log(7.0 / epsilon)
+    if not math.isfinite(upper):
+        raise EpsilonTooSmall(epsilon)
     return UnitaryCoveringBounds(n, float(epsilon), lower, upper, True)
 
 
@@ -116,10 +121,18 @@ def _ball_volume_log(dim: int, radius: float) -> float:
 
 def _grid_coordinates(dim: int, spacing: float, radius: float,
                       cap: int) -> np.ndarray:
-    """All grid points (multiples of spacing) with L2 norm <= radius."""
+    """Integer coordinates z of the grid points spacing * z with L2 norm <= radius.
+
+    Rows come in lexicographic order of z. Every point on the first axis is
+    within the radius, so a grid whose axis alone exceeds ``cap`` is refused
+    before anything of that size is allocated.
+    """
     m = int(math.floor(radius / spacing + 1e-9))
-    vals = spacing * np.arange(-m, m + 1)
-    coords = np.zeros((1, 0))
+    if 2 * m + 1 > cap:
+        raise ValueError(f"net too large: more than {cap} grid candidates")
+    steps = np.arange(-m, m + 1, dtype=np.int32)
+    vals = spacing * steps
+    coords = np.zeros((1, 0), dtype=np.int32)
     sq = np.zeros(1)
     for _ in range(dim):
         new_sq = sq[:, None] + vals[None, :] ** 2
@@ -128,9 +141,25 @@ def _grid_coordinates(dim: int, spacing: float, radius: float,
         if rows.size > cap:
             raise ValueError(
                 f"net too large: more than {cap} grid candidates")
-        coords = np.hstack([coords[rows], vals[cols, None]])
+        coords = np.hstack([coords[rows], steps[cols, None]])
         sq = new_sq[rows, cols]
     return coords
+
+
+def _line_keys(z: np.ndarray, n: int, m: int) -> np.ndarray:
+    """Integer label of each grid point's phase line, for |z| <= m.
+
+    Points of one line differ by multiples of (1, ..., 1, 0, ...), the step
+    along i I. The label is the mixed-radix number formed by the line's
+    invariants z_1 - z_0, ..., z_(n-1) - z_0 (in [-2m, 2m]) and the
+    off-diagonal coordinates (in [-m, m]), most significant first, so labels
+    increase along each run of rows that share z_0.
+    """
+    rel = z[:, 1:].astype(np.int64)
+    rel[:, :n - 1] -= z[:, :1]
+    span = np.full(rel.shape[1], 2 * m + 1, dtype=np.int64)
+    span[:n - 1] = 4 * m + 1
+    return (rel + span // 2) @ (np.cumprod(span[::-1])[::-1] // span)
 
 
 def build_unitary_net(n: int, epsilon: float) -> UnitaryNet:
@@ -141,6 +170,12 @@ def build_unitary_net(n: int, epsilon: float) -> UnitaryNet:
     grid points are kept when their operator norm is at most pi + eps, which
     retains every possible rounding image. The count is checked against
     ``_MAX_ELEMENTS`` and construction fails rather than degrading the radius.
+
+    The basis holds the i E_kk, so the grid is a union of phase lines
+    X + i k s I (s the spacing, k an integer). Along a line the eigenvalues
+    of -iX shift by k s and exp(X + i k s I) = e^(iks) exp(X), so one batched
+    eigendecomposition of a representative per line gives both the norm
+    filter and the exponential of every point. Elements keep grid order.
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
@@ -160,26 +195,42 @@ def build_unitary_net(n: int, epsilon: float) -> UnitaryNet:
             f"net too large: projected {math.exp(min(projected_log, 700.0)):.3e} "
             f"grid candidates for at most {_MAX_ELEMENTS} elements")
 
-    coords = _grid_coordinates(dim, spacing, radius, _CANDIDATE_CAP)
-    basis = skew_basis(n)
+    z = _grid_coordinates(dim, spacing, radius, _CANDIDATE_CAP)
+    # |z| <= m < 2^31, and the cap keeps the labels' range far below 2^63
+    m = int(max(z.max(), -z.min()))
+    chunks = range(0, z.shape[0], _CHUNK)
+    keys = np.empty(z.shape[0], dtype=np.int64)
+    for start in chunks:
+        keys[start:start + _CHUNK] = _line_keys(z[start:start + _CHUNK], n, m)
+    lines, first = np.unique(keys, return_index=True)
+    reps = z[first].astype(float)
+    reps[:, :n] -= reps[:, :1]
+    x = np.einsum("cd,dij->cij", spacing * reps, skew_basis(n))
+    w, v = np.linalg.eigh(-1j * x)
+    line_exps = (v * np.exp(1j * w)[:, None, :]) @ np.conj(np.swapaxes(v, -1, -2))
 
+    # lines are looked up per chunk, not by np.unique's return_inverse, so
+    # no per-candidate array beyond z and keys outgrows a chunk
     retained = []
     count = 0
-    for start in range(0, coords.shape[0], _CHUNK):
-        x = np.einsum("cd,dij->cij", coords[start:start + _CHUNK], basis)
-        opnorms = np.abs(np.linalg.eigvalsh(-1j * x)).max(axis=1)
-        keep = x[opnorms <= math.pi + epsilon + 1e-12]
-        count += keep.shape[0]
+    for start in chunks:
+        line = np.searchsorted(lines, keys[start:start + _CHUNK])
+        shift = spacing * z[start:start + _CHUNK, 0]
+        opnorms = np.maximum(w[line, -1] + shift, -(w[line, 0] + shift))
+        keep = opnorms <= math.pi + epsilon + 1e-12
+        count += int(keep.sum())
         if count > _MAX_ELEMENTS:
             raise ValueError(
                 f"net too large: retained element count exceeds {_MAX_ELEMENTS}")
-        retained.append(_exp_skew_stack(keep))
+        retained.append(line_exps[line[keep]]
+                        * np.exp(1j * shift[keep])[:, None, None])
 
     log = {
         "method": "lie-algebra-grid",
         "spacing": spacing,
         "source_radius": math.pi + epsilon,
-        "candidates": int(coords.shape[0]),
+        "candidates": int(z.shape[0]),
+        "lines": int(lines.size),
         "retained": count,
     }
     return UnitaryNet(n, epsilon, np.concatenate(retained), log)

@@ -16,6 +16,7 @@ from dynnets.grassmann import (
     projector_covering_bounds,
 )
 from dynnets.linalg import UnitaryMatrix
+from dynnets.logdomain import EpsilonTooSmall
 from dynnets.reports import crossover_analysis
 from dynnets.trotter import (
     CertificateViolation,
@@ -26,6 +27,7 @@ from dynnets.trotter import (
     evolution_covering_log_bound,
     hamiltonian_to_json,
 )
+from dynnets.unitary_nets import unitary_covering_bounds
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -87,6 +89,23 @@ class TestBounds:
                                capsys)
         assert code == 1
         assert "epsilon" in err
+
+    @pytest.mark.parametrize("evaluate, eps", [
+        (lambda eps: circuit_covering_log_bound(2, 2, 4, 5, eps), 1e-320),
+        (lambda eps: evolution_covering_log_bound(4, 2, 2, 3, 3, 1.0, 1.0,
+                                                  eps), 1e-300),
+        (lambda eps: projector_covering_bounds(2, 4, eps), 1e-320),
+        (lambda eps: unitary_covering_bounds(2, eps), 1e-320),
+    ], ids=["circuit", "tevol", "grassmann", "unitary"])
+    def test_overflowing_log_raises_epsilon_too_small(self, evaluate, eps):
+        with pytest.raises(EpsilonTooSmall, match="too small") as info:
+            evaluate(eps)
+        assert info.value.epsilon == eps
+
+    def test_tevol_overflowing_scale_is_not_blamed_on_epsilon(self):
+        with pytest.raises(ValueError, match="h_max\\^2 overflows") as info:
+            evolution_covering_log_bound(4, 2, 2, 3, 3, 1e150, 1e10, 0.1)
+        assert not isinstance(info.value, EpsilonTooSmall)
 
 
 class TestCrossover:
@@ -348,6 +367,39 @@ class TestUsageErrors:
         assert code == 1
         assert out == ""
         assert f"error: argument {flag}: expected a finite number" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "tevol", "--d", "2", "--k", "2", "--L", "4", "--K", "3",
+         "--z", "3", "--h", "1.0", "--T", "1.0", "--eps", "1e-300"],
+        ["bounds", "grassmann", "--n", "2", "--m", "4", "--eps", "1e-320"],
+        ["bounds", "circuit", "--d", "2", "--k", "2", "--L", "4", "--ng", "5",
+         "--eps", "1e-320"],
+    ])
+    def test_tiny_epsilon_names_flag(self, capsys, argv):
+        # 1e-300 ** 2 underflows to 0 and 9 / (5 * 1e-320) overflows
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert "error: argument --eps: epsilon" in err
+        assert "too small" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "lipschitz", "--n", "0", "--radius", "0.4", "--trials",
+          "3", "--seed", "1"], "argument --n: must be at least 1, got 0"),
+        (["verify", "lipschitz", "--n", "-2", "--radius", "0.4", "--trials",
+          "3", "--seed", "1"], "argument --n: must be at least 1, got -2"),
+        (["verify", "kato", "--n", "0", "--m", "4", "--trials", "3", "--seed",
+          "1"], "arguments --n and --m: need 1 <= n <= m, got n = 0, m = 4"),
+        (["verify", "kato", "--n", "5", "--m", "4", "--trials", "3", "--seed",
+          "1"], "arguments --n and --m: need 1 <= n <= m, got n = 5, m = 4"),
+        (["verify", "kato", "--n", "1", "--m", "0", "--trials", "3", "--seed",
+          "1"], "arguments --n and --m: need 1 <= n <= m, got n = 1, m = 0"),
+    ])
+    def test_bad_dimension_names_flag(self, capsys, argv, message):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert f"dynnets: error: {message}" in err
 
     def test_parser_built_once(self):
         assert cli.build_parser() is cli.build_parser()

@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from dynnets.linalg import haar_unitary, operator_norm
+from dynnets.linalg import (
+    _exp_skew_stack,
+    haar_unitary,
+    operator_norm,
+    skew_basis,
+)
 from dynnets.unitary_nets import (
     ImplicitGridNet,
     UnitaryNet,
@@ -107,10 +112,74 @@ class TestBuildUnitaryNet:
         with pytest.raises(ValueError, match="net too large"):
             build_unitary_net(2, 0.02)
 
+    def test_long_axis_fails_before_allocating(self):
+        # U(1) at 1e-9 passes the projected-count check, but its single axis
+        # alone holds 3.1e9 grid points
+        with pytest.raises(ValueError, match="more than 20000000 grid"):
+            build_unitary_net(1, 1e-9)
+
     def test_u3_fails_projected_count(self):
         # at eps = 0.5 a 9-dimensional grid already projects beyond the cap
         with pytest.raises(ValueError, match="net too large"):
             build_unitary_net(3, 0.5)
+
+
+def _grid_points(n, eps):
+    """Integer grid coordinates within the net's search ball, in grid order."""
+    spacing = 2.0 * eps / n
+    radius = math.sqrt(n) * (math.pi + eps)
+    m = int(math.floor(radius / spacing + 1e-9))
+    vals = spacing * np.arange(-m, m + 1)
+    z = np.indices((2 * m + 1,) * (n * n)).reshape(n * n, -1).T
+    sq = np.zeros(len(z))
+    for column in z.T:
+        sq = sq + vals[column] ** 2
+    return z[sq <= radius * radius + 1e-12] - m
+
+
+def _per_candidate_net(n, eps):
+    """The net point by point: an eigvalsh norm filter, then the exponential."""
+    x = np.einsum("cd,dij->cij", 2.0 * eps / n * _grid_points(n, eps),
+                  skew_basis(n))
+    norms = np.abs(np.linalg.eigvalsh(-1j * x)).max(axis=1)
+    return _exp_skew_stack(x[norms <= math.pi + eps + 1e-12])
+
+
+class TestPhaseLineBuild:
+    @pytest.mark.parametrize("n, eps, count", [
+        (2, 0.3, 145_373), (2, 0.5, 23_789), (2, 0.8, 4_897),
+        (1, 0.05, 63), (1, 0.1, 33), (1, 0.2, 17),
+    ])
+    def test_element_counts(self, n, eps, count):
+        assert len(build_unitary_net(n, eps)) == count
+
+    @pytest.mark.parametrize("n, eps", [(2, 0.5), (2, 0.8), (1, 0.1)])
+    def test_matches_per_candidate_reference(self, n, eps):
+        reference = _per_candidate_net(n, eps)
+        net = build_unitary_net(n, eps)
+        assert net.matrices.shape == reference.shape
+        assert np.abs(net.matrices - reference).max() <= 1e-13
+
+    def test_one_eigh_over_one_point_per_line(self, monkeypatch):
+        n, eps = 2, 0.5
+        z = _grid_points(n, eps)
+        z[:, :n] -= z[:, :1]
+        line_count = len(np.unique(z, axis=0))
+        calls = []
+
+        def counting(name, real):
+            def wrapper(a, *args, **kwargs):
+                calls.append((name, np.shape(a)))
+                return real(a, *args, **kwargs)
+            return wrapper
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name,
+                                counting(name, getattr(np.linalg, name)))
+        net = build_unitary_net(n, eps)
+        assert line_count == 6537
+        assert calls == [("eigh", (line_count, n, n))]
+        assert net.construction_log["lines"] == line_count
 
 
 class TestUnitaryNetType:
