@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .linalg import UnitaryMatrix, _require_hermitian
-from .logdomain import EpsilonTooSmall, LogBound
+from .logdomain import LogBound, finite_log
 
 _DENSE_DIM_LIMIT = 4096
 
@@ -194,10 +194,11 @@ def circuit_covering_log_bound(d: int, k: int, L: int, n_gates: int,
             f"epsilon too large for inner-net validity: need epsilon <= "
             f"{n_gates / 5.0} (= n_gates/5), got {epsilon}")
     topology = topology_count_log(L, k, n_gates)
-    ln_value = topology + (d ** (2 * k)) * n_gates * math.log(
-        14.0 * n_gates / epsilon)
-    if not math.isfinite(ln_value):
-        raise EpsilonTooSmall(epsilon)
+    ln_value = finite_log(
+        lambda: topology + (d ** (2 * k)) * n_gates * math.log(
+            14.0 * n_gates / epsilon),
+        math.isinf(1.0 / epsilon), d=d, k=k, L=L, n_gates=n_gates,
+        epsilon=epsilon)
     return LogBound(ln_value, {
         "d": d,
         "k": k,

@@ -23,7 +23,7 @@ from .linalg import (
     _norm_within,
     operator_norm,
 )
-from .logdomain import EpsilonTooSmall
+from .logdomain import finite_log
 
 _ORTHONORMAL_TOL = 1e-10
 _PROJECTOR_TOL = 1e-9
@@ -191,12 +191,16 @@ def projector_covering_bounds(n: int, m: int, epsilon: float) -> ProjectorCoveri
         raise ValueError("need 1 <= n < m")
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    exponent = 2.0 * n * (m - n)
-    msq = float(m * m)
-    lower = -msq * math.log(19.0) + exponent * math.log(9.0 / (5.0 * epsilon))
-    upper = msq * math.log(38.0) + exponent * math.log(3.0 / (4.0 * epsilon))
-    if not (math.isfinite(lower) and math.isfinite(upper)):
-        raise EpsilonTooSmall(epsilon)
+    # 9/(5 eps) > 3/(4 eps): the first to leave float64 range
+    tiny = math.isinf(9.0 / (5.0 * epsilon))
+    lower = finite_log(
+        lambda: -float(m * m) * math.log(19.0)
+        + 2.0 * n * (m - n) * math.log(9.0 / (5.0 * epsilon)),
+        tiny, n=n, m=m, epsilon=epsilon)
+    upper = finite_log(
+        lambda: float(m * m) * math.log(38.0)
+        + 2.0 * n * (m - n) * math.log(3.0 / (4.0 * epsilon)),
+        tiny, n=n, m=m, epsilon=epsilon)
     return ProjectorCoveringBounds(
         n=n,
         m=m,

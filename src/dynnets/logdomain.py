@@ -4,16 +4,42 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 
 class EpsilonTooSmall(ValueError):
-    """A covering bound whose natural log overflows float64 at this epsilon."""
+    """A covering bound whose natural log overflows float64 at this epsilon.
+
+    Raised only when a term of the bound that depends on epsilon alone, such
+    as 1/eps or 1/eps^2, is itself out of float64 range.
+    """
 
     def __init__(self, epsilon: float):
         super().__init__(f"epsilon {epsilon!r} is too small: the log of the "
                          "bound overflows float64")
         self.epsilon = epsilon
+
+
+def finite_log(evaluate: Callable[[], float], epsilon_alone_overflows: bool,
+               **inputs: Any) -> float:
+    """``evaluate()``, the log of a covering bound, checked to be finite.
+
+    When it is not, the error names the cause: EpsilonTooSmall when
+    ``epsilon_alone_overflows`` (a term of the bound in epsilon alone is out
+    of range), otherwise a ValueError listing ``inputs`` (which include
+    epsilon), since the overflow comes from their combination. An integer
+    input too large to convert to float counts as an overflow.
+    """
+    try:
+        value = evaluate()
+    except OverflowError:
+        value = math.inf
+    if math.isfinite(value):
+        return value
+    if epsilon_alone_overflows:
+        raise EpsilonTooSmall(inputs["epsilon"])
+    named = ", ".join(f"{name} = {arg!r}" for name, arg in inputs.items())
+    raise ValueError(f"the log of the bound overflows float64 at {named}")
 
 
 @dataclass(frozen=True)

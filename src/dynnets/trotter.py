@@ -34,7 +34,7 @@ from .linalg import (
     _require_hermitian,
     operator_norm,
 )
-from .logdomain import EpsilonTooSmall, LogBound
+from .logdomain import EpsilonTooSmall, LogBound, finite_log
 
 _SQRT3 = math.sqrt(3.0)
 _GAUSS_C1 = 0.5 - _SQRT3 / 6.0
@@ -473,22 +473,26 @@ def evolution_covering_log_bound(L: int, d: int, k: int, K: int, z: int,
         raise ValueError("L >= 1, d >= 2, k >= 1, K >= 1, z >= 1 required")
     if not (h_max > 0 and t_final > 0 and epsilon > 0):
         raise ValueError("h_max, T, and epsilon must be positive")
-    scale = t_final ** 2 * K ** 2 * z * h_max ** 2
-    if not math.isfinite(scale):
-        raise ValueError("T^2 K^2 z h_max^2 overflows float64")
+    try:
+        scale = t_final ** 2 * K ** 2 * z * h_max ** 2
+    except OverflowError:  # float ** raises past 1e154; finite_log reports it
+        scale = math.inf
     if epsilon ** 2 == 0.0:  # underflows below about 1.5e-162
         raise EpsilonTooSmall(epsilon)
-    net_scale = epsilon ** 2 / (16.0 * scale)
-    if net_scale > 0.1:
+    if scale == 0.0 or epsilon ** 2 / (16.0 * scale) > 0.1:
         raise ValueError(
             f"epsilon too large for inner-net validity: need epsilon <= "
             f"{math.sqrt(1.6 * scale):.6g}, got {epsilon}")
-    exponent = 4.0 * d ** (2 * k) * scale / epsilon
-    ln_value = k * K * math.log(L) + exponent * math.log(
-        112.0 * scale / epsilon ** 2)
-    n_steps = 4.0 * t_final ** 2 * K * z * h_max ** 2 / epsilon
-    if not (math.isfinite(ln_value) and math.isfinite(n_steps)):
-        raise EpsilonTooSmall(epsilon)
+
+    def ln_bound() -> float:
+        exponent = 4.0 * d ** (2 * k) * scale / epsilon
+        return k * K * math.log(L) + exponent * math.log(
+            112.0 * scale / epsilon ** 2)
+
+    # a finite log bounds the exponent, and with it n_steps_implied
+    ln_value = finite_log(ln_bound, math.isinf(1.0 / epsilon ** 2), L=L, d=d,
+                          k=k, K=K, z=z, h_max=h_max, T=t_final,
+                          epsilon=epsilon)
     return LogBound(ln_value, {
         "L": L,
         "d": d,
@@ -498,7 +502,7 @@ def evolution_covering_log_bound(L: int, d: int, k: int, K: int, z: int,
         "h_max": float(h_max),
         "T": float(t_final),
         "epsilon": float(epsilon),
-        "n_steps_implied": n_steps,
+        "n_steps_implied": 4.0 * t_final ** 2 * K * z * h_max ** 2 / epsilon,
     })
 
 

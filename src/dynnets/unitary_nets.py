@@ -32,7 +32,7 @@ from .linalg import (
     principal_log,
     skew_basis,
 )
-from .logdomain import EpsilonTooSmall
+from .logdomain import finite_log
 
 _GRID_DIM_LIMIT = 3
 _CANDIDATE_CAP = 20_000_000
@@ -66,10 +66,10 @@ def unitary_covering_bounds(n: int, epsilon: float) -> UnitaryCoveringBounds:
     if epsilon > 0.1:
         return UnitaryCoveringBounds(n, float(epsilon), None, None, False)
     nsq = n * n
+    # 7/eps > 3/(4 eps), so the upper log overflows first
+    upper = finite_log(lambda: nsq * math.log(7.0 / epsilon),
+                       math.isinf(7.0 / epsilon), n=n, epsilon=epsilon)
     lower = nsq * math.log(3.0 / (4.0 * epsilon))
-    upper = nsq * math.log(7.0 / epsilon)
-    if not math.isfinite(upper):
-        raise EpsilonTooSmall(epsilon)
     return UnitaryCoveringBounds(n, float(epsilon), lower, upper, True)
 
 
@@ -173,9 +173,10 @@ def build_unitary_net(n: int, epsilon: float) -> UnitaryNet:
 
     The basis holds the i E_kk, so the grid is a union of phase lines
     X + i k s I (s the spacing, k an integer). Along a line the eigenvalues
-    of -iX shift by k s and exp(X + i k s I) = e^(iks) exp(X), so one batched
-    eigendecomposition of a representative per line gives both the norm
-    filter and the exponential of every point. Elements keep grid order.
+    of -iX shift by k s and exp(X + i k s I) = e^(iks) exp(X), so the
+    eigendecomposition of one representative per line, batched over up to
+    ``_CHUNK`` lines, gives both the norm filter and the exponential of
+    every point. Elements keep grid order.
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
@@ -203,11 +204,20 @@ def build_unitary_net(n: int, epsilon: float) -> UnitaryNet:
     for start in chunks:
         keys[start:start + _CHUNK] = _line_keys(z[start:start + _CHUNK], n, m)
     lines, first = np.unique(keys, return_index=True)
-    reps = z[first].astype(float)
-    reps[:, :n] -= reps[:, :1]
-    x = np.einsum("cd,dij->cij", spacing * reps, skew_basis(n))
-    w, v = np.linalg.eigh(-1j * x)
-    line_exps = (v * np.exp(1j * w)[:, None, :]) @ np.conj(np.swapaxes(v, -1, -2))
+    # at U(3) up to about half the points start their own line, so the
+    # eigendecomposition temporaries are bounded per chunk of lines too
+    basis = skew_basis(n)
+    w = np.empty((lines.size, n))
+    line_exps = np.empty((lines.size, n, n), dtype=complex)
+    for start in range(0, lines.size, _CHUNK):
+        reps = z[first[start:start + _CHUNK]].astype(float)
+        reps[:, :n] -= reps[:, :1]
+        x = np.einsum("cd,dij->cij", spacing * reps, basis)
+        w_chunk, v = np.linalg.eigh(-1j * x)
+        w[start:start + _CHUNK] = w_chunk
+        line_exps[start:start + _CHUNK] = (
+            (v * np.exp(1j * w_chunk)[:, None, :])
+            @ np.conj(np.swapaxes(v, -1, -2)))
 
     # lines are looked up per chunk, not by np.unique's return_inverse, so
     # no per-candidate array beyond z and keys outgrows a chunk

@@ -19,15 +19,19 @@ from dynnets.circuits import (
     conjugate_observable,
     discretize_circuit,
 )
-from dynnets.cli import _random_projector_pair
 from dynnets.grassmann import (
+    Projector,
     kato_unitary,
     product_covering_check,
+    projector_distance,
+    projector_from_subspace,
     quotient_covering_check,
+    random_subspace,
 )
 from dynnets.linalg import (
     check_exp_lipschitz,
     haar_unitary,
+    matrix_exp,
     operator_norm,
     random_skew_in_ball,
     spectral_width,
@@ -172,6 +176,20 @@ def test_criterion_2_exp_map_lipschitz():
     assert elapsed <= 120.0, f"runtime {elapsed:.1f}s exceeds 2 min"
 
 
+def _nearby_projector_pair(n, m, seed_a, seed_b, theta):
+    p = projector_from_subspace(random_subspace(n, m, seed_a))
+    rng = np.random.default_rng(seed_b)
+    g = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    skew = 0.5 * (g - g.conj().T)
+    skew *= 1.0 / operator_norm(skew)
+    while True:
+        w = matrix_exp(theta * skew)
+        q = Projector(w @ p.matrix @ w.conj().T)
+        if projector_distance(p, q) <= 1.0 / math.sqrt(2.0):
+            return p, q
+        theta *= 0.5
+
+
 def test_criterion_3_kato_construction():
     failures = []
     for n, m in ((1, 2), (2, 4), (3, 8)):
@@ -179,9 +197,10 @@ def test_criterion_3_kato_construction():
             2000, dtype=np.uint64)
         thetas = np.random.default_rng(55_500 + m).uniform(0.05, 1.2, 1000)
         for i in range(1000):
-            p, q, dist = _random_projector_pair(n, m, int(seeds[2 * i]),
-                                                int(seeds[2 * i + 1]),
-                                                float(thetas[i]))
+            p, q = _nearby_projector_pair(n, m, int(seeds[2 * i]),
+                                          int(seeds[2 * i + 1]),
+                                          float(thetas[i]))
+            dist = projector_distance(p, q)
             v = kato_unitary(p, q).array
             unitarity = operator_norm(v.conj().T @ v - np.eye(m))
             conjugation = operator_norm(v @ p.matrix @ v.conj().T - q.matrix)

@@ -102,10 +102,35 @@ class TestBounds:
             evaluate(eps)
         assert info.value.epsilon == eps
 
-    def test_tevol_overflowing_scale_is_not_blamed_on_epsilon(self):
-        with pytest.raises(ValueError, match="h_max\\^2 overflows") as info:
-            evolution_covering_log_bound(4, 2, 2, 3, 3, 1e150, 1e10, 0.1)
+    @pytest.mark.parametrize("evaluate, named", [
+        (lambda: evolution_covering_log_bound(4, 2, 2, 3, 3, 1e150, 1e10, 0.1),
+         "h_max = 1e+150, T = 10000000000.0, epsilon = 0.1"),
+        (lambda: evolution_covering_log_bound(4, 2, 2, 3, 3, 1e153, 1.0, 0.1),
+         "h_max = 1e+153, T = 1.0, epsilon = 0.1"),
+        (lambda: evolution_covering_log_bound(4, 2, 2, 3, 3, 1e200, 1.0, 0.1),
+         "h_max = 1e+200, T = 1.0, epsilon = 0.1"),
+        (lambda: evolution_covering_log_bound(4, 2, 600, 3, 3, 1.0, 1.0, 0.1),
+         "k = 600,"),
+        (lambda: circuit_covering_log_bound(2, 510, 4, 5, 0.3),
+         "d = 2, k = 510, L = 4, n_gates = 5, epsilon = 0.3"),
+        (lambda: circuit_covering_log_bound(2, 600, 4, 5, 0.3), "k = 600,"),
+        (lambda: projector_covering_bounds(1, 10 ** 154, 0.01),
+         "n = 1, m = 1" + "0" * 154 + ", epsilon = 0.01"),
+        (lambda: unitary_covering_bounds(10 ** 155, 0.01), "epsilon = 0.01"),
+    ], ids=["tevol-scale", "tevol-exponent", "tevol-square", "tevol-int",
+            "circuit", "circuit-int", "grassmann", "unitary"])
+    def test_overflow_from_other_inputs_names_them(self, evaluate, named):
+        # 1e200 ** 2 raises OverflowError, as do k = 600 and the huge n, m
+        # in the int-to-float conversion
+        with pytest.raises(ValueError, match="overflows float64 at") as info:
+            evaluate()
         assert not isinstance(info.value, EpsilonTooSmall)
+        assert named in str(info.value)
+
+    def test_tevol_vanishing_scale_is_out_of_validity(self):
+        # h_max ** 2 underflows to 0: no epsilon is small enough
+        with pytest.raises(ValueError, match="need epsilon <= 0, got 0.1"):
+            evolution_covering_log_bound(4, 2, 2, 3, 3, 1e-200, 1.0, 0.1)
 
 
 class TestCrossover:
@@ -382,6 +407,28 @@ class TestUsageErrors:
         assert out == ""
         assert "error: argument --eps: epsilon" in err
         assert "too small" in err
+
+    @pytest.mark.parametrize("argv, named", [
+        (["bounds", "tevol", "--d", "2", "--k", "2", "--L", "4", "--K", "3",
+          "--z", "3", "--h", "1e153", "--T", "1.0", "--eps", "0.1"],
+         "h_max = 1e+153"),
+        (["bounds", "circuit", "--d", "2", "--k", "510", "--L", "4", "--ng",
+          "5", "--eps", "0.3"], "k = 510"),
+        (["bounds", "circuit", "--d", "2", "--k", "600", "--L", "4", "--ng",
+          "5", "--eps", "0.3"], "k = 600"),
+        (["bounds", "tevol", "--d", "2", "--k", "2", "--L", "4", "--K", "3",
+          "--z", "3", "--h", "1e200", "--T", "1.0", "--eps", "0.1"],
+         "h_max = 1e+200"),
+    ])
+    def test_overflow_from_other_flags_is_not_blamed_on_eps(self, capsys,
+                                                            argv, named):
+        # epsilon is moderate here: the exponent d^(2k) ... overflows
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert "argument --eps" not in err
+        assert "dynnets: error: the log of the bound overflows float64" in err
+        assert named in err
 
     @pytest.mark.parametrize("argv, message", [
         (["verify", "lipschitz", "--n", "0", "--radius", "0.4", "--trials",

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dynnets import unitary_nets
 from dynnets.linalg import (
     _exp_skew_stack,
     haar_unitary,
@@ -165,21 +166,36 @@ class TestPhaseLineBuild:
         z = _grid_points(n, eps)
         z[:, :n] -= z[:, :1]
         line_count = len(np.unique(z, axis=0))
-        calls = []
-
-        def counting(name, real):
-            def wrapper(a, *args, **kwargs):
-                calls.append((name, np.shape(a)))
-                return real(a, *args, **kwargs)
-            return wrapper
-
-        for name in ("eigh", "eigvalsh"):
-            monkeypatch.setattr(np.linalg, name,
-                                counting(name, getattr(np.linalg, name)))
+        calls = _record_eigensolver_calls(monkeypatch)
         net = build_unitary_net(n, eps)
         assert line_count == 6537
         assert calls == [("eigh", (line_count, n, n))]
         assert net.construction_log["lines"] == line_count
+
+    def test_chunked_lines_give_the_same_net(self, monkeypatch, u2_net):
+        monkeypatch.setattr(unitary_nets, "_CHUNK", 1000)
+        calls = _record_eigensolver_calls(monkeypatch)
+        net = build_unitary_net(2, 0.5)
+        assert [shape for _, shape in calls] == (
+            [(1000, 2, 2)] * 6 + [(537, 2, 2)])
+        assert {name for name, _ in calls} == {"eigh"}
+        np.testing.assert_array_equal(net.matrices, u2_net.matrices)
+
+
+def _record_eigensolver_calls(monkeypatch):
+    """List that collects (name, input shape) of each eigh / eigvalsh call."""
+    calls = []
+
+    def counting(name, real):
+        def wrapper(a, *args, **kwargs):
+            calls.append((name, np.shape(a)))
+            return real(a, *args, **kwargs)
+        return wrapper
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name,
+                            counting(name, getattr(np.linalg, name)))
+    return calls
 
 
 class TestUnitaryNetType:
