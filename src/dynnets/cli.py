@@ -190,6 +190,11 @@ def _cmd_verify_kato(args) -> dict:
 
 
 def _cmd_verify_nets(args) -> dict:
+    if args.n not in (1, 2):
+        raise ValueError(f"argument --n: must be 1 or 2, got {args.n}")
+    if args.samples < 1:
+        raise ValueError(
+            f"argument --samples: must be at least 1, got {args.samples}")
     net = build_unitary_net(args.n, args.eps)
     max_gap, covered = empirical_covering_check(net, args.samples, args.seed)
     return {

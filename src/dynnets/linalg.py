@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -207,30 +206,6 @@ class SkewHermitian:
         return f"SkewHermitian(dim={self.dim})"
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Real eigenvalues of a Hermitian matrix, sorted ascending."""
-
-    eigenvalues: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        vals = tuple(float(v) for v in self.eigenvalues)
-        if any(vals[i] > vals[i + 1] for i in range(len(vals) - 1)):
-            raise ValueError("eigenvalues must be sorted ascending")
-        object.__setattr__(self, "eigenvalues", vals)
-
-    @classmethod
-    def from_hermitian(cls, o) -> "Spectrum":
-        arr = _require_hermitian(o)
-        return cls(tuple(np.linalg.eigvalsh(arr)))
-
-    @property
-    def width(self) -> float:
-        if not self.eigenvalues:
-            raise ValueError("empty spectrum has no width")
-        return 0.5 * (self.eigenvalues[-1] - self.eigenvalues[0])
-
-
 def _require_hermitian(o) -> np.ndarray:
     arr = _as_square_array(o, "observable")
     if not _norm_within(arr - arr.conj().T, HERMITIAN_TOL):
@@ -240,7 +215,10 @@ def _require_hermitian(o) -> np.ndarray:
 
 def spectral_width(o) -> float:
     """Half the spread of the spectrum of a Hermitian matrix."""
-    return Spectrum.from_hermitian(o).width
+    eigenvalues = np.linalg.eigvalsh(_require_hermitian(o))
+    if eigenvalues.size == 0:
+        raise ValueError("empty spectrum has no width")
+    return 0.5 * float(eigenvalues[-1] - eigenvalues[0])
 
 
 def matrix_exp(x) -> np.ndarray:

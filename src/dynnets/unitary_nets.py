@@ -3,12 +3,14 @@
 Explicit nets come from a cubic grid in the Lie algebra u(n): grid points
 within a ball slightly larger than the image of the principal logarithm are
 exponentiated, and the exponential map's 1-Lipschitz upper bound certifies
-the covering radius. The grid is a union of phase lines along i I, on which
-the spectrum only shifts and the exponential only gains a phase, so the
-build takes one eigendecomposition per line rather than per point. An
-implicit variant materializes only the grid element nearest (in log
+the covering radius. For n <= 2, u(n) = u(1) + su(2), so each grid point's
+norm and exponential have a closed form and the build needs no
+eigendecomposition. Explicit nets stop at U(2): a U(3) grid fits the
+candidate cap only above epsilon = 2.65, and at epsilon >= 2 a single
+element covers U(n), since any two unitaries lie within 2 of each other.
+An implicit variant materializes only the grid element nearest (in log
 coordinates) to a query, which is what makes discretization feasible for
-n >= 4 where the explicit grid would be astronomically large.
+n >= 3 where the explicit grid is too large or pointless.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .linalg import (
 )
 from .logdomain import finite_log
 
-_GRID_DIM_LIMIT = 3
+_GRID_DIM_LIMIT = 2
 _CANDIDATE_CAP = 20_000_000
 _MAX_ELEMENTS = 5_000_000
 _CHUNK = 65536
@@ -146,24 +148,21 @@ def _grid_coordinates(dim: int, spacing: float, radius: float,
     return coords
 
 
-def _line_keys(z: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Integer label of each grid point's phase line, for |z| <= m.
+def _phase_and_radius(z: np.ndarray, n: int,
+                      spacing: float) -> tuple[np.ndarray, np.ndarray]:
+    """a and r of -iX = a I + B, B traceless with ||B|| = r, for X = spacing * z.
 
-    Points of one line differ by multiples of (1, ..., 1, 0, ...), the step
-    along i I. The label is the mixed-radix number formed by the line's
-    invariants z_1 - z_0, ..., z_(n-1) - z_0 (in [-2m, 2m]) and the
-    off-diagonal coordinates (in [-m, m]), most significant first, so labels
-    increase along each run of rows that share z_0.
+    q = n |z|^2 - tr(z)^2 is exact in int64, and 0 for n = 1; for n <= 2,
+    B has eigenvalues +-r, so |B|_F^2 = n r^2 = spacing^2 q / n.
     """
-    rel = z[:, 1:].astype(np.int64)
-    rel[:, :n - 1] -= z[:, :1]
-    span = np.full(rel.shape[1], 2 * m + 1, dtype=np.int64)
-    span[:n - 1] = 4 * m + 1
-    return (rel + span // 2) @ (np.cumprod(span[::-1])[::-1] // span)
+    z = z.astype(np.int64)
+    trace = z[:, :n].sum(axis=1)
+    q = n * np.einsum("cd,cd->c", z, z) - trace * trace
+    return spacing * trace / n, spacing * np.sqrt(q / (2 * n))
 
 
 def build_unitary_net(n: int, epsilon: float) -> UnitaryNet:
-    """Explicit grid net: certified epsilon-covering of U(n) for n <= 3.
+    """Explicit grid net: certified epsilon-covering of U(n) for n <= 2.
 
     Grid spacing is 2*eps/n in Frobenius-orthonormal coordinates on u(n), so
     rounding any principal logarithm to the grid moves it by at most eps;
@@ -171,12 +170,11 @@ def build_unitary_net(n: int, epsilon: float) -> UnitaryNet:
     retains every possible rounding image. The count is checked against
     ``_MAX_ELEMENTS`` and construction fails rather than degrading the radius.
 
-    The basis holds the i E_kk, so the grid is a union of phase lines
-    X + i k s I (s the spacing, k an integer). Along a line the eigenvalues
-    of -iX shift by k s and exp(X + i k s I) = e^(iks) exp(X), so the
-    eigendecomposition of one representative per line, batched over up to
-    ``_CHUNK`` lines, gives both the norm filter and the exponential of
-    every point. Elements keep grid order.
+    Each grid point X is split as -iX = a I + B with B traceless Hermitian.
+    For n <= 2, B^2 = r^2 I, so ||X|| = |a| + r and
+    exp(X) = e^(ia) (cos r I + i (sin r / r) B) in closed form: a and r come
+    from the integer coordinates alone, and B is formed only for the points
+    the norm filter keeps. Elements keep grid order.
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
@@ -197,53 +195,39 @@ def build_unitary_net(n: int, epsilon: float) -> UnitaryNet:
             f"grid candidates for at most {_MAX_ELEMENTS} elements")
 
     z = _grid_coordinates(dim, spacing, radius, _CANDIDATE_CAP)
-    # |z| <= m < 2^31, and the cap keeps the labels' range far below 2^63
-    m = int(max(z.max(), -z.min()))
-    chunks = range(0, z.shape[0], _CHUNK)
-    keys = np.empty(z.shape[0], dtype=np.int64)
-    for start in chunks:
-        keys[start:start + _CHUNK] = _line_keys(z[start:start + _CHUNK], n, m)
-    lines, first = np.unique(keys, return_index=True)
-    # at U(3) up to about half the points start their own line, so the
-    # eigendecomposition temporaries are bounded per chunk of lines too
-    basis = skew_basis(n)
-    w = np.empty((lines.size, n))
-    line_exps = np.empty((lines.size, n, n), dtype=complex)
-    for start in range(0, lines.size, _CHUNK):
-        reps = z[first[start:start + _CHUNK]].astype(float)
-        reps[:, :n] -= reps[:, :1]
-        x = np.einsum("cd,dij->cij", spacing * reps, basis)
-        w_chunk, v = np.linalg.eigh(-1j * x)
-        w[start:start + _CHUNK] = w_chunk
-        line_exps[start:start + _CHUNK] = (
-            (v * np.exp(1j * w_chunk)[:, None, :])
-            @ np.conj(np.swapaxes(v, -1, -2)))
+    keep = np.empty(z.shape[0], dtype=bool)
+    for start in range(0, z.shape[0], _CHUNK):
+        a, r = _phase_and_radius(z[start:start + _CHUNK], n, spacing)
+        keep[start:start + _CHUNK] = np.abs(a) + r <= math.pi + epsilon + 1e-12
+    count = int(keep.sum())
+    if count > _MAX_ELEMENTS:
+        raise ValueError(
+            f"net too large: retained element count exceeds {_MAX_ELEMENTS}")
 
-    # lines are looked up per chunk, not by np.unique's return_inverse, so
-    # no per-candidate array beyond z and keys outgrows a chunk
-    retained = []
-    count = 0
-    for start in chunks:
-        line = np.searchsorted(lines, keys[start:start + _CHUNK])
-        shift = spacing * z[start:start + _CHUNK, 0]
-        opnorms = np.maximum(w[line, -1] + shift, -(w[line, 0] + shift))
-        keep = opnorms <= math.pi + epsilon + 1e-12
-        count += int(keep.sum())
-        if count > _MAX_ELEMENTS:
-            raise ValueError(
-                f"net too large: retained element count exceeds {_MAX_ELEMENTS}")
-        retained.append(line_exps[line[keep]]
-                        * np.exp(1j * shift[keep])[:, None, None])
+    # -i times the basis as real pairs: one real GEMM of the coordinates
+    # onto it gives the Hermitian matrices -iX
+    herm = (-1j * skew_basis(n)).reshape(dim, dim).view(float)
+    diag = np.arange(n)
+    kept = z[keep]
+    elements = np.empty((count, n, n), dtype=complex)
+    for start in range(0, count, _CHUNK):
+        zc = kept[start:start + _CHUNK]
+        a, r = _phase_and_radius(zc, n, spacing)
+        b = ((spacing * zc) @ herm).view(complex).reshape(-1, n, n)
+        b[:, diag, diag] -= a[:, None]
+        sinc = np.divide(np.sin(r), r, out=np.ones_like(r), where=r > 0)
+        su2 = (1j * sinc)[:, None, None] * b
+        su2[:, diag, diag] += np.cos(r)[:, None]
+        elements[start:start + _CHUNK] = su2 * np.exp(1j * a)[:, None, None]
 
     log = {
         "method": "lie-algebra-grid",
         "spacing": spacing,
         "source_radius": math.pi + epsilon,
         "candidates": int(z.shape[0]),
-        "lines": int(lines.size),
         "retained": count,
     }
-    return UnitaryNet(n, epsilon, np.concatenate(retained), log)
+    return UnitaryNet(n, epsilon, elements, log)
 
 
 class ImplicitGridNet:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import pathlib
 import shlex
 import subprocess
@@ -448,6 +449,26 @@ class TestUsageErrors:
         assert out == ""
         assert f"dynnets: error: {message}" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--n", "0", "--eps", "0.5", "--samples", "10"],
+         "argument --n: must be 1 or 2, got 0"),
+        (["--n", "3", "--eps", "3.5", "--samples", "10"],
+         "argument --n: must be 1 or 2, got 3"),
+        (["--n", "2", "--eps", "0.12", "--samples", "0"],
+         "argument --samples: must be at least 1, got 0"),
+    ])
+    def test_nets_flags_checked_before_build(self, capsys, monkeypatch,
+                                             argv, message):
+        def no_build(n, epsilon):
+            raise AssertionError("net built before the flags were checked")
+
+        monkeypatch.setattr("dynnets.cli.build_unitary_net", no_build)
+        code, out, err = run_cli(["verify", "nets", *argv, "--seed", "1"],
+                                 capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"dynnets: error: {message}\n"
+
     def test_parser_built_once(self):
         assert cli.build_parser() is cli.build_parser()
 
@@ -474,10 +495,14 @@ def test_readme_commands_exit_zero(capsys, tmp_path, monkeypatch):
 
 
 def test_module_entry_point():
+    # the subprocess finds the package where this process imported it from
+    package_parent = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(
+        filter(None, [package_parent, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "dynnets", "bounds", "grassmann",
          "--n", "2", "--m", "4", "--eps", "0.01"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload == projector_covering_bounds(2, 4, 0.01).as_dict()

@@ -120,9 +120,12 @@ class TestBuildUnitaryNet:
             build_unitary_net(1, 1e-9)
 
     def test_u3_fails_projected_count(self):
-        # at eps = 0.5 a 9-dimensional grid already projects beyond the cap
-        with pytest.raises(ValueError, match="net too large"):
-            build_unitary_net(3, 0.5)
+        # U(3) grids fit the candidate cap only where one element already
+        # covers, so explicit nets stop at n = 2 whatever the epsilon
+        for eps in (0.5, 3.5):
+            with pytest.raises(ValueError,
+                               match="use ImplicitGridNet for n = 3"):
+                build_unitary_net(3, eps)
 
 
 def _grid_points(n, eps):
@@ -161,24 +164,15 @@ class TestPhaseLineBuild:
         assert net.matrices.shape == reference.shape
         assert np.abs(net.matrices - reference).max() <= 1e-13
 
-    def test_one_eigh_over_one_point_per_line(self, monkeypatch):
-        n, eps = 2, 0.5
-        z = _grid_points(n, eps)
-        z[:, :n] -= z[:, :1]
-        line_count = len(np.unique(z, axis=0))
+    def test_no_eigensolver_call(self, monkeypatch):
         calls = _record_eigensolver_calls(monkeypatch)
-        net = build_unitary_net(n, eps)
-        assert line_count == 6537
-        assert calls == [("eigh", (line_count, n, n))]
-        assert net.construction_log["lines"] == line_count
+        net = build_unitary_net(2, 0.5)
+        assert calls == []
+        assert "lines" not in net.construction_log
 
     def test_chunked_lines_give_the_same_net(self, monkeypatch, u2_net):
         monkeypatch.setattr(unitary_nets, "_CHUNK", 1000)
-        calls = _record_eigensolver_calls(monkeypatch)
         net = build_unitary_net(2, 0.5)
-        assert [shape for _, shape in calls] == (
-            [(1000, 2, 2)] * 6 + [(537, 2, 2)])
-        assert {name for name, _ in calls} == {"eigh"}
         np.testing.assert_array_equal(net.matrices, u2_net.matrices)
 
 
