@@ -56,8 +56,9 @@ EXIT_USAGE = 1
 EXIT_VIOLATION = 2
 
 _LEMMA_EPSILONS = (0.6, 1.0, 1.5, 2.0)
-# pairs per stacked verify-lipschitz call: memory stays flat in --trials
-_LIPSCHITZ_BLOCK = 128
+# matrix entries per stacked verify-lipschitz call (16 pairs at n = 128):
+# memory stays flat in --trials and --n
+_LIPSCHITZ_ENTRIES = 1 << 18
 
 
 class _Parser(argparse.ArgumentParser):
@@ -103,20 +104,29 @@ def _cmd_verify_trotter(args) -> dict:
     return {**cert.as_dict(), "passed": True}
 
 
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError(f"argument --trials: must be at least 1, got {trials}")
+
+
 def _cmd_verify_lipschitz(args) -> dict:
     if args.n < 1:
         raise ValueError(f"argument --n: must be at least 1, got {args.n}")
-    if args.trials < 1:
-        raise ValueError("trials must be positive")
+    _check_trials(args.trials)
+    if not args.radius > 0:
+        raise ValueError(
+            f"argument --radius: must be positive, got {args.radius}")
     seeds = np.random.SeedSequence(args.seed).generate_state(2 * args.trials,
                                                              dtype=np.uint64)
+    pairs = max(1, _LIPSCHITZ_ENTRIES // (args.n * args.n))
     violations = 0
     worst = None
-    for start in range(0, seeds.size, 2 * _LIPSCHITZ_BLOCK):
-        draws = [random_skew_in_ball(args.n, args.radius, int(s)).array
-                 for s in seeds[start:start + 2 * _LIPSCHITZ_BLOCK]]
-        lower, mid, upper = _exp_lipschitz_stack(np.stack(draws[0::2]),
-                                                 np.stack(draws[1::2]))
+    for start in range(0, seeds.size, 2 * pairs):
+        block = seeds[start:start + 2 * pairs]
+        draws = np.empty((block.size, args.n, args.n), dtype=complex)
+        for i, s in enumerate(block):
+            draws[i] = random_skew_in_ball(args.n, args.radius, int(s)).array
+        lower, mid, upper = _exp_lipschitz_stack(draws[0::2], draws[1::2])
         slack = np.minimum(mid - lower, upper - mid)
         i = int(np.argmin(slack))
         if worst is None or slack[i] < worst["slack"]:
@@ -156,8 +166,7 @@ def _cmd_verify_kato(args) -> dict:
     if not 1 <= args.n <= args.m:
         raise ValueError(f"arguments --n and --m: need 1 <= n <= m, "
                          f"got n = {args.n}, m = {args.m}")
-    if args.trials < 1:
-        raise ValueError("trials must be positive")
+    _check_trials(args.trials)
     rng = np.random.default_rng(args.seed)
     seeds = np.random.SeedSequence(args.seed).generate_state(2 * args.trials,
                                                              dtype=np.uint64)

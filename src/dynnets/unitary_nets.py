@@ -1,13 +1,15 @@
 """Epsilon-nets on the unitary group U(n) in operator-norm distance.
 
 Explicit nets come from a cubic grid in the Lie algebra u(n): grid points
-within a ball slightly larger than the image of the principal logarithm are
-exponentiated, and the exponential map's 1-Lipschitz upper bound certifies
-the covering radius. For n <= 2, u(n) = u(1) + su(2), so each grid point's
-norm and exponential have a closed form and the build needs no
-eigendecomposition. Explicit nets stop at U(2): a U(3) grid fits the
-candidate cap only above epsilon = 2.65, and at epsilon >= 2 a single
-element covers U(n), since any two unitaries lie within 2 of each other.
+of operator norm at most pi + epsilon, slightly more than the image of the
+principal logarithm, are exponentiated, and the exponential map's
+1-Lipschitz upper bound certifies the covering radius. For n <= 2,
+u(n) = u(1) + su(2), so each grid point's norm and exponential have a
+closed form and the build needs no eigendecomposition. The candidates are
+the grid points of the coordinate box that the norm bound implies.
+Explicit nets stop at U(2): a U(3) box fits the candidate cap only above
+epsilon = 3.54, and at epsilon >= 2 a single element covers U(n), since any
+two unitaries lie within 2 of each other.
 An implicit variant materializes only the grid element nearest (in log
 coordinates) to a query, which is what makes discretization feasible for
 n >= 3 where the explicit grid is too large or pointless.
@@ -116,48 +118,23 @@ class UnitaryNet:
         return f"UnitaryNet(n={self.n}, epsilon={self.epsilon}, count={len(self)})"
 
 
-def _ball_volume_log(dim: int, radius: float) -> float:
-    return (0.5 * dim * math.log(math.pi) + dim * math.log(radius)
-            - math.lgamma(0.5 * dim + 1.0))
+def _box(dim: int, m: int) -> np.ndarray:
+    """Integer points of [-m, m]^dim as int64 rows, in lexicographic order."""
+    side = 2 * m + 1
+    return np.indices((side,) * dim).reshape(dim, side ** dim).T - m
 
 
-def _grid_coordinates(dim: int, spacing: float, radius: float,
-                      cap: int) -> np.ndarray:
-    """Integer coordinates z of the grid points spacing * z with L2 norm <= radius.
-
-    Rows come in lexicographic order of z. Every point on the first axis is
-    within the radius, so a grid whose axis alone exceeds ``cap`` is refused
-    before anything of that size is allocated.
-    """
-    m = int(math.floor(radius / spacing + 1e-9))
-    if 2 * m + 1 > cap:
-        raise ValueError(f"net too large: more than {cap} grid candidates")
-    steps = np.arange(-m, m + 1, dtype=np.int32)
-    vals = spacing * steps
-    coords = np.zeros((1, 0), dtype=np.int32)
-    sq = np.zeros(1)
-    for _ in range(dim):
-        new_sq = sq[:, None] + vals[None, :] ** 2
-        keep = new_sq <= radius * radius + 1e-12
-        rows, cols = np.nonzero(keep)
-        if rows.size > cap:
-            raise ValueError(
-                f"net too large: more than {cap} grid candidates")
-        coords = np.hstack([coords[rows], steps[cols, None]])
-        sq = new_sq[rows, cols]
-    return coords
-
-
-def _phase_and_radius(z: np.ndarray, n: int,
+def _phase_and_radius(z_diag: np.ndarray, q_off: np.ndarray, n: int,
                       spacing: float) -> tuple[np.ndarray, np.ndarray]:
     """a and r of -iX = a I + B, B traceless with ||B|| = r, for X = spacing * z.
 
-    q = n |z|^2 - tr(z)^2 is exact in int64, and 0 for n = 1; for n <= 2,
-    B has eigenvalues +-r, so |B|_F^2 = n r^2 = spacing^2 q / n.
+    ``z_diag`` holds the diagonal coordinates of z (last axis) and
+    ``q_off = n |z_off|^2`` broadcasts against them. q = n |z|^2 - tr(z)^2 is
+    exact in int64, and 0 for n = 1; for n <= 2, B has eigenvalues +-r, so
+    |B|_F^2 = n r^2 = spacing^2 q / n.
     """
-    z = z.astype(np.int64)
-    trace = z[:, :n].sum(axis=1)
-    q = n * np.einsum("cd,cd->c", z, z) - trace * trace
+    trace = z_diag.sum(axis=-1)
+    q = n * np.einsum("...d,...d->...", z_diag, z_diag) - trace * trace + q_off
     return spacing * trace / n, spacing * np.sqrt(q / (2 * n))
 
 
@@ -170,11 +147,17 @@ def build_unitary_net(n: int, epsilon: float) -> UnitaryNet:
     retains every possible rounding image. The count is checked against
     ``_MAX_ELEMENTS`` and construction fails rather than degrading the radius.
 
-    Each grid point X is split as -iX = a I + B with B traceless Hermitian.
+    ||X|| bounds every entry of -iX, so every kept point lies in the box
+    |z_k| <= (pi + eps) / spacing on the n diagonal coordinates and sqrt(2)
+    times that on the others; its size is checked against
+    ``_CANDIDATE_CAP`` before anything is allocated.
+
+    Each grid point is split as -iX = a I + B with B traceless Hermitian.
     For n <= 2, B^2 = r^2 I, so ||X|| = |a| + r and
-    exp(X) = e^(ia) (cos r I + i (sin r / r) B) in closed form: a and r come
-    from the integer coordinates alone, and B is formed only for the points
-    the norm filter keeps. Elements keep grid order.
+    exp(X) = e^(ia) (cos r I + i (sin r / r) B) in closed form. a depends on
+    the diagonal coordinates alone, so one pass over (diagonal row,
+    off-diagonal row) pairs keeps |a| + r <= pi + eps, and B is formed only
+    for the kept points. Diagonal rows go outer, so elements keep grid order.
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
@@ -186,20 +169,25 @@ def build_unitary_net(n: int, epsilon: float) -> UnitaryNet:
         raise ValueError("epsilon must be positive")
     dim = n * n
     spacing = 2.0 * epsilon / n
-    radius = math.sqrt(n) * (math.pi + epsilon)
-
-    projected_log = _ball_volume_log(dim, radius) - dim * math.log(spacing)
-    if projected_log > math.log(1000.0 * _MAX_ELEMENTS):
+    # clamped so floor stays finite when the spacing underflows; a clamped
+    # side alone exceeds the cap
+    reach = min((math.pi + epsilon) / spacing, _CANDIDATE_CAP) + 1e-9
+    m_diag, m_off = math.floor(reach), math.floor(math.sqrt(2.0) * reach)
+    candidates = (2 * m_diag + 1) ** n * (2 * m_off + 1) ** (dim - n)
+    if candidates > _CANDIDATE_CAP:
         raise ValueError(
-            f"net too large: projected {math.exp(min(projected_log, 700.0)):.3e} "
-            f"grid candidates for at most {_MAX_ELEMENTS} elements")
+            f"net too large: more than {_CANDIDATE_CAP} grid candidates")
 
-    z = _grid_coordinates(dim, spacing, radius, _CANDIDATE_CAP)
-    keep = np.empty(z.shape[0], dtype=bool)
-    for start in range(0, z.shape[0], _CHUNK):
-        a, r = _phase_and_radius(z[start:start + _CHUNK], n, spacing)
-        keep[start:start + _CHUNK] = np.abs(a) + r <= math.pi + epsilon + 1e-12
-    count = int(keep.sum())
+    z_diag, z_off = _box(n, m_diag), _box(dim - n, m_off)
+    q_off = n * np.einsum("cd,cd->c", z_off, z_off)
+    rows = max(1, _CHUNK // len(z_off))
+    keep = np.empty((len(z_diag), len(z_off)), dtype=bool)
+    for start in range(0, len(z_diag), rows):
+        block = slice(start, start + rows)
+        a, r = _phase_and_radius(z_diag[block, None], q_off, n, spacing)
+        keep[block] = np.abs(a) + r <= math.pi + epsilon + 1e-12
+    kept = np.flatnonzero(keep)
+    count = kept.size
     if count > _MAX_ELEMENTS:
         raise ValueError(
             f"net too large: retained element count exceeds {_MAX_ELEMENTS}")
@@ -208,12 +196,12 @@ def build_unitary_net(n: int, epsilon: float) -> UnitaryNet:
     # onto it gives the Hermitian matrices -iX
     herm = (-1j * skew_basis(n)).reshape(dim, dim).view(float)
     diag = np.arange(n)
-    kept = z[keep]
     elements = np.empty((count, n, n), dtype=complex)
     for start in range(0, count, _CHUNK):
-        zc = kept[start:start + _CHUNK]
-        a, r = _phase_and_radius(zc, n, spacing)
-        b = ((spacing * zc) @ herm).view(complex).reshape(-1, n, n)
+        d, o = np.divmod(kept[start:start + _CHUNK], len(z_off))
+        a, r = _phase_and_radius(z_diag[d], q_off[o], n, spacing)
+        z = np.hstack([z_diag[d], z_off[o]])
+        b = ((spacing * z) @ herm).view(complex).reshape(-1, n, n)
         b[:, diag, diag] -= a[:, None]
         sinc = np.divide(np.sin(r), r, out=np.ones_like(r), where=r > 0)
         su2 = (1j * sinc)[:, None, None] * b
@@ -224,7 +212,7 @@ def build_unitary_net(n: int, epsilon: float) -> UnitaryNet:
         "method": "lie-algebra-grid",
         "spacing": spacing,
         "source_radius": math.pi + epsilon,
-        "candidates": int(z.shape[0]),
+        "candidates": candidates,
         "retained": count,
     }
     return UnitaryNet(n, epsilon, elements, log)

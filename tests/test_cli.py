@@ -268,7 +268,8 @@ class TestVerifyGeometry:
         argv = ["verify", "lipschitz", "--n", "3", "--radius", "3.0",
                 "--trials", "23", "--seed", "4"]
         _, whole, _ = run_cli(argv, capsys)
-        monkeypatch.setattr("dynnets.cli._LIPSCHITZ_BLOCK", 5)
+        # 5 pairs of 3 x 3 matrices per block
+        monkeypatch.setattr("dynnets.cli._LIPSCHITZ_ENTRIES", 5 * 9)
         _, blocked, _ = run_cli(argv, capsys)
         assert blocked == whole
 
@@ -442,6 +443,12 @@ class TestUsageErrors:
           "1"], "arguments --n and --m: need 1 <= n <= m, got n = 5, m = 4"),
         (["verify", "kato", "--n", "1", "--m", "0", "--trials", "3", "--seed",
           "1"], "arguments --n and --m: need 1 <= n <= m, got n = 1, m = 0"),
+        (["verify", "kato", "--n", "1", "--m", "2", "--trials", "0", "--seed",
+          "1"], "argument --trials: must be at least 1, got 0"),
+        (["verify", "lipschitz", "--n", "1", "--radius", "0.4", "--trials",
+          "0", "--seed", "1"], "argument --trials: must be at least 1, got 0"),
+        (["verify", "lipschitz", "--n", "1", "--radius", "0", "--trials",
+          "3", "--seed", "1"], "argument --radius: must be positive, got 0.0"),
     ])
     def test_bad_dimension_names_flag(self, capsys, argv, message):
         code, out, err = run_cli(argv, capsys)
@@ -468,6 +475,14 @@ class TestUsageErrors:
         assert code == 1
         assert out == ""
         assert err == f"dynnets: error: {message}\n"
+
+    def test_nets_tiny_epsilon_is_refused(self, capsys):
+        code, out, err = run_cli(["verify", "nets", "--n", "2", "--eps",
+                                  "1e-300", "--samples", "1", "--seed", "1"],
+                                 capsys)
+        assert code == 1
+        assert out == ""
+        assert "dynnets: error: net too large" in err
 
     def test_parser_built_once(self):
         assert cli.build_parser() is cli.build_parser()

@@ -114,10 +114,30 @@ class TestBuildUnitaryNet:
             build_unitary_net(2, 0.02)
 
     def test_long_axis_fails_before_allocating(self):
-        # U(1) at 1e-9 passes the projected-count check, but its single axis
-        # alone holds 3.1e9 grid points
+        # the single axis of U(1) at 1e-9 alone holds 3.1e9 grid points
         with pytest.raises(ValueError, match="more than 20000000 grid"):
             build_unitary_net(1, 1e-9)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("eps", [1e-160, 1e-300, 1e-320, 5e-324])
+    def test_tiny_epsilon_fails_cleanly(self, n, eps):
+        # (pi + eps) / spacing is far past the cap, and inf once the
+        # spacing is subnormal
+        with pytest.raises(ValueError, match="net too large"):
+            build_unitary_net(n, eps)
+
+    @pytest.mark.parametrize("n, eps", [(2, 0.02), (1, 1e-9)])
+    def test_refused_before_any_box(self, monkeypatch, n, eps):
+        calls = []
+
+        def recording_box(dim, m):
+            calls.append((dim, m))
+            raise AssertionError("box built before the size check")
+
+        monkeypatch.setattr(unitary_nets, "_box", recording_box)
+        with pytest.raises(ValueError, match="more than 20000000 grid"):
+            build_unitary_net(n, eps)
+        assert calls == []
 
     def test_u3_fails_projected_count(self):
         # U(3) grids fit the candidate cap only where one element already
@@ -151,7 +171,8 @@ def _per_candidate_net(n, eps):
 
 class TestPhaseLineBuild:
     @pytest.mark.parametrize("n, eps, count", [
-        (2, 0.3, 145_373), (2, 0.5, 23_789), (2, 0.8, 4_897),
+        (2, 0.2, 653_845), (2, 0.3, 145_373), (2, 0.5, 23_789),
+        (2, 0.8, 4_897), (1, 2e-6, 1_570_797),
         (1, 0.05, 63), (1, 0.1, 33), (1, 0.2, 17),
     ])
     def test_element_counts(self, n, eps, count):
