@@ -1,20 +1,20 @@
 """Time-dependent lattice Hamiltonians and certified Trotterization.
 
-The exact propagator uses an adaptive fourth-order commutator-free
-exponential integrator (two Gauss-node exponential factors per step) with
-step doubling and local Richardson extrapolation. One attempted step, the
-coarse step and its two half steps, is six Gauss-node exponentials made in
-one stacked call. The step exponents are small in norm, so that call is a
-truncated Taylor series whose degree, chosen from the stack's 1-norm, keeps
-the truncation under 2^-53 (scaling and squaring above the table): each
-factor is unitary to rounding, so unitarity drifts by rounding per step, far
-below the requested tolerance. Each Trotter factor is a single term, which
-commutes with itself at all times, so it is the closed-form exponential of
-the term's base times its envelope integral, from an eigendecomposition; one
-call per term makes its factors for every slice. The first-order Trotter
-error is certified against delta_t * T * K * z * |h|^2, where z counts
-support overlaps (a term overlaps itself) and |h| is the largest sup-norm of
-a term over [0, T].
+The exact propagator sweeps uniform steps of the Blanes-Moan fourth-order
+commutator-free integrator (two Gauss-node exponentials per step), with step
+doubling and Richardson extrapolation over whole segments. A sweep evaluates
+each envelope once on all its nodes and makes its exponentials in stacked
+calls; the exponents are small in norm, so each call is a truncated Taylor
+series whose degree, chosen from the stack's 1-norm, keeps the truncation
+under 2^-53 (scaling and squaring above the table). A pairwise tree
+multiplies the steps in time order. Each factor is unitary to rounding, so
+unitarity drifts by rounding per step, far below the requested tolerance.
+Each Trotter factor is a single term, which commutes with itself at all
+times, so it is the closed-form exponential of the term's base times its
+envelope integral, from an eigendecomposition; one call per term makes its
+factors for every slice. The first-order Trotter error is certified against
+delta_t * T * K * z * |h|^2, where z counts support overlaps (a term
+overlaps itself) and |h| is the largest sup-norm of a term over [0, T].
 """
 
 from __future__ import annotations
@@ -41,21 +41,13 @@ _GAUSS_C1 = 0.5 - _SQRT3 / 6.0
 _GAUSS_C2 = 0.5 + _SQRT3 / 6.0
 _GAUSS_ALPHA1 = 0.25 + _SQRT3 / 6.0
 _GAUSS_ALPHA2 = 0.25 - _SQRT3 / 6.0
-# An attempted adaptive step is a coarse step over [t, t + h] and half steps
-# over [t, t + h/2] and [t + h/2, t + h]. Node j sits at
-# (t + STARTS[j] * h) + NODES[j] * h, and rows 2i, 2i + 1 of MIX give step i's
-# exponents x2, x1 (in units of -i h) from the six node weights: each step of
-# length s has x1 = s (a1 H(c1) + a2 H(c2)) and x2 = s (a2 H(c1) + a1 H(c2)).
-_ATTEMPT_STARTS = np.array([0.0, 0.0, 0.0, 0.0, 0.5, 0.5])
-_ATTEMPT_NODES = np.array([_GAUSS_C1, _GAUSS_C2] * 3) * np.repeat(
-    [1.0, 0.5, 0.5], 2)
-_ATTEMPT_MIX = np.kron(
-    np.diag([1.0, 0.5, 0.5]),
-    np.array([[_GAUSS_ALPHA2, _GAUSS_ALPHA1], [_GAUSS_ALPHA1, _GAUSS_ALPHA2]]))
 _MIN_TOL = 1e-12
-# Attempted steps allowed per _adaptive_unitary call; criterion 1's segments
-# take at most a few hundred, so a run past this is a broken controller.
-_MAX_ATTEMPTS = 100_000
+# Matrix entries per stacked exponential in a sweep; 2^15 added 5% to the
+# trotter workload's peak RSS and 2^18 added 60%, 2^14 adds nothing.
+_SWEEP_ENTRIES = 1 << 14
+# Steps allowed in one sweep; criterion 1's segments take at most a few
+# hundred, so a run past this is a broken integrator.
+_MAX_STEPS = 1 << 17
 _EXACT_DIM_LIMIT = 64
 
 
@@ -271,75 +263,79 @@ def _embedded_bases(h: TimeDependentHamiltonian) -> np.ndarray:
     return stack
 
 
-def _cf4_attempt(envelopes, bases: np.ndarray, t: float,
-                 h: float) -> tuple[np.ndarray, np.ndarray]:
-    """(coarse, fine) propagators of one attempted step over [t, t + h].
+def _cf4_sweep(envelopes, bases: np.ndarray, t0: float, t1: float,
+               n: int) -> np.ndarray:
+    """Product of n uniform fourth-order commutator-free steps over [t0, t1].
 
-    coarse is one fourth-order commutator-free step over [t, t + h], fine the
-    product of two over its halves. The three steps have six Gauss nodes:
-    each envelope is evaluated once on all six, a constant matrix mixes the
-    node weights into the six exponents' coefficients, and one GEMM onto the
-    bases and one Taylor-series exponential over the stack, whose exponents
-    are small in norm, give every factor.
+    Each envelope is evaluated once on all 2n Gauss nodes, and the weights
+    [[a2, a1], [a1, a2]] mix each step's two node values into its exponents
+    x2, x1 (in units of -i h). Per chunk of at most ``_SWEEP_ENTRIES`` matrix
+    entries, one GEMM onto the bases and one Taylor-series exponential over
+    the stack, whose exponents are small in norm, give every factor; each
+    step is exp(x2) @ exp(x1), and a pairwise tree multiplies the chunk's
+    steps in log2 of their count batched products, the later step on the left.
     """
-    taus = (t + _ATTEMPT_STARTS * h) + _ATTEMPT_NODES * h
-    weights = np.array([env(taus) for env in envelopes])
-    coeffs = (-1j * h) * (_ATTEMPT_MIX @ weights.T)
     k, dim = bases.shape[:2]
-    x = (coeffs @ bases.reshape(k, dim * dim)).reshape(6, dim, dim)
-    e = _exp_skew_series(x)
-    # Each step is exp(x2) @ exp(x1); the later half step acts last.
-    steps = e[0::2] @ e[1::2]
-    return steps[0], steps[2] @ steps[1]
+    h = (t1 - t0) / n
+    taus = t0 + (np.arange(n)[:, None] + np.array([_GAUSS_C1, _GAUSS_C2])) * h
+    weights = np.stack([env(taus) for env in envelopes], axis=-1)
+    mix = np.array([[_GAUSS_ALPHA2, _GAUSS_ALPHA1],
+                    [_GAUSS_ALPHA1, _GAUSS_ALPHA2]])
+    coeffs = (mix @ weights).reshape(2 * n, k)
+    flat = (-1j * h) * bases.reshape(k, dim * dim)
+    per_chunk = max(1, _SWEEP_ENTRIES // (2 * dim * dim))
+    u = np.eye(dim, dtype=complex)
+    for start in range(0, n, per_chunk):
+        x = coeffs[2 * start:2 * (start + per_chunk)] @ flat
+        e = _exp_skew_series(x.reshape(-1, dim, dim))
+        steps = e[0::2] @ e[1::2]
+        while len(steps) > 1:
+            pairs = steps[1::2] @ steps[:len(steps) - 1:2]
+            steps = (np.concatenate((pairs, steps[-1:])) if len(steps) % 2
+                     else pairs)
+        u = steps[0] @ u
+    return u
 
 
 def _adaptive_unitary(envelopes, bases: np.ndarray, t0: float, t1: float,
                       tol: float) -> np.ndarray:
-    """Propagator over [t0, t1] with accumulated error budgeted to <= tol."""
-    dim = bases.shape[-1]
-    span = t1 - t0
-    u = np.eye(dim, dtype=complex)
-    if span == 0.0:
-        return u
-    t = t0
-    h = span / 8.0
-    min_h = 1e-13 * max(span, 1.0)
-    # Rounding noise of the doubling estimator grows ~sqrt(dim) * eps; the
-    # additive floor keeps the controller from chasing that noise on the
-    # final sliver of an interval where the proportional share vanishes.
-    noise_floor = 32.0 * np.finfo(float).eps * math.sqrt(dim)
-    attempts = 0
-    while t < t1 - 1e-15 * span:
-        attempts += 1
-        if attempts > _MAX_ATTEMPTS:
-            raise ValueError(f"adaptive propagator exceeded {_MAX_ATTEMPTS} "
-                             f"attempted steps on [{t0}, {t1}]")
-        h = min(h, t1 - t)
-        coarse, fine = _cf4_attempt(envelopes, bases, t, h)
-        est = operator_norm(fine - coarse)
-        # True local error of the extrapolated step is ~est/16, so the
-        # accumulated total stays well under tol.
-        budget = 0.5 * tol * (h / span) + noise_floor
+    """Propagator over [t0, t1] with its error budgeted to <= tol."""
+    # Rounding noise of the doubling estimator grows ~sqrt(dim) * eps per
+    # step; the additive floor keeps the loop from chasing that noise when
+    # the segment's tolerance share is tiny.
+    noise_floor = 32.0 * np.finfo(float).eps * math.sqrt(bases.shape[-1])
+    n, coarse = 8, None
+    while True:
+        if 2 * n > _MAX_STEPS:
+            raise ValueError(f"adaptive propagator exceeded {_MAX_STEPS} "
+                             f"steps on [{t0}, {t1}]")
+        if coarse is None:
+            coarse = _cf4_sweep(envelopes, bases, t0, t1, n)
+        fine = _cf4_sweep(envelopes, bases, t0, t1, 2 * n)
+        diff = fine - coarse
+        est = operator_norm(diff)
+        budget = 0.5 * tol + noise_floor * 2 * n
         if est <= budget:
-            u = (fine + (fine - coarse) / 15.0) @ u
-            t += h
-        elif h <= min_h:
-            raise ValueError("step-size underflow in adaptive propagator")
-        if est == 0.0:
-            factor = 4.0
+            return fine + diff / 15.0
+        # est falls as n^-4, so the pair at n (est / budget)^(1/4) should
+        # pass; below a doubling, the fine sweep is the next coarse one.
+        jump = 1.1 * n * (est / budget) ** 0.25
+        if jump > 2 * n:
+            n, coarse = math.ceil(min(jump, _MAX_STEPS)), None
         else:
-            factor = min(4.0, max(0.2, 0.9 * (budget / est) ** 0.2))
-        h = max(h * factor, min_h)
-    return u
+            n, coarse = 2 * n, fine
 
 
 def exact_propagator(h: TimeDependentHamiltonian, t_final: float,
                      tol: float = 1e-11) -> UnitaryMatrix:
     """Reference time-ordered propagator over [0, T] to accuracy ~tol.
 
-    Each attempted step's six exponentials are one truncated Taylor series
-    over the stack, accurate and unitary to rounding, so the result's
-    unitarity defect stays within 10 * tol.
+    On each segment, uniform CF4 sweeps of n and 2n steps are compared from
+    n = 8 up. The pair is Richardson-combined once ||fine - coarse|| is
+    within half the segment's tolerance share plus a rounding floor; else n
+    jumps to the count the n^-4 decay of that difference predicts, or
+    doubles. Every factor is unitary to rounding and the steps multiply as a
+    pairwise tree, so the unitarity defect stays within 10 * tol.
     """
     if t_final < 0:
         raise ValueError("final time must be non-negative")

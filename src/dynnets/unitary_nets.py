@@ -169,6 +169,9 @@ def build_unitary_net(n: int, epsilon: float) -> UnitaryNet:
         raise ValueError("epsilon must be positive")
     dim = n * n
     spacing = 2.0 * epsilon / n
+    # Past about 9e307 the spacing overflows to inf, and the box then holds
+    # only the origin; a finite stand-in keeps its 0 * spacing from being NaN.
+    scale = min(spacing, np.finfo(float).max)
     # clamped so floor stays finite when the spacing underflows; a clamped
     # side alone exceeds the cap
     reach = min((math.pi + epsilon) / spacing, _CANDIDATE_CAP) + 1e-9
@@ -184,7 +187,7 @@ def build_unitary_net(n: int, epsilon: float) -> UnitaryNet:
     keep = np.empty((len(z_diag), len(z_off)), dtype=bool)
     for start in range(0, len(z_diag), rows):
         block = slice(start, start + rows)
-        a, r = _phase_and_radius(z_diag[block, None], q_off, n, spacing)
+        a, r = _phase_and_radius(z_diag[block, None], q_off, n, scale)
         keep[block] = np.abs(a) + r <= math.pi + epsilon + 1e-12
     kept = np.flatnonzero(keep)
     count = kept.size
@@ -199,9 +202,9 @@ def build_unitary_net(n: int, epsilon: float) -> UnitaryNet:
     elements = np.empty((count, n, n), dtype=complex)
     for start in range(0, count, _CHUNK):
         d, o = np.divmod(kept[start:start + _CHUNK], len(z_off))
-        a, r = _phase_and_radius(z_diag[d], q_off[o], n, spacing)
+        a, r = _phase_and_radius(z_diag[d], q_off[o], n, scale)
         z = np.hstack([z_diag[d], z_off[o]])
-        b = ((spacing * z) @ herm).view(complex).reshape(-1, n, n)
+        b = ((scale * z) @ herm).view(complex).reshape(-1, n, n)
         b[:, diag, diag] -= a[:, None]
         sinc = np.divide(np.sin(r), r, out=np.ones_like(r), where=r > 0)
         su2 = (1j * sinc)[:, None, None] * b

@@ -5,6 +5,7 @@ import pathlib
 import shlex
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -288,6 +289,16 @@ class TestVerifyGeometry:
         payload = json.loads(out)
         assert payload["passed"] is True
         assert payload["max_gap"] <= 0.3
+
+    def test_nets_huge_epsilon_is_one_element(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["verify", "nets", "--n", "1", "--eps",
+                                      "1e308", "--samples", "4", "--seed",
+                                      "1"], capsys)
+        assert code == 0
+        assert err == ""
+        assert json.loads(out)["elements"] == 1
 
     @pytest.mark.parametrize("which", ["product", "quotient", "sandwich"])
     def test_lemmas(self, which, capsys):

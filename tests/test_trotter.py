@@ -323,7 +323,7 @@ class TestExactPropagator:
 
 
 def runaway_chain():
-    """3-site cosine chain: about 214 attempted steps over [0, 1] when sound."""
+    """3-site cosine chain whose sound sweeps stay far below 2000 steps."""
     reg = QuditRegister(3, 2)
     return TimeDependentHamiltonian(reg, [
         HamiltonianTerm((0, 1), ZZ, CosineEnvelope(0.9, 2.0)),
@@ -333,20 +333,21 @@ def runaway_chain():
 
 
 def break_step_control(monkeypatch):
-    # Both half steps on the first half's nodes: the doubling estimate never
-    # falls under its budget for a time-dependent chain.
-    monkeypatch.setattr(trotter_module, "_ATTEMPT_STARTS", np.zeros(6))
-    monkeypatch.setattr(trotter_module, "_MAX_ATTEMPTS", 2000)
+    # Both Gauss nodes at c1 make every step exp(-i h H(t + c1 h)), a
+    # first-order rule: the doubling estimate falls as 1/n, not n^-4, so it
+    # never reaches its budget for a time-dependent chain within the cap.
+    monkeypatch.setattr(trotter_module, "_GAUSS_C2", trotter_module._GAUSS_C1)
+    monkeypatch.setattr(trotter_module, "_MAX_STEPS", 2000)
 
 
 class TestStepBudget:
     def test_sound_controller_within_budget(self, monkeypatch):
-        monkeypatch.setattr(trotter_module, "_MAX_ATTEMPTS", 2000)
+        monkeypatch.setattr(trotter_module, "_MAX_STEPS", 2000)
         exact_propagator(runaway_chain(), 1.0)
 
     def test_runaway_controller_raises(self, monkeypatch):
         break_step_control(monkeypatch)
-        with pytest.raises(ValueError, match="exceeded 2000 attempted steps"):
+        with pytest.raises(ValueError, match="exceeded 2000 steps"):
             exact_propagator(runaway_chain(), 1.0)
 
     def test_runaway_cli_exits_one(self, monkeypatch, capsys, tmp_path):
@@ -362,8 +363,8 @@ class TestStepBudget:
         assert err.startswith("dynnets: error: adaptive propagator exceeded")
 
 
-class TestBatchedAttempt:
-    """The six-node attempt against three textbook CF4 steps."""
+class TestSweep:
+    """Stacked uniform CF4 sweeps against textbook CF4 steps."""
 
     @staticmethod
     def textbook_cf4(hamiltonian, t, h):
@@ -375,7 +376,8 @@ class TestBatchedAttempt:
         return (scipy.linalg.expm(-1j * h * (a2 * h1 + a1 * h2))
                 @ scipy.linalg.expm(-1j * h * (a1 * h1 + a2 * h2)))
 
-    def test_matches_three_textbook_steps(self):
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_matches_textbook_steps(self, n):
         h = mixed_envelope_chain()
         eye = np.eye(2)
         dense = [np.kron(h.terms[0].base, eye), np.kron(eye, h.terms[1].base),
@@ -387,33 +389,86 @@ class TestBatchedAttempt:
 
         envelopes = [term.envelope for term in h.terms]
         bases = trotter_module._embedded_bases(h)
-        for t, step in ((0.0, 0.3), (0.21, 0.37), (0.5, 0.5)):
-            coarse, fine = trotter_module._cf4_attempt(envelopes, bases, t, step)
-            half = 0.5 * step
-            expect_coarse = self.textbook_cf4(hamiltonian, t, step)
-            expect_fine = (self.textbook_cf4(hamiltonian, t + half, half)
-                           @ self.textbook_cf4(hamiltonian, t, half))
-            assert operator_norm(coarse - expect_coarse) <= 1e-13
-            assert operator_norm(fine - expect_fine) <= 1e-13
+        t0, t1 = 0.21, 0.93
+        step = (t1 - t0) / n
+        expect = np.eye(8, dtype=complex)
+        for i in range(n):
+            expect = self.textbook_cf4(hamiltonian, t0 + i * step, step) @ expect
+        sweep = trotter_module._cf4_sweep(envelopes, bases, t0, t1, n)
+        assert operator_norm(sweep - expect) <= 1e-13
 
-    def test_one_exponential_and_one_norm_per_attempt(self, monkeypatch):
-        counts = {"attempt": 0, "exp": 0, "norm": 0}
+    def test_chunked_matches_unchunked(self, monkeypatch):
+        h = mixed_envelope_chain()
+        envelopes = [term.envelope for term in h.terms]
+        bases = trotter_module._embedded_bases(h)
+        whole = trotter_module._cf4_sweep(envelopes, bases, 0.0, 1.0, 37)
+        # dim 8: three steps (six 64-entry exponents) per chunk, so 37 steps
+        # take 13 chunks, the last one a single step
+        monkeypatch.setattr(trotter_module, "_SWEEP_ENTRIES", 6 * 64)
+        chunked = trotter_module._cf4_sweep(envelopes, bases, 0.0, 1.0, 37)
+        assert operator_norm(chunked - whole) <= 1e-14
 
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                counts[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
+    def test_one_norm_per_round_one_exponential_per_chunk(self, monkeypatch):
+        monkeypatch.setattr(trotter_module, "_SWEEP_ENTRIES", 6 * 64)
+        per_chunk = 3
+        events, exps = [], []
 
-        monkeypatch.setattr(trotter_module, "_cf4_attempt",
-                            counted("attempt", trotter_module._cf4_attempt))
-        monkeypatch.setattr(trotter_module, "_exp_skew_series",
-                            counted("exp", trotter_module._exp_skew_series))
-        monkeypatch.setattr(trotter_module, "operator_norm",
-                            counted("norm", trotter_module.operator_norm))
+        def recorded_sweep(envelopes, bases, t0, t1, n):
+            events.append(n)
+            return sweep(envelopes, bases, t0, t1, n)
+
+        def recorded_norm(a):
+            events.append("norm")
+            return norm(a)
+
+        def recorded_exp(stack):
+            exps.append(len(stack))
+            return exp(stack)
+
+        sweep, norm = trotter_module._cf4_sweep, trotter_module.operator_norm
+        exp = trotter_module._exp_skew_series
+        monkeypatch.setattr(trotter_module, "_cf4_sweep", recorded_sweep)
+        monkeypatch.setattr(trotter_module, "operator_norm", recorded_norm)
+        monkeypatch.setattr(trotter_module, "_exp_skew_series", recorded_exp)
         exact_propagator(mixed_envelope_chain(), 1.0)
-        assert counts["attempt"] > 0
-        assert counts["exp"] == counts["norm"] == counts["attempt"]
+        # Each norm closes one round: it comes right after the fine sweep,
+        # whose step count is twice that of the sweep before it.
+        sweeps = [i for i, e in enumerate(events) if e != "norm"]
+        norms = [i for i, e in enumerate(events) if e == "norm"]
+        assert norms
+        for i in norms:
+            fine = sweeps.index(i - 1)
+            assert fine > 0 and events[i - 1] == 2 * events[sweeps[fine - 1]]
+        steps = [events[i] for i in sweeps]
+        assert len(exps) == sum(-(-n // per_chunk) for n in steps)
+        assert max(exps) == 2 * per_chunk
+
+
+class TestClosedFormReference:
+    """Constant envelopes: the exact propagator is expm(-i H T)."""
+
+    @staticmethod
+    def constant_chain(L):
+        rng = np.random.default_rng(100 + L)
+        reg = QuditRegister(L, 2)
+        terms = [HamiltonianTerm((i, i + 1), random_hermitian(rng, 4),
+                                 ConstantEnvelope(rng.uniform(-0.8, 0.8)))
+                 for i in range(L - 1)]
+        terms += [HamiltonianTerm((i,), random_hermitian(rng, 2),
+                                  ConstantEnvelope(rng.uniform(-0.8, 0.8)))
+                  for i in range(L)]
+        return TimeDependentHamiltonian(reg, terms)
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-11])
+    @pytest.mark.parametrize("t_final", [0.5, 2.0])
+    @pytest.mark.parametrize("L", [2, 4, 6])
+    def test_within_tolerance_of_expm(self, L, t_final, tol):
+        h = self.constant_chain(L)
+        dense = sum(term.envelope.value * b for term, b in
+                    zip(h.terms, trotter_module._embedded_bases(h)))
+        expect = scipy.linalg.expm(-1j * t_final * dense)
+        u = exact_propagator(h, t_final, tol=tol)
+        assert operator_norm(u.array - expect) <= tol
 
 
 class TestTrotterPropagator:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -125,6 +126,17 @@ class TestBuildUnitaryNet:
         # spacing is subnormal
         with pytest.raises(ValueError, match="net too large"):
             build_unitary_net(n, eps)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("eps", [1e308, 1.7e308])
+    def test_huge_epsilon_gives_identity(self, n, eps):
+        # 2 eps / n overflows to inf and the box holds only the origin, whose
+        # coordinates times an inf spacing would be NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            net = build_unitary_net(n, eps)
+        assert len(net) == 1
+        assert np.array_equal(net.matrices[0], np.eye(n))
 
     @pytest.mark.parametrize("n, eps", [(2, 0.02), (1, 1e-9)])
     def test_refused_before_any_box(self, monkeypatch, n, eps):
