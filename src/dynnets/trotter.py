@@ -1,20 +1,22 @@
 """Time-dependent lattice Hamiltonians and certified Trotterization.
 
-The exact propagator sweeps uniform steps of the Blanes-Moan fourth-order
-commutator-free integrator (two Gauss-node exponentials per step), with step
-doubling and Richardson extrapolation over whole segments. A sweep evaluates
-each envelope once on all its nodes and makes its exponentials in stacked
-calls; the exponents are small in norm, so each call is a truncated Taylor
-series whose degree, chosen from the stack's 1-norm, keeps the truncation
-under 2^-53 (scaling and squaring above the table). A pairwise tree
-multiplies the steps in time order. Each factor is unitary to rounding, so
-unitarity drifts by rounding per step, far below the requested tolerance.
-Each Trotter factor is a single term, which commutes with itself at all
-times, so it is the closed-form exponential of the term's base times its
-envelope integral, from an eigendecomposition; one call per term makes its
-factors for every slice. The first-order Trotter error is certified against
-delta_t * T * K * z * |h|^2, where z counts support overlaps (a term
-overlaps itself) and |h| is the largest sup-norm of a term over [0, T].
+The exact propagator sweeps uniform steps of the fourth-order Magnus
+integrator with Gauss nodes (one exponential per step, of
+-i h/2 (H1 + H2) - (sqrt(3) h^2 / 12) [H2, H1]; Blanes, Casas, Oteo and Ros,
+Phys. Rep. 470, 2009), with step doubling and Richardson extrapolation over
+whole segments. A sweep evaluates each envelope once on all its nodes and
+makes its exponentials in stacked calls; the exponents are small in norm, so
+each call is a truncated Taylor series whose degree, chosen from the stack's
+1-norm, keeps the truncation under 2^-53 (scaling and squaring above the
+table). A pairwise tree multiplies the steps in time order. Each factor is
+unitary to rounding, so unitarity drifts by rounding per step, far below the
+requested tolerance. Each Trotter factor is a single term, which commutes
+with itself at all times, so it is the closed-form exponential of the term's
+base times its envelope integral, from an eigendecomposition; one call per
+term makes its factors for every slice. The first-order Trotter error is
+certified against delta_t * T * K * z * |h|^2, where z counts support
+overlaps (a term overlaps itself) and |h| is the largest sup-norm of a term
+over [0, T].
 """
 
 from __future__ import annotations
@@ -39,11 +41,10 @@ from .logdomain import EpsilonTooSmall, LogBound, finite_log
 _SQRT3 = math.sqrt(3.0)
 _GAUSS_C1 = 0.5 - _SQRT3 / 6.0
 _GAUSS_C2 = 0.5 + _SQRT3 / 6.0
-_GAUSS_ALPHA1 = 0.25 + _SQRT3 / 6.0
-_GAUSS_ALPHA2 = 0.25 - _SQRT3 / 6.0
 _MIN_TOL = 1e-12
-# Matrix entries per stacked exponential in a sweep; 2^15 added 5% to the
-# trotter workload's peak RSS and 2^18 added 60%, 2^14 adds nothing.
+# Matrix entries per chunk of a sweep's Gauss-node Hamiltonians (two per
+# step, so its exponents hold half as many); 2^14 per exponent stack added
+# 2 MB to the trotter workload's peak RSS at the same speed.
 _SWEEP_ENTRIES = 1 << 14
 # Steps allowed in one sweep; criterion 1's segments take at most a few
 # hundred, so a run past this is a broken integrator.
@@ -237,10 +238,15 @@ class TimeDependentHamiltonian:
                 f"n_terms={self.n_terms})")
 
 
+def _check_final_time(t_final: float) -> None:
+    if not 0.0 <= t_final < math.inf:
+        raise ValueError(f"t_final must be finite and non-negative, "
+                         f"got {t_final}")
+
+
 def term_norm_sup(term: HamiltonianTerm, t_final: float) -> float:
     """sup over [0, T] of ||e(t) * base||, from the envelope's exact sup_abs."""
-    if t_final < 0:
-        raise ValueError("final time must be non-negative")
+    _check_final_time(t_final)
     return operator_norm(term.base) * term.envelope.sup_abs(0.0, t_final)
 
 
@@ -263,32 +269,33 @@ def _embedded_bases(h: TimeDependentHamiltonian) -> np.ndarray:
     return stack
 
 
-def _cf4_sweep(envelopes, bases: np.ndarray, t0: float, t1: float,
-               n: int) -> np.ndarray:
-    """Product of n uniform fourth-order commutator-free steps over [t0, t1].
+def _magnus_sweep(envelopes, bases: np.ndarray, t0: float, t1: float,
+                  n: int) -> np.ndarray:
+    """Product of n uniform fourth-order Magnus steps over [t0, t1].
 
-    Each envelope is evaluated once on all 2n Gauss nodes, and the weights
-    [[a2, a1], [a1, a2]] mix each step's two node values into its exponents
-    x2, x1 (in units of -i h). Per chunk of at most ``_SWEEP_ENTRIES`` matrix
-    entries, one GEMM onto the bases and one Taylor-series exponential over
-    the stack, whose exponents are small in norm, give every factor; each
-    step is exp(x2) @ exp(x1), and a pairwise tree multiplies the chunk's
-    steps in log2 of their count batched products, the later step on the left.
+    Step j's exponent is -i h/2 (H1 + H2) - (sqrt(3) h^2 / 12) [H2, H1], with
+    H1, H2 the Hamiltonian at its two Gauss nodes. Each envelope is evaluated
+    once on all 2n nodes. Per chunk of at most ``_SWEEP_ENTRIES`` node
+    matrix entries, one GEMM onto the bases gives every H1 and H2, one batched
+    product M = H2 @ H1 gives each commutator as M - M^dagger, and one
+    Taylor-series exponential over the stack, whose exponents are small in
+    norm, gives every step; a pairwise tree multiplies the chunk's steps in
+    log2 of their count batched products, the later step on the left.
     """
     k, dim = bases.shape[:2]
     h = (t1 - t0) / n
     taus = t0 + (np.arange(n)[:, None] + np.array([_GAUSS_C1, _GAUSS_C2])) * h
-    weights = np.stack([env(taus) for env in envelopes], axis=-1)
-    mix = np.array([[_GAUSS_ALPHA2, _GAUSS_ALPHA1],
-                    [_GAUSS_ALPHA1, _GAUSS_ALPHA2]])
-    coeffs = (mix @ weights).reshape(2 * n, k)
-    flat = (-1j * h) * bases.reshape(k, dim * dim)
+    weights = np.stack([env(taus.ravel()) for env in envelopes], axis=-1)
+    flat = bases.reshape(k, dim * dim)
     per_chunk = max(1, _SWEEP_ENTRIES // (2 * dim * dim))
     u = np.eye(dim, dtype=complex)
     for start in range(0, n, per_chunk):
-        x = coeffs[2 * start:2 * (start + per_chunk)] @ flat
-        e = _exp_skew_series(x.reshape(-1, dim, dim))
-        steps = e[0::2] @ e[1::2]
+        nodes = (weights[2 * start:2 * (start + per_chunk)] @ flat).reshape(
+            -1, 2, dim, dim)
+        m = nodes[:, 1] @ nodes[:, 0]
+        x = (-0.5j * h) * (nodes[:, 0] + nodes[:, 1])
+        x -= (_SQRT3 / 12.0 * h * h) * (m - m.conj().swapaxes(-1, -2))
+        steps = _exp_skew_series(x)
         while len(steps) > 1:
             pairs = steps[1::2] @ steps[:len(steps) - 1:2]
             steps = (np.concatenate((pairs, steps[-1:])) if len(steps) % 2
@@ -310,11 +317,13 @@ def _adaptive_unitary(envelopes, bases: np.ndarray, t0: float, t1: float,
             raise ValueError(f"adaptive propagator exceeded {_MAX_STEPS} "
                              f"steps on [{t0}, {t1}]")
         if coarse is None:
-            coarse = _cf4_sweep(envelopes, bases, t0, t1, n)
-        fine = _cf4_sweep(envelopes, bases, t0, t1, 2 * n)
+            coarse = _magnus_sweep(envelopes, bases, t0, t1, n)
+        fine = _magnus_sweep(envelopes, bases, t0, t1, 2 * n)
         diff = fine - coarse
         est = operator_norm(diff)
-        budget = 0.5 * tol + noise_floor * 2 * n
+        # The fine sweep's error is about est / 15, so this holds it to
+        # tol / 2; the Richardson combination returned is a higher order.
+        budget = 7.5 * tol + noise_floor * 2 * n
         if est <= budget:
             return fine + diff / 15.0
         # est falls as n^-4, so the pair at n (est / budget)^(1/4) should
@@ -330,17 +339,19 @@ def exact_propagator(h: TimeDependentHamiltonian, t_final: float,
                      tol: float = 1e-11) -> UnitaryMatrix:
     """Reference time-ordered propagator over [0, T] to accuracy ~tol.
 
-    On each segment, uniform CF4 sweeps of n and 2n steps are compared from
-    n = 8 up. The pair is Richardson-combined once ||fine - coarse|| is
-    within half the segment's tolerance share plus a rounding floor; else n
-    jumps to the count the n^-4 decay of that difference predicts, or
-    doubles. Every factor is unitary to rounding and the steps multiply as a
-    pairwise tree, so the unitarity defect stays within 10 * tol.
+    On each segment, uniform Magnus sweeps of n and 2n steps are compared
+    from n = 8 up. The scheme is time-symmetric, so ||fine - coarse|| is
+    about 15 times the fine sweep's error; the pair is Richardson-combined
+    once that difference is within 7.5 times the segment's tolerance share
+    (the fine sweep within half of it) plus a rounding floor; else n jumps to
+    the count the n^-4 decay of that difference predicts, or doubles. Every
+    factor is unitary to rounding and the steps multiply as a pairwise tree,
+    so the unitarity defect stays within 10 * tol.
     """
-    if t_final < 0:
-        raise ValueError("final time must be non-negative")
-    if tol < _MIN_TOL:
-        raise ValueError(f"tolerance below the supported minimum {_MIN_TOL}")
+    _check_final_time(t_final)
+    if not _MIN_TOL <= tol < math.inf:
+        raise ValueError(f"tol must be finite and at least {_MIN_TOL}, "
+                         f"got {tol}")
     dim = h.register.dim
     if dim > _EXACT_DIM_LIMIT:
         raise ValueError(
@@ -374,8 +385,7 @@ def trotter_propagator(h: TimeDependentHamiltonian, t_final: float,
     """
     if n_steps < 1:
         raise ValueError("need at least one step")
-    if t_final < 0:
-        raise ValueError("final time must be non-negative")
+    _check_final_time(t_final)
     reg = h.register
     u = np.eye(reg.dim, dtype=complex)
     delta = t_final / n_steps

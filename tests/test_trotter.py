@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.linalg
 from hypothesis import given, strategies as st
 
@@ -364,17 +365,17 @@ class TestStepBudget:
 
 
 class TestSweep:
-    """Stacked uniform CF4 sweeps against textbook CF4 steps."""
+    """Stacked uniform Magnus sweeps against textbook Magnus steps."""
 
     @staticmethod
-    def textbook_cf4(hamiltonian, t, h):
-        # Blanes-Moan CF4: nodes t + (1/2 -+ sqrt(3)/6) h, weights
-        # 1/4 +- sqrt(3)/6; exp(-i h (a1 H1 + a2 H2)) acts first.
-        a1, a2 = 0.25 + math.sqrt(3) / 6, 0.25 - math.sqrt(3) / 6
+    def textbook_magnus(hamiltonian, t, h):
+        # Fourth-order Magnus with Gauss nodes t + (1/2 -+ sqrt(3)/6) h:
+        # exp(-i h/2 (H1 + H2) - (sqrt(3) h^2 / 12) [H2, H1]).
         h1 = hamiltonian(t + (0.5 - math.sqrt(3) / 6) * h)
         h2 = hamiltonian(t + (0.5 + math.sqrt(3) / 6) * h)
-        return (scipy.linalg.expm(-1j * h * (a2 * h1 + a1 * h2))
-                @ scipy.linalg.expm(-1j * h * (a1 * h1 + a2 * h2)))
+        omega = (-0.5j * h * (h1 + h2)
+                 - math.sqrt(3) / 12 * h ** 2 * (h2 @ h1 - h1 @ h2))
+        return scipy.linalg.expm(omega)
 
     @pytest.mark.parametrize("n", [1, 3, 8])
     def test_matches_textbook_steps(self, n):
@@ -393,19 +394,20 @@ class TestSweep:
         step = (t1 - t0) / n
         expect = np.eye(8, dtype=complex)
         for i in range(n):
-            expect = self.textbook_cf4(hamiltonian, t0 + i * step, step) @ expect
-        sweep = trotter_module._cf4_sweep(envelopes, bases, t0, t1, n)
+            expect = (self.textbook_magnus(hamiltonian, t0 + i * step, step)
+                      @ expect)
+        sweep = trotter_module._magnus_sweep(envelopes, bases, t0, t1, n)
         assert operator_norm(sweep - expect) <= 1e-13
 
     def test_chunked_matches_unchunked(self, monkeypatch):
         h = mixed_envelope_chain()
         envelopes = [term.envelope for term in h.terms]
         bases = trotter_module._embedded_bases(h)
-        whole = trotter_module._cf4_sweep(envelopes, bases, 0.0, 1.0, 37)
-        # dim 8: three steps (six 64-entry exponents) per chunk, so 37 steps
-        # take 13 chunks, the last one a single step
+        whole = trotter_module._magnus_sweep(envelopes, bases, 0.0, 1.0, 37)
+        # dim 8: three steps (six 64-entry node Hamiltonians) per chunk, so
+        # 37 steps take 13 chunks, the last one a single step
         monkeypatch.setattr(trotter_module, "_SWEEP_ENTRIES", 6 * 64)
-        chunked = trotter_module._cf4_sweep(envelopes, bases, 0.0, 1.0, 37)
+        chunked = trotter_module._magnus_sweep(envelopes, bases, 0.0, 1.0, 37)
         assert operator_norm(chunked - whole) <= 1e-14
 
     def test_one_norm_per_round_one_exponential_per_chunk(self, monkeypatch):
@@ -425,9 +427,9 @@ class TestSweep:
             exps.append(len(stack))
             return exp(stack)
 
-        sweep, norm = trotter_module._cf4_sweep, trotter_module.operator_norm
-        exp = trotter_module._exp_skew_series
-        monkeypatch.setattr(trotter_module, "_cf4_sweep", recorded_sweep)
+        sweep = trotter_module._magnus_sweep
+        norm, exp = trotter_module.operator_norm, trotter_module._exp_skew_series
+        monkeypatch.setattr(trotter_module, "_magnus_sweep", recorded_sweep)
         monkeypatch.setattr(trotter_module, "operator_norm", recorded_norm)
         monkeypatch.setattr(trotter_module, "_exp_skew_series", recorded_exp)
         exact_propagator(mixed_envelope_chain(), 1.0)
@@ -440,8 +442,86 @@ class TestSweep:
             fine = sweeps.index(i - 1)
             assert fine > 0 and events[i - 1] == 2 * events[sweeps[fine - 1]]
         steps = [events[i] for i in sweeps]
+        # one exponent per step, so a full chunk's stack holds per_chunk
         assert len(exps) == sum(-(-n // per_chunk) for n in steps)
-        assert max(exps) == 2 * per_chunk
+        assert max(exps) == per_chunk
+        assert sum(exps) == sum(steps)
+
+    def test_step_count_guard(self, monkeypatch):
+        # Total steps swept for this chain at tol 1e-11 were 1122 when the
+        # fine sweep was budgeted to tol / 2 with one exponential per step;
+        # a tighter budget or a costlier step shows up here.
+        steps = []
+
+        def recorded_sweep(envelopes, bases, t0, t1, n):
+            steps.append(n)
+            return sweep(envelopes, bases, t0, t1, n)
+
+        sweep = trotter_module._magnus_sweep
+        monkeypatch.setattr(trotter_module, "_magnus_sweep", recorded_sweep)
+        exact_propagator(mixed_envelope_chain(), 1.0, tol=1e-11)
+        assert sum(steps) <= 1.1 * 1122
+
+
+class TestAgainstODESolver:
+    """The reference propagator's error stays within tol against DOP853.
+
+    On this chain at T = 2, returning the coarse sweep errs by 2.0 tol at
+    1e-6 and 2.6 tol at 1e-8, and returning the fine sweep without
+    Richardson under a 15x looser budget by 2.5 and 2.3 tol; the
+    Richardson result errs by under 1e-3 tol.
+    """
+
+    T = 2.0
+
+    @staticmethod
+    def dop853(h, t_final):
+        # One solve per smooth piece, cut at the envelope breakpoints.
+        bases = trotter_module._embedded_bases(h)
+        dim = bases.shape[-1]
+
+        def rhs(t, y):
+            values = np.array([float(term.envelope(t)) for term in h.terms])
+            return (-1j * np.tensordot(values, bases, 1)
+                    @ y.reshape(dim, dim)).reshape(-1)
+
+        cuts = sorted({0.0, t_final} | {b for term in h.terms
+                                         for b in term.envelope.breakpoints()
+                                         if 0.0 < b < t_final})
+        u = np.eye(dim, dtype=complex)
+        for a, b in zip(cuts, cuts[1:]):
+            sol = scipy.integrate.solve_ivp(rhs, (a, b), u.reshape(-1),
+                                            method="DOP853", rtol=1e-13,
+                                            atol=1e-13)
+            u = sol.y[:, -1].reshape(dim, dim)
+        return u
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-8])
+    def test_within_tolerance(self, tol):
+        h = mixed_envelope_chain(self.T)
+        reference = self.dop853(h, self.T)
+        # the solver's own error is far below the tolerances checked
+        tightest = exact_propagator(h, self.T, tol=1e-12)
+        assert operator_norm(tightest.array - reference) <= 1e-12
+        u = exact_propagator(h, self.T, tol=tol)
+        assert operator_norm(u.array - reference) <= tol
+
+
+class TestNonFiniteArguments:
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_exact_rejects_tol(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite"):
+            exact_propagator(mixed_envelope_chain(), 1.0, tol=tol)
+
+    @pytest.mark.parametrize("t_final", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("call", [
+        lambda h, t: exact_propagator(h, t),
+        lambda h, t: trotter_propagator(h, t, 3),
+        lambda h, t: certify_trotter(h, t, 4),
+    ], ids=["exact", "trotter", "certify"])
+    def test_rejects_t_final(self, call, t_final):
+        with pytest.raises(ValueError, match="t_final must be finite"):
+            call(mixed_envelope_chain(), t_final)
 
 
 class TestClosedFormReference:
