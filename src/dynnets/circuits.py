@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .linalg import UnitaryMatrix, _require_hermitian
-from .logdomain import LogBound, finite_log
+from .logdomain import LogBound, finite_log, int_power
 
 _DENSE_DIM_LIMIT = 4096
 
@@ -189,14 +189,14 @@ def circuit_covering_log_bound(d: int, k: int, L: int, n_gates: int,
         raise ValueError("d >= 2, k >= 1, L >= 1, and n_gates >= 1 required")
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    if epsilon / (2.0 * n_gates) > 0.1:
+    # from 2^1023 on, 2.0 * n_gates is inf or raises; the scale is 0 there
+    if n_gates < 2 ** 1023 and epsilon / (2.0 * n_gates) > 0.1:
         raise ValueError(
             f"epsilon too large for inner-net validity: need epsilon <= "
             f"{n_gates / 5.0} (= n_gates/5), got {epsilon}")
-    topology = topology_count_log(L, k, n_gates)
     ln_value = finite_log(
-        lambda: topology + (d ** (2 * k)) * n_gates * math.log(
-            14.0 * n_gates / epsilon),
+        lambda: topology_count_log(L, k, n_gates) + int_power(d, 2 * k)
+        * n_gates * math.log(14.0 * n_gates / epsilon),
         math.isinf(1.0 / epsilon), d=d, k=k, L=L, n_gates=n_gates,
         epsilon=epsilon)
     return LogBound(ln_value, {
@@ -205,7 +205,7 @@ def circuit_covering_log_bound(d: int, k: int, L: int, n_gates: int,
         "L": L,
         "n_gates": n_gates,
         "epsilon": float(epsilon),
-        "topology_log": topology,
+        "topology_log": topology_count_log(L, k, n_gates),
         "hypothesis_gates_exceed_sites": n_gates > L,
     })
 

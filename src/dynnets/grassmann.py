@@ -126,9 +126,22 @@ def kato_unitary(p: Projector, q: Projector) -> UnitaryMatrix:
     """Unitary V with V P V^dag = Q, defined when ||P - Q|| <= 1/sqrt(2).
 
     V = (1 - R)^(-1/2) (Q P + (1 - Q)(1 - P)) with R = (P - Q)^2. Satisfies
-    ||1 - V|| <= (5/sqrt(2)) ||P - Q||.
+    ||1 - V|| <= (5/sqrt(2)) ||P - Q||. V is the direct rotation from P to Q:
+    it rotates each principal-angle plane by its angle, so ||1 - V|| is
+    exactly sqrt(2 (1 - sqrt(1 - d^2))) with d = ||P - Q|| (kato_deviation).
     """
     return _kato_unitary(p, q, projector_distance(p, q))
+
+
+def kato_deviation(dist: float) -> float:
+    """||1 - V|| for kato_unitary's V at ||P - Q|| = dist, in closed form.
+
+    The largest principal angle theta has sin(theta) = dist, and V turns
+    its plane by theta, so ||1 - V|| = 2 sin(theta / 2). That is
+    sqrt(2 (1 - sqrt(1 - dist^2))), written here without the cancellation
+    of 1 - sqrt(1 - dist^2) at small dist.
+    """
+    return dist * math.sqrt(2.0 / (1.0 + math.sqrt(1.0 - dist * dist)))
 
 
 def _kato_unitary(p: Projector, q: Projector, dist: float) -> UnitaryMatrix:

@@ -252,22 +252,17 @@ def _exp_skew_series(stack: np.ndarray) -> np.ndarray:
     since a skew-Hermitian matrix has equal 1- and infinity-norms. The
     degree-m Taylor polynomial is then off by at most theta^(m+1) / (m+1)!
     * e^theta <= 2^-53 for the smallest m with theta <= _TAYLOR_THETA[m - 1].
-    Above the table the stack is scaled by 2^-s and the result squared s
-    times. The polynomial is evaluated by Paterson-Stockmeyer: powers up to
-    X^q, one real GEMM for the blocks of q coefficients, and a Horner pass in
-    X^q, about 2 sqrt(m) stacked matrix products in all. The result is
-    unitary to rounding, where ``_exp_skew_stack`` is unitary by
-    construction; for norms near pi, as in nets, the eigendecomposition is
-    also the cheaper of the two.
+    Above the table the stack goes to ``_exp_skew_stack``. The polynomial is
+    evaluated by Paterson-Stockmeyer: powers up to X^q, one real GEMM for
+    the blocks of q coefficients, and a Horner pass in X^q, about 2 sqrt(m)
+    stacked matrix products in all. The result is unitary to rounding. One
+    degree serves the whole stack, so a matrix's result depends on the
+    others in its stack; callers that need it alone use ``_exp_skew_stack``.
     """
     theta = float(np.abs(stack).sum(axis=-2).max(initial=0.0))
-    squarings = 0
     if theta > _TAYLOR_THETA[-1]:
-        squarings = math.frexp(theta / _TAYLOR_THETA[-1])[1]
-        stack = stack * math.ldexp(1.0, -squarings)
-        theta = math.ldexp(theta, -squarings)
-    # min() absorbs a last-bit rounding of theta / _TAYLOR_THETA[-1].
-    degree = min(bisect.bisect_left(_TAYLOR_THETA, theta) + 1, len(_TAYLOR_THETA))
+        return _exp_skew_stack(stack)
+    degree = bisect.bisect_left(_TAYLOR_THETA, theta) + 1
     q = math.isqrt(degree - 1) + 1
     blocks = degree // q + 1
     powers = np.empty((q + 1,) + stack.shape, dtype=complex)
@@ -286,8 +281,6 @@ def _exp_skew_series(stack: np.ndarray) -> np.ndarray:
     for j in range(blocks - 2, -1, -1):
         result = powers[q] @ result
         result += b[j]
-    for _ in range(squarings):
-        result = result @ result
     return result
 
 

@@ -42,6 +42,18 @@ def finite_log(evaluate: Callable[[], float], epsilon_alone_overflows: bool,
     raise ValueError(f"the log of the bound overflows float64 at {named}")
 
 
+def int_power(base: int, exponent: int) -> int:
+    """``base ** exponent`` for a positive base, checked to fit a float first.
+
+    Past 2^1025 the power can never convert to float64, so it is refused
+    with OverflowError (which finite_log reports) before the integer is
+    built: d^(2k) at k = 10^9 would take seconds and hundreds of MB.
+    """
+    if exponent * math.log2(base) > 1025:
+        raise OverflowError("integer power beyond the float64 range")
+    return base ** exponent
+
+
 @dataclass(frozen=True)
 class LogBound:
     """A bound stored as its natural logarithm, with the inputs that produced it.

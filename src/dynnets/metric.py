@@ -209,16 +209,8 @@ def brute_force_covering_number(space: FiniteMetricSpace, epsilon: float, *,
     within = space.matrix <= epsilon + COVERING_SLACK
     balls = _row_masks(within)
     containing = [[balls[j] for j in np.flatnonzero(row)] for row in within]
-    full = (1 << n) - 1
-
-    # Greedy cover gives the initial upper bound.
-    uncovered = full
-    greedy = 0
-    while uncovered:
-        best = max(balls, key=lambda b: (b & uncovered).bit_count())
-        uncovered &= ~best
-        greedy += 1
-    best_count = greedy
+    # Each point's own ball covers it, so n balls always suffice.
+    best_count = n
 
     def search(uncovered: int, count: int) -> None:
         nonlocal best_count
@@ -228,17 +220,14 @@ def brute_force_covering_number(space: FiniteMetricSpace, epsilon: float, *,
         max_gain = max((b & uncovered).bit_count() for b in balls)
         if count + math.ceil(uncovered.bit_count() / max_gain) >= best_count:
             return
-        # Branch on the uncovered element with the fewest candidate balls.
-        pivot = min(
-            (i for i in range(n) if uncovered >> i & 1),
-            key=lambda i: len(containing[i]),
-        )
+        # Some ball must cover the lowest uncovered point: branch on those.
+        pivot = (uncovered & -uncovered).bit_length() - 1
         options = sorted(containing[pivot],
                          key=lambda b: -(b & uncovered).bit_count())
         for b in options:
             search(uncovered & ~b, count + 1)
 
-    search(full, 0)
+    search((1 << n) - 1, 0)
     return best_count
 
 

@@ -7,7 +7,7 @@ Phys. Rep. 470, 2009), with step doubling and Richardson extrapolation over
 whole segments. A sweep evaluates each envelope once on all its nodes and
 makes its exponentials in stacked calls; the exponents are small in norm, so
 each call is a truncated Taylor series whose degree, chosen from the stack's
-1-norm, keeps the truncation under 2^-53 (scaling and squaring above the
+1-norm, keeps the truncation under 2^-53 (the eigendecomposition above the
 table). A pairwise tree multiplies the steps in time order. Each factor is
 unitary to rounding, so unitarity drifts by rounding per step, far below the
 requested tolerance. Each Trotter factor is a single term, which commutes
@@ -36,7 +36,7 @@ from .linalg import (
     _require_hermitian,
     operator_norm,
 )
-from .logdomain import EpsilonTooSmall, LogBound, finite_log
+from .logdomain import EpsilonTooSmall, LogBound, finite_log, int_power
 
 _SQRT3 = math.sqrt(3.0)
 _GAUSS_C1 = 0.5 - _SQRT3 / 6.0
@@ -244,6 +244,11 @@ def _check_final_time(t_final: float) -> None:
                          f"got {t_final}")
 
 
+def _check_steps(n_steps: int) -> None:
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be at least 1, got {n_steps}")
+
+
 def term_norm_sup(term: HamiltonianTerm, t_final: float) -> float:
     """sup over [0, T] of ||e(t) * base||, from the envelope's exact sup_abs."""
     _check_final_time(t_final)
@@ -383,8 +388,7 @@ def trotter_propagator(h: TimeDependentHamiltonian, t_final: float,
     slice) on its own support, and the only error is the term-splitting
     itself.
     """
-    if n_steps < 1:
-        raise ValueError("need at least one step")
+    _check_steps(n_steps)
     _check_final_time(t_final)
     reg = h.register
     u = np.eye(reg.dim, dtype=complex)
@@ -444,6 +448,7 @@ def certify_trotter(h: TimeDependentHamiltonian, t_final: float,
     bound by more than 1e-9 raises CertificateViolation (it would falsify
     the bound, so it must never be silently returned).
     """
+    _check_steps(n_steps)
     exact = exact_propagator(h, t_final, tol=1e-11)
     approx = trotter_propagator(h, t_final, n_steps)
     measured = operator_norm(approx.array - exact.array)
@@ -491,7 +496,7 @@ def evolution_covering_log_bound(L: int, d: int, k: int, K: int, z: int,
             f"{math.sqrt(1.6 * scale):.6g}, got {epsilon}")
 
     def ln_bound() -> float:
-        exponent = 4.0 * d ** (2 * k) * scale / epsilon
+        exponent = 4.0 * int_power(d, 2 * k) * scale / epsilon
         return k * K * math.log(L) + exponent * math.log(
             112.0 * scale / epsilon ** 2)
 

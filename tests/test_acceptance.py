@@ -69,6 +69,8 @@ LIPSCHITZ_SLACK = 1e-10
 KATO_UNITARITY_TOL = 1e-10
 KATO_CONJUGATION_TOL = 1e-8
 KATO_NORM_SLACK = 1e-9
+# per dimension m: ||1 - V|| against its closed form
+KATO_CLOSED_FORM_SLACK = 16 * np.finfo(float).eps
 CIRCUIT_SLACK = 1e-9
 SLOPE_WINDOW = (-1.15, -0.85)
 
@@ -211,6 +213,10 @@ def test_criterion_3_kato_construction():
                 failures.append((n, m, "conjugation", conjugation))
             if deviation > (5.0 / math.sqrt(2.0)) * dist + KATO_NORM_SLACK:
                 failures.append((n, m, "deviation", deviation, dist))
+            # V rotates by the principal angles: ||1 - V|| = 2 sin(theta/2)
+            closed = 2.0 * math.sin(0.5 * math.asin(dist))
+            if abs(deviation - closed) > KATO_CLOSED_FORM_SLACK * m:
+                failures.append((n, m, "closed form", deviation, closed))
     ok = not failures
     _report(3, "Kato unitary construction", ok)
     assert ok, f"{len(failures)} failures, first: {failures[:3]}"

@@ -17,8 +17,8 @@ from dynnets.grassmann import (
     product_covering_check,
     projector_covering_bounds,
 )
-from dynnets.linalg import UnitaryMatrix
-from dynnets.logdomain import EpsilonTooSmall
+from dynnets.linalg import UnitaryMatrix, matrix_exp
+from dynnets.logdomain import EpsilonTooSmall, int_power
 from dynnets.reports import crossover_analysis
 from dynnets.trotter import (
     CertificateViolation,
@@ -128,6 +128,15 @@ class TestBounds:
             evaluate()
         assert not isinstance(info.value, EpsilonTooSmall)
         assert named in str(info.value)
+
+    def test_int_power_refused_before_it_is_built(self):
+        # 2^(2 * 10^18) could not be built at all: only the check returns
+        with pytest.raises(OverflowError):
+            int_power(2, 2 * 10 ** 18)
+        with pytest.raises(OverflowError):
+            int_power(2, 10 ** 400)
+        assert int_power(2, 1025) == 2 ** 1025
+        assert int_power(3, 40) == 3 ** 40
 
     def test_tevol_vanishing_scale_is_out_of_validity(self):
         # h_max ** 2 underflows to 0: no epsilon is small enough
@@ -282,6 +291,25 @@ class TestVerifyGeometry:
         assert payload["passed"] is True
         assert payload["worst_deviation_ratio"] <= 5.0 / np.sqrt(2.0)
 
+    def test_kato_off_closed_form_exits_two(self, capsys, monkeypatch):
+        # V exp(i s P) is unitary, still maps P to Q and stays within
+        # 5/sqrt(2) ||P - Q||, so only the closed-form check can see it
+        kato = cli._kato_unitary
+
+        def shifted(p, q, dist):
+            v = kato(p, q, dist).array
+            return UnitaryMatrix(v @ matrix_exp(1j * 1e-6 * p.matrix))
+
+        monkeypatch.setattr("dynnets.cli._kato_unitary", shifted)
+        code, out, err = run_cli(["verify", "kato", "--n", "2", "--m", "5",
+                                  "--trials", "8", "--seed", "9"], capsys)
+        assert code == 2
+        assert err == ""
+        payload = json.loads(out)
+        assert payload["failures"] == 8
+        assert payload["worst_conjugation_defect"] <= 1e-8
+        assert payload["worst_deviation_ratio"] <= payload["ratio_limit"]
+
     def test_nets(self, capsys):
         code, out, _ = run_cli(["verify", "nets", "--n", "1", "--eps", "0.3",
                                 "--samples", "200", "--seed", "11"], capsys)
@@ -352,6 +380,10 @@ class TestViolationExitsTwo:
         assert list(payload) == keys
         assert payload["passed"] is False
         assert {key: payload[key] for key in counts} == counts
+
+
+# a 401-digit integer, past the float64 range
+_HUGE = "1" + "0" * 400
 
 
 class TestUsageErrors:
@@ -432,6 +464,24 @@ class TestUsageErrors:
         (["bounds", "tevol", "--d", "2", "--k", "2", "--L", "4", "--K", "3",
           "--z", "3", "--h", "1e200", "--T", "1.0", "--eps", "0.1"],
          "h_max = 1e+200"),
+        # integers past the float range, and d^(2k) far past it
+        pytest.param(["bounds", "circuit", "--d", "2", "--k", "2", "--L",
+                      "4", "--ng", _HUGE, "--eps", "0.3"],
+                     f"n_gates = {_HUGE}", id="ng-401-digits"),
+        pytest.param(["bounds", "circuit", "--d", "2", "--k", _HUGE, "--L",
+                      "4", "--ng", "5", "--eps", "0.3"],
+                     f"k = {_HUGE}", id="k-401-digits"),
+        (["bounds", "circuit", "--d", "2", "--k", "1000000000", "--L", "4",
+          "--ng", "5", "--eps", "0.3"], "k = 1000000000"),
+        (["bounds", "tevol", "--d", "2", "--k", "1000000000", "--L", "4",
+          "--K", "3", "--z", "3", "--h", "1.0", "--T", "1.0", "--eps", "0.1"],
+         "k = 1000000000"),
+        (["crossover", "--d", "2", "--k", "1000000000", "--lmin", "2",
+          "--lmax", "4", "--eps", "0.002", "--resource", "time"],
+         "k = 1000000000"),
+        (["crossover", "--d", "2", "--k", "1000000000", "--lmin", "2",
+          "--lmax", "4", "--eps", "0.002", "--resource", "circuit"],
+         "k = 1000000000"),
     ])
     def test_overflow_from_other_flags_is_not_blamed_on_eps(self, capsys,
                                                             argv, named):
@@ -460,6 +510,16 @@ class TestUsageErrors:
           "0", "--seed", "1"], "argument --trials: must be at least 1, got 0"),
         (["verify", "lipschitz", "--n", "1", "--radius", "0", "--trials",
           "3", "--seed", "1"], "argument --radius: must be positive, got 0.0"),
+        (["verify", "lipschitz", "--n", "2", "--radius", "0.4", "--trials",
+          "3", "--seed", "-1"],
+         "argument --seed: must be non-negative, got -1"),
+        (["verify", "kato", "--n", "1", "--m", "2", "--trials", "3", "--seed",
+          "-1"], "argument --seed: must be non-negative, got -1"),
+        # the file does not exist: the flags are checked before it is read
+        (["verify", "trotter", "--hamiltonian", "missing.json", "--T", "1.0",
+          "--nt", "0"], "argument --nt: must be at least 1, got 0"),
+        (["verify", "trotter", "--hamiltonian", "missing.json", "--T", "-1",
+          "--nt", "4"], "argument --T: must be non-negative, got -1.0"),
     ])
     def test_bad_dimension_names_flag(self, capsys, argv, message):
         code, out, err = run_cli(argv, capsys)
@@ -474,6 +534,8 @@ class TestUsageErrors:
          "argument --n: must be 1 or 2, got 3"),
         (["--n", "2", "--eps", "0.12", "--samples", "0"],
          "argument --samples: must be at least 1, got 0"),
+        (["--n", "1", "--eps", "0.5", "--samples", "10", "--seed", "-1"],
+         "argument --seed: must be non-negative, got -1"),
     ])
     def test_nets_flags_checked_before_build(self, capsys, monkeypatch,
                                              argv, message):
@@ -481,7 +543,8 @@ class TestUsageErrors:
             raise AssertionError("net built before the flags were checked")
 
         monkeypatch.setattr("dynnets.cli.build_unitary_net", no_build)
-        code, out, err = run_cli(["verify", "nets", *argv, "--seed", "1"],
+        # a --seed in argv comes later and overrides this one
+        code, out, err = run_cli(["verify", "nets", "--seed", "1", *argv],
                                  capsys)
         assert code == 1
         assert out == ""

@@ -7,6 +7,7 @@ from dynnets.grassmann import (
     Projector,
     Subspace,
     empirical_grassmann_packing,
+    kato_deviation,
     kato_unitary,
     principal_angles,
     product_covering_check,
@@ -191,6 +192,17 @@ class TestKatoUnitary:
             assert defect <= 1e-8
             dev = operator_norm(np.eye(6) - v.array)
             assert dev <= KATO_RATIO * projector_distance(p, q) + 1e-9
+
+    @pytest.mark.parametrize("theta", [1e-9, 1e-3, 0.3, math.pi / 6,
+                                       math.pi / 4])
+    def test_deviation_closed_form(self, theta):
+        closed = 2.0 * math.sin(0.5 * theta)
+        assert kato_deviation(math.sin(theta)) == pytest.approx(closed,
+                                                               rel=1e-15)
+        if theta > 0.1:  # the textbook form cancels at small angles
+            d = math.sin(theta)
+            assert kato_deviation(d) == pytest.approx(
+                math.sqrt(2.0 * (1.0 - math.sqrt(1.0 - d * d))), rel=1e-14)
 
     def test_distance_precondition(self):
         p, q = line_pair(math.pi / 2)  # distance 1 > 1/sqrt(2)

@@ -278,6 +278,13 @@ class TestExpSkewSeries:
             norms = np.linalg.svd(defect, compute_uv=False)[:, 0]
             assert np.all(norms <= self.rounding_bound(n, x)), (norm1, norms)
 
+    @pytest.mark.parametrize("n", [1, 2, 8, 64])
+    def test_above_table_is_eigendecomposition(self, n):
+        rng = np.random.default_rng(300 + n)
+        for norm1 in [1.0831, 1.2, 3.0, 50.0]:
+            x = skew_stack(rng, n, norm1)
+            assert np.array_equal(_exp_skew_series(x), _exp_skew_stack(x))
+
     @pytest.mark.parametrize("n", [1, 4, 64])
     def test_zero_stack_gives_identity(self, n):
         u = _exp_skew_series(np.zeros((6, n, n), dtype=complex))

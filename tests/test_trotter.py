@@ -650,6 +650,15 @@ class TestCertifyTrotter:
         assert exc.bound == 0.2
         assert isinstance(exc, RuntimeError)
 
+    def test_zero_steps_refused_before_reference(self, monkeypatch):
+        def no_reference(*args, **kwargs):
+            raise AssertionError("reference propagated before n_steps check")
+
+        monkeypatch.setattr(trotter_module, "exact_propagator", no_reference)
+        with pytest.raises(ValueError,
+                           match="n_steps must be at least 1, got 0"):
+            certify_trotter(qubit_pair_hamiltonian(), 1.0, 0)
+
     def test_certificate_dict_keys(self):
         h = qubit_pair_hamiltonian()
         d = certify_trotter(h, 0.5, 4).as_dict()
