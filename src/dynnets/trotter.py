@@ -1,22 +1,21 @@
 """Time-dependent lattice Hamiltonians and certified Trotterization.
 
-The exact propagator sweeps uniform steps of the fourth-order Magnus
-integrator with Gauss nodes (one exponential per step, of
--i h/2 (H1 + H2) - (sqrt(3) h^2 / 12) [H2, H1]; Blanes, Casas, Oteo and Ros,
-Phys. Rep. 470, 2009), with step doubling and Richardson extrapolation over
-whole segments. A sweep evaluates each envelope once on all its nodes and
-makes its exponentials in stacked calls; the exponents are small in norm, so
-each call is a truncated Taylor series whose degree, chosen from the stack's
-1-norm, keeps the truncation under 2^-53 (the eigendecomposition above the
-table). A pairwise tree multiplies the steps in time order. Each factor is
-unitary to rounding, so unitarity drifts by rounding per step, far below the
-requested tolerance. Each Trotter factor is a single term, which commutes
-with itself at all times, so it is the closed-form exponential of the term's
-base times its envelope integral, from an eigendecomposition; one call per
-term makes its factors for every slice. The first-order Trotter error is
-certified against delta_t * T * K * z * |h|^2, where z counts support
-overlaps (a term overlaps itself) and |h| is the largest sup-norm of a term
-over [0, T].
+The exact propagator sweeps uniform steps of the sixth-order Magnus
+integrator with three Gauss nodes (one exponential per step, whose exponent
+takes three commutators; Blanes, Casas, Oteo and Ros, Phys. Rep. 470, 2009),
+with step doubling and Richardson extrapolation over whole segments. A sweep
+evaluates each envelope once on all its nodes and makes its exponentials in
+stacked calls; the exponents are small in norm, so each call is a truncated
+Taylor series whose degree, chosen from the stack's 1-norm, keeps the
+truncation under 2^-53 (the eigendecomposition above the table). A pairwise
+tree multiplies the steps in time order. Each factor is unitary to rounding,
+so unitarity drifts by rounding per step, far below the requested tolerance.
+Each Trotter factor is a single term, which commutes with itself at all
+times, so it is the closed-form exponential of the term's base times its
+envelope integral, from an eigendecomposition; one call per term makes its
+factors for a chunk of slices. The first-order Trotter error is certified
+against delta_t * T * K * z * |h|^2, where z counts support overlaps (a term
+overlaps itself) and |h| is the largest sup-norm of a term over [0, T].
 """
 
 from __future__ import annotations
@@ -38,13 +37,18 @@ from .linalg import (
 )
 from .logdomain import EpsilonTooSmall, LogBound, finite_log, int_power
 
-_SQRT3 = math.sqrt(3.0)
-_GAUSS_C1 = 0.5 - _SQRT3 / 6.0
-_GAUSS_C2 = 0.5 + _SQRT3 / 6.0
+_SQRT15 = math.sqrt(15.0)
+# A Magnus step's Gauss nodes, as fractions of the step.
+_GAUSS_NODES = (0.5 - _SQRT15 / 10.0, 0.5, 0.5 + _SQRT15 / 10.0)
+# Row i gives alpha_(i+1) / (-i h) from the Hamiltonian at the three nodes.
+_NODE_MIX = np.array([[0.0, 1.0, 0.0],
+                      [-_SQRT15 / 3.0, 0.0, _SQRT15 / 3.0],
+                      [10.0 / 3.0, -20.0 / 3.0, 10.0 / 3.0]])
 _MIN_TOL = 1e-12
-# Matrix entries per chunk of a sweep's Gauss-node Hamiltonians (two per
-# step, so its exponents hold half as many); 2^14 per exponent stack added
-# 2 MB to the trotter workload's peak RSS at the same speed.
+# Matrix entries per chunk of a sweep's node matrices (three per step, so its
+# exponents hold a third as many) and of the Trotter slice factors; 2^14 per
+# exponent stack added 2 MB to the trotter workload's peak RSS at the same
+# speed.
 _SWEEP_ENTRIES = 1 << 14
 # Steps allowed in one sweep; criterion 1's segments take at most a few
 # hundred, so a run past this is a broken integrator.
@@ -274,32 +278,43 @@ def _embedded_bases(h: TimeDependentHamiltonian) -> np.ndarray:
     return stack
 
 
+def _commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """[x, y] of skew-Hermitian stacks from one product: yx = (xy)^dagger."""
+    m = x @ y
+    return m - m.conj().swapaxes(-1, -2)
+
+
 def _magnus_sweep(envelopes, bases: np.ndarray, t0: float, t1: float,
                   n: int) -> np.ndarray:
-    """Product of n uniform fourth-order Magnus steps over [t0, t1].
+    """Product of n uniform sixth-order Magnus steps over [t0, t1].
 
-    Step j's exponent is -i h/2 (H1 + H2) - (sqrt(3) h^2 / 12) [H2, H1], with
-    H1, H2 the Hamiltonian at its two Gauss nodes. Each envelope is evaluated
-    once on all 2n nodes. Per chunk of at most ``_SWEEP_ENTRIES`` node
-    matrix entries, one GEMM onto the bases gives every H1 and H2, one batched
-    product M = H2 @ H1 gives each commutator as M - M^dagger, and one
+    With A_i = -i H(t + c_i h) at the Gauss nodes c = 1/2 -+ sqrt(15)/10 and
+    1/2, step j's exponent is built from alpha_1 = h A_2, alpha_2 =
+    (sqrt(15) h / 3)(A_3 - A_1) and alpha_3 = (10 h / 3)(A_3 - 2 A_2 + A_1):
+    C_1 = [alpha_1, alpha_2], C_2 = -[alpha_1, 2 alpha_3 + C_1] / 60 and
+    Omega = alpha_1 + alpha_3 / 12 + [-20 alpha_1 - alpha_3 + C_1,
+    alpha_2 + C_2] / 240. Each envelope is evaluated once on all 3n nodes
+    and mixed into the alphas' weights. Per chunk of at most
+    ``_SWEEP_ENTRIES`` node matrix entries, one GEMM onto the bases gives
+    every alpha, each commutator takes one batched product, and one
     Taylor-series exponential over the stack, whose exponents are small in
     norm, gives every step; a pairwise tree multiplies the chunk's steps in
     log2 of their count batched products, the later step on the left.
     """
     k, dim = bases.shape[:2]
     h = (t1 - t0) / n
-    taus = t0 + (np.arange(n)[:, None] + np.array([_GAUSS_C1, _GAUSS_C2])) * h
+    taus = t0 + (np.arange(n)[:, None] + np.array(_GAUSS_NODES)) * h
     weights = np.stack([env(taus.ravel()) for env in envelopes], axis=-1)
+    alphas = (-1j * h * _NODE_MIX) @ weights.reshape(n, 3, k)
     flat = bases.reshape(k, dim * dim)
-    per_chunk = max(1, _SWEEP_ENTRIES // (2 * dim * dim))
+    per_chunk = max(1, _SWEEP_ENTRIES // (3 * dim * dim))
     u = np.eye(dim, dtype=complex)
     for start in range(0, n, per_chunk):
-        nodes = (weights[2 * start:2 * (start + per_chunk)] @ flat).reshape(
-            -1, 2, dim, dim)
-        m = nodes[:, 1] @ nodes[:, 0]
-        x = (-0.5j * h) * (nodes[:, 0] + nodes[:, 1])
-        x -= (_SQRT3 / 12.0 * h * h) * (m - m.conj().swapaxes(-1, -2))
+        a1, a2, a3 = (alphas[start:start + per_chunk] @ flat).reshape(
+            -1, 3, dim, dim).swapaxes(0, 1)
+        c1 = _commutator(a1, a2)
+        c2 = _commutator(a1, 2.0 * a3 + c1) / -60.0
+        x = a1 + a3 / 12.0 + _commutator(c1 - 20.0 * a1 - a3, a2 + c2) / 240.0
         steps = _exp_skew_series(x)
         while len(steps) > 1:
             pairs = steps[1::2] @ steps[:len(steps) - 1:2]
@@ -326,14 +341,14 @@ def _adaptive_unitary(envelopes, bases: np.ndarray, t0: float, t1: float,
         fine = _magnus_sweep(envelopes, bases, t0, t1, 2 * n)
         diff = fine - coarse
         est = operator_norm(diff)
-        # The fine sweep's error is about est / 15, so this holds it to
+        # The fine sweep's error is about est / 63, so this holds it to
         # tol / 2; the Richardson combination returned is a higher order.
-        budget = 7.5 * tol + noise_floor * 2 * n
+        budget = 31.5 * tol + noise_floor * 2 * n
         if est <= budget:
-            return fine + diff / 15.0
-        # est falls as n^-4, so the pair at n (est / budget)^(1/4) should
+            return fine + diff / 63.0
+        # est falls as n^-6, so the pair at n (est / budget)^(1/6) should
         # pass; below a doubling, the fine sweep is the next coarse one.
-        jump = 1.1 * n * (est / budget) ** 0.25
+        jump = 1.1 * n * (est / budget) ** (1.0 / 6.0)
         if jump > 2 * n:
             n, coarse = math.ceil(min(jump, _MAX_STEPS)), None
         else:
@@ -345,13 +360,13 @@ def exact_propagator(h: TimeDependentHamiltonian, t_final: float,
     """Reference time-ordered propagator over [0, T] to accuracy ~tol.
 
     On each segment, uniform Magnus sweeps of n and 2n steps are compared
-    from n = 8 up. The scheme is time-symmetric, so ||fine - coarse|| is
-    about 15 times the fine sweep's error; the pair is Richardson-combined
-    once that difference is within 7.5 times the segment's tolerance share
-    (the fine sweep within half of it) plus a rounding floor; else n jumps to
-    the count the n^-4 decay of that difference predicts, or doubles. Every
-    factor is unitary to rounding and the steps multiply as a pairwise tree,
-    so the unitarity defect stays within 10 * tol.
+    from n = 8 up. The scheme is sixth order, so ||fine - coarse|| is about
+    63 times the fine sweep's error; the pair is Richardson-combined (weight
+    1/63) once that difference is within 31.5 times the segment's tolerance
+    share (the fine sweep within half of it) plus a rounding floor; else n
+    jumps to the count the n^-6 decay of that difference predicts, or
+    doubles. Every factor is unitary to rounding and the steps multiply as a
+    pairwise tree, so the unitarity defect stays within 10 * tol.
     """
     _check_final_time(t_final)
     if not _MIN_TOL <= tol < math.inf:
@@ -393,14 +408,18 @@ def trotter_propagator(h: TimeDependentHamiltonian, t_final: float,
     reg = h.register
     u = np.eye(reg.dim, dtype=complex)
     delta = t_final / n_steps
-    # factors[i][step] is term i's exponential over slice step.
-    factors = [_exp_skew_stack(np.array(
-        [-1j * term.envelope.integral(step * delta, (step + 1) * delta)
-         for step in range(n_steps)])[:, None, None] * term.base)
-        for term in h.terms]
-    for step in range(n_steps):
-        for term, stack in zip(h.terms, factors):
-            u = _apply_gate(stack[step], term.support, u, reg.L, reg.d)
+    # Factors are made per chunk of slices, so memory stays flat in n_steps.
+    per_chunk = max(1, _SWEEP_ENTRIES // sum(t.base.size for t in h.terms))
+    for start in range(0, n_steps, per_chunk):
+        chunk = range(start, min(start + per_chunk, n_steps))
+        # factors[i][j] is term i's exponential over the chunk's slice j.
+        factors = [_exp_skew_stack(np.array(
+            [-1j * term.envelope.integral(step * delta, (step + 1) * delta)
+             for step in chunk])[:, None, None] * term.base)
+            for term in h.terms]
+        for j in range(len(chunk)):
+            for term, stack in zip(h.terms, factors):
+                u = _apply_gate(stack[j], term.support, u, reg.L, reg.d)
     return UnitaryMatrix(u, _validated=True)
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -334,10 +335,11 @@ def runaway_chain():
 
 
 def break_step_control(monkeypatch):
-    # Both Gauss nodes at c1 make every step exp(-i h H(t + c1 h)), a
-    # first-order rule: the doubling estimate falls as 1/n, not n^-4, so it
+    # All three Gauss nodes at the first make every step exp(-i h H(t + c1 h)),
+    # a first-order rule: the doubling estimate falls as 1/n, not n^-6, so it
     # never reaches its budget for a time-dependent chain within the cap.
-    monkeypatch.setattr(trotter_module, "_GAUSS_C2", trotter_module._GAUSS_C1)
+    first = trotter_module._GAUSS_NODES[0]
+    monkeypatch.setattr(trotter_module, "_GAUSS_NODES", (first,) * 3)
     monkeypatch.setattr(trotter_module, "_MAX_STEPS", 2000)
 
 
@@ -369,12 +371,21 @@ class TestSweep:
 
     @staticmethod
     def textbook_magnus(hamiltonian, t, h):
-        # Fourth-order Magnus with Gauss nodes t + (1/2 -+ sqrt(3)/6) h:
-        # exp(-i h/2 (H1 + H2) - (sqrt(3) h^2 / 12) [H2, H1]).
-        h1 = hamiltonian(t + (0.5 - math.sqrt(3) / 6) * h)
-        h2 = hamiltonian(t + (0.5 + math.sqrt(3) / 6) * h)
-        omega = (-0.5j * h * (h1 + h2)
-                 - math.sqrt(3) / 12 * h ** 2 * (h2 @ h1 - h1 @ h2))
+        # Sixth-order Magnus with Gauss nodes t + (1/2 -+ sqrt(15)/10) h and
+        # t + h/2 (Blanes, Casas, Oteo and Ros, Phys. Rep. 470, 2009).
+        def comm(x, y):
+            return x @ y - y @ x
+
+        r = math.sqrt(15) / 10
+        a1, a2, a3 = (-1j * hamiltonian(t + c * h)
+                      for c in (0.5 - r, 0.5, 0.5 + r))
+        alpha1 = h * a2
+        alpha2 = math.sqrt(15) * h / 3 * (a3 - a1)
+        alpha3 = 10 * h / 3 * (a3 - 2 * a2 + a1)
+        c1 = comm(alpha1, alpha2)
+        c2 = -comm(alpha1, 2 * alpha3 + c1) / 60
+        omega = (alpha1 + alpha3 / 12
+                 + comm(-20 * alpha1 - alpha3 + c1, alpha2 + c2) / 240)
         return scipy.linalg.expm(omega)
 
     @pytest.mark.parametrize("n", [1, 3, 8])
@@ -399,19 +410,33 @@ class TestSweep:
         sweep = trotter_module._magnus_sweep(envelopes, bases, t0, t1, n)
         assert operator_norm(sweep - expect) <= 1e-13
 
+    def test_sixth_order_convergence(self):
+        # The chain's only breakpoint is at 0.9, so [1, 2] is smooth; a wrong
+        # coefficient in the exponent leaves a lower-order error term.
+        h = mixed_envelope_chain(2.0)
+        envelopes = [term.envelope for term in h.terms]
+        bases = trotter_module._embedded_bases(h)
+        reference = trotter_module._magnus_sweep(envelopes, bases, 1.0, 2.0,
+                                                 1024)
+        steps = np.array([4, 8, 16, 32])
+        errors = [operator_norm(trotter_module._magnus_sweep(
+            envelopes, bases, 1.0, 2.0, int(n)) - reference) for n in steps]
+        slope = np.polyfit(np.log(steps), np.log(errors), 1)[0]
+        assert -6.3 <= slope <= -5.7
+
     def test_chunked_matches_unchunked(self, monkeypatch):
         h = mixed_envelope_chain()
         envelopes = [term.envelope for term in h.terms]
         bases = trotter_module._embedded_bases(h)
         whole = trotter_module._magnus_sweep(envelopes, bases, 0.0, 1.0, 37)
-        # dim 8: three steps (six 64-entry node Hamiltonians) per chunk, so
-        # 37 steps take 13 chunks, the last one a single step
-        monkeypatch.setattr(trotter_module, "_SWEEP_ENTRIES", 6 * 64)
+        # dim 8: three steps (nine 64-entry node matrices) per chunk, so 37
+        # steps take 13 chunks, the last one a single step
+        monkeypatch.setattr(trotter_module, "_SWEEP_ENTRIES", 9 * 64)
         chunked = trotter_module._magnus_sweep(envelopes, bases, 0.0, 1.0, 37)
         assert operator_norm(chunked - whole) <= 1e-14
 
     def test_one_norm_per_round_one_exponential_per_chunk(self, monkeypatch):
-        monkeypatch.setattr(trotter_module, "_SWEEP_ENTRIES", 6 * 64)
+        monkeypatch.setattr(trotter_module, "_SWEEP_ENTRIES", 9 * 64)
         per_chunk = 3
         events, exps = [], []
 
@@ -448,9 +473,9 @@ class TestSweep:
         assert sum(exps) == sum(steps)
 
     def test_step_count_guard(self, monkeypatch):
-        # Total steps swept for this chain at tol 1e-11 were 1122 when the
-        # fine sweep was budgeted to tol / 2 with one exponential per step;
-        # a tighter budget or a costlier step shows up here.
+        # Total steps swept for this chain at tol 1e-11 were 162 with sixth-
+        # order steps and the fine sweep budgeted to tol / 2; a tighter budget
+        # or a lower order shows up here.
         steps = []
 
         def recorded_sweep(envelopes, bases, t0, t1, n):
@@ -460,16 +485,17 @@ class TestSweep:
         sweep = trotter_module._magnus_sweep
         monkeypatch.setattr(trotter_module, "_magnus_sweep", recorded_sweep)
         exact_propagator(mixed_envelope_chain(), 1.0, tol=1e-11)
-        assert sum(steps) <= 1.1 * 1122
+        assert sum(steps) <= 1.1 * 162
 
 
 class TestAgainstODESolver:
     """The reference propagator's error stays within tol against DOP853.
 
-    On this chain at T = 2, returning the coarse sweep errs by 2.0 tol at
-    1e-6 and 2.6 tol at 1e-8, and returning the fine sweep without
-    Richardson under a 15x looser budget by 2.5 and 2.3 tol; the
-    Richardson result errs by under 1e-3 tol.
+    On this chain at T = 2, returning the coarse sweep errs by 0.58 tol at
+    1e-6 and 10.6 tol at 1e-8, so the 1e-8 case fails. Returning the fine
+    sweep without Richardson errs by 0.009 and 0.17 tol, and under a 63x
+    looser budget by 0.009 and 0.91 tol, which this test does not catch.
+    The Richardson result errs by 1.0e-4 and 2.5e-3 tol.
     """
 
     T = 2.0
@@ -570,6 +596,25 @@ class TestTrotterPropagator:
                     -1j * term.envelope.integral(t0, t1) * term.base[None])[0]
                 u = _apply_gate(local, term.support, u, reg.L, reg.d)
         assert np.array_equal(trotter_propagator(h, 1.3, n_steps).array, u)
+
+    def test_peak_memory_flat_in_steps(self, monkeypatch):
+        h = qubit_pair_hamiltonian()
+        # Untraced warm-up in the default chunks: the interpreter's tuple
+        # free lists fill here, and tracemalloc counts their memory as held.
+        default = trotter_propagator(h, 1.0, 1024).array
+        # 64 slices per chunk of this chain's 16- and 4-entry bases; factors
+        # for all 1024 slices at once would hold 512 KB.
+        monkeypatch.setattr(trotter_module, "_SWEEP_ENTRIES", 64 * 20)
+        peaks = []
+        for n_steps in (128, 1024):
+            tracemalloc.start()
+            try:
+                u = trotter_propagator(h, 1.0, n_steps).array
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0]
+        assert np.array_equal(u, default)
 
     def test_single_term_matches_exact(self):
         reg = QuditRegister(2, 2)
