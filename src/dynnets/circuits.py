@@ -49,24 +49,41 @@ class QuditRegister:
         return f"QuditRegister(L={self.L}, d={self.d})"
 
 
+def _checked_support(support, what: str) -> tuple[int, ...]:
+    """A support as a tuple of sorted, distinct, non-negative site indices."""
+    sup = tuple(int(s) for s in support)
+    if not sup:
+        raise ValueError(f"{what} support must be non-empty")
+    if len(set(sup)) != len(sup):
+        raise ValueError(f"{what} support sites must be distinct")
+    if list(sup) != sorted(sup):
+        raise ValueError(f"{what} support must be sorted ascending")
+    if min(sup) < 0:
+        raise ValueError(f"{what} support sites must be non-negative")
+    return sup
+
+
+def _check_on_register(register, support, dim: int, what: str) -> None:
+    """A checked support lies on the register and fits a dim x dim matrix."""
+    if max(support) >= register.L:
+        raise ValueError(
+            f"{what} support {support} exceeds register size {register.L}")
+    expected = register.d ** len(support)
+    if dim != expected:
+        raise ValueError(
+            f"{what} on {len(support)} site(s) must be "
+            f"{expected}-dimensional, got {dim}")
+
+
 class Gate:
     """A unitary acting on a sorted tuple of distinct sites."""
 
     __slots__ = ("support", "matrix")
 
     def __init__(self, support, matrix):
-        sup = tuple(int(s) for s in support)
-        if not sup:
-            raise ValueError("gate support must be non-empty")
-        if len(set(sup)) != len(sup):
-            raise ValueError("gate support sites must be distinct")
-        if list(sup) != sorted(sup):
-            raise ValueError("gate support must be sorted ascending")
-        if min(sup) < 0:
-            raise ValueError("gate support sites must be non-negative")
-        mat = matrix if isinstance(matrix, UnitaryMatrix) else UnitaryMatrix(matrix)
-        self.support = sup
-        self.matrix = mat
+        self.support = _checked_support(support, "gate")
+        self.matrix = (matrix if isinstance(matrix, UnitaryMatrix)
+                       else UnitaryMatrix(matrix))
 
     def __repr__(self) -> str:
         return f"Gate(support={self.support}, dim={self.matrix.dim})"
@@ -82,14 +99,7 @@ class Circuit:
         for g in gs:
             if not isinstance(g, Gate):
                 raise ValueError("circuit gates must be Gate instances")
-            if max(g.support) >= register.L:
-                raise ValueError(
-                    f"gate support {g.support} exceeds register size {register.L}")
-            expected = register.d ** len(g.support)
-            if g.matrix.dim != expected:
-                raise ValueError(
-                    f"gate on {len(g.support)} site(s) must be "
-                    f"{expected}-dimensional, got {g.matrix.dim}")
+            _check_on_register(register, g.support, g.matrix.dim, "gate")
         self.register = register
         self.gates = gs
 

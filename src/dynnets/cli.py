@@ -20,6 +20,7 @@ import numpy as np
 from .circuits import circuit_covering_log_bound
 from .grassmann import (
     KATO_DISTANCE_LIMIT,
+    KATO_RATIO_LIMIT,
     Projector,
     _kato_unitary,
     kato_deviation,
@@ -198,7 +199,7 @@ def _cmd_verify_kato(args) -> dict:
         ratio = dev / dist if dist > 1e-14 else 0.0
         worst_ratio = max(worst_ratio, ratio)
         worst_conj = max(worst_conj, conj)
-        if (conj > 1e-8 or dev > 5.0 / math.sqrt(2.0) * dist + 1e-9
+        if (conj > 1e-8 or dev > KATO_RATIO_LIMIT * dist + 1e-9
                 or abs(dev - kato_deviation(dist)) > closed_form_slack):
             failures += 1
     return {
@@ -208,7 +209,7 @@ def _cmd_verify_kato(args) -> dict:
         "seed": args.seed,
         "failures": failures,
         "worst_deviation_ratio": worst_ratio,
-        "ratio_limit": 5.0 / math.sqrt(2.0),
+        "ratio_limit": KATO_RATIO_LIMIT,
         "worst_conjugation_defect": worst_conj,
         "passed": failures == 0,
     }

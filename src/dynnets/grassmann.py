@@ -16,6 +16,7 @@ import numpy as np
 
 from . import metric
 from .linalg import (
+    HERMITIAN_TOL,
     UnitaryMatrix,
     _as_square_array,
     _greedy_packing,
@@ -28,6 +29,8 @@ from .logdomain import finite_log
 _ORTHONORMAL_TOL = 1e-10
 _PROJECTOR_TOL = 1e-9
 KATO_DISTANCE_LIMIT = 1.0 / math.sqrt(2.0)
+# Kato's guarantee ||1 - V|| <= KATO_RATIO_LIMIT * ||P - Q|| below that limit.
+KATO_RATIO_LIMIT = 5.0 / math.sqrt(2.0)
 
 
 class Subspace:
@@ -69,7 +72,7 @@ class Projector:
 
     def __init__(self, matrix):
         arr = np.array(_as_square_array(matrix, "projector"), order="C")
-        if not _norm_within(arr - arr.conj().T, _ORTHONORMAL_TOL):
+        if not _norm_within(arr - arr.conj().T, HERMITIAN_TOL):
             raise ValueError("projector must be Hermitian within 1e-10")
         if not _norm_within(arr @ arr - arr, _PROJECTOR_TOL):
             raise ValueError("projector must be idempotent within 1e-9")

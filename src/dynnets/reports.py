@@ -22,7 +22,7 @@ import numpy as np
 from .circuits import circuit_covering_log_bound
 from .grassmann import projector_covering_bounds
 from .linalg import _require_hermitian
-from .trotter import evolution_covering_log_bound
+from .trotter import _min_covered_time, evolution_covering_log_bound
 
 # the CrossoverRow field that holds each resource's minimal value
 _RESOURCE_FIELDS = {"circuit": "min_gates", "time": "min_time"}
@@ -203,7 +203,7 @@ def _minimal_gates(d: int, k: int, L: int, epsilon: float, target: float) -> int
     lo = hi // 2
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if mid < 1 or value(mid) < target:
+        if value(mid) < target:
             lo = mid
         else:
             hi = mid
@@ -212,13 +212,11 @@ def _minimal_gates(d: int, k: int, L: int, epsilon: float, target: float) -> int
 
 def _minimal_time(d: int, k: int, L: int, K: int, z: int, h_max: float,
                   epsilon: float, target: float) -> float:
-    t_min = epsilon * math.sqrt(10.0) / (4.0 * K * math.sqrt(z) * h_max)
-
     def value(t: float) -> float:
         return evolution_covering_log_bound(L, d, k, K, z, h_max, t,
                                             epsilon).ln_value
 
-    start = t_min * (1.0 + 1e-12)
+    start = _min_covered_time(K, z, h_max, epsilon) * (1.0 + 1e-12)
     if value(start) >= target:
         return start
     hi = start

@@ -26,7 +26,8 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .circuits import QuditRegister, _apply_gate, _encode_matrix, _parse_json
+from .circuits import (QuditRegister, _apply_gate, _check_on_register,
+                       _checked_support, _encode_matrix, _parse_json)
 from .linalg import (
     UnitaryMatrix,
     _as_square_array,
@@ -200,15 +201,9 @@ class HamiltonianTerm:
     __slots__ = ("support", "base", "envelope")
 
     def __init__(self, support, base, envelope):
-        sup = tuple(int(s) for s in support)
-        if not sup or len(set(sup)) != len(sup) or list(sup) != sorted(sup):
-            raise ValueError("support must be a sorted tuple of distinct sites")
-        if min(sup) < 0:
-            raise ValueError("support sites must be non-negative")
-        arr = _require_hermitian(_as_square_array(base, "term base"))
-        arr.setflags(write=False)
-        self.support = sup
-        self.base = arr
+        self.support = _checked_support(support, "term")
+        self.base = _require_hermitian(_as_square_array(base, "term base"))
+        self.base.setflags(write=False)
         self.envelope = envelope
 
 
@@ -222,14 +217,8 @@ class TimeDependentHamiltonian:
         for term in ts:
             if not isinstance(term, HamiltonianTerm):
                 raise ValueError("terms must be HamiltonianTerm instances")
-            if max(term.support) >= register.L:
-                raise ValueError(
-                    f"term support {term.support} exceeds register size")
-            expected = register.d ** len(term.support)
-            if term.base.shape[0] != expected:
-                raise ValueError(
-                    f"term base on {len(term.support)} site(s) must be "
-                    f"{expected}-dimensional, got {term.base.shape[0]}")
+            _check_on_register(register, term.support, term.base.shape[0],
+                               "term")
         self.register = register
         self.terms = ts
 
@@ -459,6 +448,23 @@ class TrotterCertificate:
         }
 
 
+def _trotter_error(t_final: float, n_steps: int, K: int, z: int,
+                   h_max: float) -> float:
+    """The paper's first-order Trotter bound delta_t T K z h^2, delta_t = T / n."""
+    return t_final / n_steps * t_final * K * z * h_max ** 2
+
+
+def _trotter_steps(t_final: float, K: int, z: int, h_max: float,
+                   error: float) -> float:
+    """The step count, unrounded, at which _trotter_error equals error."""
+    return t_final ** 2 * K * z * h_max ** 2 / error
+
+
+def _min_covered_time(K: int, z: int, h_max: float, epsilon: float) -> float:
+    """eps^2 / (16 T^2 K^2 z h^2) <= 1/10 solved for the smallest T."""
+    return epsilon * math.sqrt(10.0) / (4.0 * K * math.sqrt(z) * h_max)
+
+
 def certify_trotter(h: TimeDependentHamiltonian, t_final: float,
                     n_steps: int) -> TrotterCertificate:
     """Measure ||U_trotter - U_exact|| and certify it against the a priori bound.
@@ -474,14 +480,13 @@ def certify_trotter(h: TimeDependentHamiltonian, t_final: float,
     k_terms = h.n_terms
     z = commutation_degree(h)
     h_max = max(term_norm_sup(term, t_final) for term in h.terms)
-    delta_t = t_final / n_steps
-    bound = delta_t * t_final * k_terms * z * h_max ** 2
+    bound = _trotter_error(t_final, n_steps, k_terms, z, h_max)
     if measured > bound + 1e-9:
         raise CertificateViolation(measured, bound)
     return TrotterCertificate(
         T=float(t_final),
         n_steps=int(n_steps),
-        delta_t=float(delta_t),
+        delta_t=float(t_final / n_steps),
         K=k_terms,
         z=z,
         h_max=float(h_max),
@@ -532,7 +537,7 @@ def evolution_covering_log_bound(L: int, d: int, k: int, K: int, z: int,
         "h_max": float(h_max),
         "T": float(t_final),
         "epsilon": float(epsilon),
-        "n_steps_implied": 4.0 * t_final ** 2 * K * z * h_max ** 2 / epsilon,
+        "n_steps_implied": _trotter_steps(t_final, K, z, h_max, epsilon / 4.0),
     })
 
 

@@ -37,6 +37,7 @@ from .linalg import (
     skew_basis,
 )
 from .logdomain import finite_log
+from .metric import COVERING_SLACK
 
 _GRID_DIM_LIMIT = 2
 _CANDIDATE_CAP = 20_000_000
@@ -260,7 +261,7 @@ def empirical_covering_check(net: UnitaryNet, samples: int,
     """Max over Haar samples of the distance to the net, and pass/fail.
 
     Passes when the largest observed gap is at most the net's epsilon
-    (with the usual 1e-12 covering slack).
+    (with metric.COVERING_SLACK).
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -273,7 +274,7 @@ def empirical_covering_check(net: UnitaryNet, samples: int,
         gaps = _nearest(haar, net.matrices, net.n)[1]
         max_gap = max(max_gap, float(gaps.max()))
         remaining -= batch
-    return max_gap, max_gap <= net.epsilon + 1e-12
+    return max_gap, max_gap <= net.epsilon + COVERING_SLACK
 
 
 def empirical_packing_lower_bound(n: int, epsilon: float, trials: int,

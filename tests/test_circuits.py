@@ -16,6 +16,11 @@ from dynnets.circuits import (
     topology_count_log,
 )
 from dynnets.linalg import UnitaryMatrix, haar_unitary, operator_norm, spectral_width
+from dynnets.trotter import (
+    ConstantEnvelope,
+    HamiltonianTerm,
+    TimeDependentHamiltonian,
+)
 from dynnets.unitary_nets import ImplicitGridNet, build_unitary_net
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -55,6 +60,36 @@ class TestRegisterAndGate:
     def test_support_out_of_range(self):
         with pytest.raises(ValueError):
             Circuit(QuditRegister(2, 2), [Gate((5,), haar_unitary(2, seed=0))])
+
+
+def _gate_on(register, support, dim):
+    return Circuit(register, [Gate(support, np.eye(dim))])
+
+
+def _term_on(register, support, dim):
+    term = HamiltonianTerm(support, np.eye(dim), ConstantEnvelope(1.0))
+    return TimeDependentHamiltonian(register, [term])
+
+
+class TestSupportChecks:
+    """Gates and Hamiltonian terms share one support rule and its messages."""
+
+    @pytest.mark.parametrize("what, build", [("gate", _gate_on),
+                                             ("term", _term_on)],
+                             ids=["gate", "term"])
+    @pytest.mark.parametrize("support, dim, message", [
+        ((), 1, "support must be non-empty"),
+        ((0, 0), 4, "support sites must be distinct"),
+        ((1, 0), 4, "support must be sorted ascending"),
+        ((-1,), 2, "support sites must be non-negative"),
+        ((2,), 2, "support (2,) exceeds register size 2"),
+        ((0, 1), 2, "on 2 site(s) must be 4-dimensional, got 2"),
+    ], ids=["empty", "repeated", "unsorted", "negative", "outside",
+            "dimension"])
+    def test_bad_support(self, what, build, support, dim, message):
+        with pytest.raises(ValueError) as exc:
+            build(QuditRegister(2, 2), support, dim)
+        assert str(exc.value) == f"{what} {message}"
 
 
 class TestCircuitUnitary:

@@ -493,12 +493,12 @@ class TestAgainstODESolver:
 
     On this chain at T = 2, returning the coarse sweep errs by 0.58 tol at
     1e-6 and 10.6 tol at 1e-8, so the 1e-8 case fails. Returning the fine
-    sweep without Richardson errs by 0.009 and 0.17 tol, and under a 63x
-    looser budget by 0.009 and 0.91 tol, which this test does not catch.
-    The Richardson result errs by 1.0e-4 and 2.5e-3 tol.
+    sweep without Richardson under a 63x looser budget errs by 0.009 and
+    0.91 tol there, but by 10.3 tol at T = 4 and tol 1e-10, so that case
+    fails (its tol 1e-12 run, 1.2e-11 off, fails the agreement check in
+    every case). The Richardson result errs by 1.0e-4 and 2.5e-3 tol at
+    T = 2 and by 2.7e-3 tol at T = 4.
     """
-
-    T = 2.0
 
     @staticmethod
     def dop853(h, t_final):
@@ -522,14 +522,16 @@ class TestAgainstODESolver:
             u = sol.y[:, -1].reshape(dim, dim)
         return u
 
-    @pytest.mark.parametrize("tol", [1e-6, 1e-8])
-    def test_within_tolerance(self, tol):
-        h = mixed_envelope_chain(self.T)
-        reference = self.dop853(h, self.T)
+    @pytest.mark.parametrize("t_final, tol", [(2.0, 1e-6), (2.0, 1e-8),
+                                              (4.0, 1e-10)],
+                             ids=["1e-06", "1e-08", "T4-1e-10"])
+    def test_within_tolerance(self, t_final, tol):
+        h = mixed_envelope_chain(t_final)
+        reference = self.dop853(h, t_final)
         # the solver's own error is far below the tolerances checked
-        tightest = exact_propagator(h, self.T, tol=1e-12)
+        tightest = exact_propagator(h, t_final, tol=1e-12)
         assert operator_norm(tightest.array - reference) <= 1e-12
-        u = exact_propagator(h, self.T, tol=tol)
+        u = exact_propagator(h, t_final, tol=tol)
         assert operator_norm(u.array - reference) <= tol
 
 
@@ -689,6 +691,16 @@ class TestCertifyTrotter:
         assert cert.bound == pytest.approx(expect, rel=1e-12)
         assert cert.delta_t == pytest.approx(1.0 / 8)
 
+    def test_bound_is_the_paper_expression(self):
+        rng = np.random.default_rng(18)
+        for _ in range(12):
+            t_final = float(rng.uniform(0.1, 2.0))
+            n_steps = int(rng.integers(1, 65))
+            for h in (qubit_pair_hamiltonian(), mixed_envelope_chain(t_final)):
+                cert = certify_trotter(h, t_final, n_steps)
+                assert cert.bound == ((t_final / n_steps) * t_final * cert.K
+                                      * cert.z * cert.h_max ** 2)
+
     def test_violation_type_carries_numbers(self):
         exc = CertificateViolation(1.5, 0.2)
         assert exc.measured == 1.5
@@ -772,6 +784,38 @@ class TestEvolutionCoveringLogBound:
     def test_implied_step_count_in_context(self):
         bound = evolution_covering_log_bound(4, 2, 2, 3, 3, 1.0, 1.0, 0.1)
         assert bound.context["n_steps_implied"] == pytest.approx(360.0)
+
+    @staticmethod
+    def grid():
+        """Seeded (L, K, z, h_max, epsilon), z <= K, log-uniform h and eps."""
+        rng = np.random.default_rng(18)
+        for _ in range(500):
+            K = int(rng.integers(1, 41))
+            yield (int(rng.integers(1, 31)), K, int(rng.integers(1, K + 1)),
+                   float(10.0 ** rng.uniform(-2, 2)),
+                   float(10.0 ** rng.uniform(-6, 0)))
+
+    def test_smallest_time_is_the_window_edge(self):
+        for L, K, z, h, eps in self.grid():
+            t_min = trotter_module._min_covered_time(K, z, h, eps)
+            evolution_covering_log_bound(L, 2, 2, K, z, h,
+                                         t_min * (1.0 + 1e-12), eps)
+            with pytest.raises(ValueError, match="epsilon too large"):
+                evolution_covering_log_bound(L, 2, 2, K, z, h,
+                                             t_min * (1.0 - 1e-12), eps)
+
+    def test_step_rule_is_the_paper_expression(self):
+        rng = np.random.default_rng(19)
+        for L, K, z, h, eps in self.grid():
+            t_final = trotter_module._min_covered_time(K, z, h, eps) * float(
+                rng.uniform(1.0, 10.0))
+            n_steps = int(rng.integers(1, 10 ** 6))
+            assert (trotter_module._trotter_error(t_final, n_steps, K, z, h)
+                    == (t_final / n_steps) * t_final * K * z * h ** 2)
+            bound = evolution_covering_log_bound(L, 2, 2, K, z, h, t_final, eps)
+            # the number of steps at which delta T K z h^2 equals eps / 4
+            assert (bound.context["n_steps_implied"]
+                    == 4.0 * t_final ** 2 * K * z * h ** 2 / eps)
 
 
 class TestHamiltonianJson:
