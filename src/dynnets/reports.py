@@ -220,10 +220,12 @@ def _minimal_time(d: int, k: int, L: int, K: int, z: int, h_max: float,
     if value(start) >= target:
         return start
     hi = start
-    while value(hi) < target:
+    while True:
         hi *= 2.0
         if hi > 1e12:
             raise ValueError("minimal time search did not terminate")
+        if value(hi) >= target:
+            break
     lo = hi / 2.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)

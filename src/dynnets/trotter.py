@@ -12,8 +12,10 @@ tree multiplies the steps in time order. Each factor is unitary to rounding,
 so unitarity drifts by rounding per step, far below the requested tolerance.
 Each Trotter factor is a single term, which commutes with itself at all
 times, so it is the closed-form exponential of the term's base times its
-envelope integral, from an eigendecomposition; one call per term makes its
-factors for a chunk of slices. The first-order Trotter error is certified
+envelope integral, from an eigendecomposition. Per chunk of slices, one
+call per term makes its factors and one stacked gate application puts them
+on every slice, and the same pairwise tree multiplies the slices. The
+first-order Trotter error is certified
 against delta_t * T * K * z * |h|^2, where z counts support overlaps (a term
 overlaps itself) and |h| is the largest sup-norm of a term over [0, T].
 """
@@ -47,7 +49,7 @@ _NODE_MIX = np.array([[0.0, 1.0, 0.0],
                       [10.0 / 3.0, -20.0 / 3.0, 10.0 / 3.0]])
 _MIN_TOL = 1e-12
 # Matrix entries per chunk of a sweep's node matrices (three per step, so its
-# exponents hold a third as many) and of the Trotter slice factors; 2^14 per
+# exponents hold a third as many) and of the Trotter slices; 2^14 per
 # exponent stack added 2 MB to the trotter workload's peak RSS at the same
 # speed.
 _SWEEP_ENTRIES = 1 << 14
@@ -273,6 +275,15 @@ def _commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return m - m.conj().swapaxes(-1, -2)
 
 
+def _time_ordered_product(steps: np.ndarray) -> np.ndarray:
+    """steps[-1] ... steps[1] steps[0] as a pairwise tree of batched products."""
+    while len(steps) > 1:
+        pairs = steps[1::2] @ steps[:len(steps) - 1:2]
+        steps = (np.concatenate((pairs, steps[-1:])) if len(steps) % 2
+                 else pairs)
+    return steps[0]
+
+
 def _magnus_sweep(envelopes, bases: np.ndarray, t0: float, t1: float,
                   n: int) -> np.ndarray:
     """Product of n uniform sixth-order Magnus steps over [t0, t1].
@@ -304,12 +315,7 @@ def _magnus_sweep(envelopes, bases: np.ndarray, t0: float, t1: float,
         c1 = _commutator(a1, a2)
         c2 = _commutator(a1, 2.0 * a3 + c1) / -60.0
         x = a1 + a3 / 12.0 + _commutator(c1 - 20.0 * a1 - a3, a2 + c2) / 240.0
-        steps = _exp_skew_series(x)
-        while len(steps) > 1:
-            pairs = steps[1::2] @ steps[:len(steps) - 1:2]
-            steps = (np.concatenate((pairs, steps[-1:])) if len(steps) % 2
-                     else pairs)
-        u = steps[0] @ u
+        u = _time_ordered_product(_exp_skew_series(x)) @ u
     return u
 
 
@@ -320,7 +326,7 @@ def _adaptive_unitary(envelopes, bases: np.ndarray, t0: float, t1: float,
     # step; the additive floor keeps the loop from chasing that noise when
     # the segment's tolerance share is tiny.
     noise_floor = 32.0 * np.finfo(float).eps * math.sqrt(bases.shape[-1])
-    n, coarse = 8, None
+    n, coarse = 4, None
     while True:
         if 2 * n > _MAX_STEPS:
             raise ValueError(f"adaptive propagator exceeded {_MAX_STEPS} "
@@ -349,7 +355,7 @@ def exact_propagator(h: TimeDependentHamiltonian, t_final: float,
     """Reference time-ordered propagator over [0, T] to accuracy ~tol.
 
     On each segment, uniform Magnus sweeps of n and 2n steps are compared
-    from n = 8 up. The scheme is sixth order, so ||fine - coarse|| is about
+    from n = 4 up. The scheme is sixth order, so ||fine - coarse|| is about
     63 times the fine sweep's error; the pair is Richardson-combined (weight
     1/63) once that difference is within 31.5 times the segment's tolerance
     share (the fine sweep within half of it) plus a rounding floor; else n
@@ -390,25 +396,29 @@ def trotter_propagator(h: TimeDependentHamiltonian, t_final: float,
     A single term e(t) * B commutes with itself at all times, so its slice
     factor is the closed-form exponential exp(-i B * integral of e over the
     slice) on its own support, and the only error is the term-splitting
-    itself.
+    itself. Per chunk of at most ``_SWEEP_ENTRIES`` matrix entries, the
+    slices start from the identity, each term's stack of factors is applied
+    to all of them in one call, and a pairwise tree multiplies them, the
+    later slice on the left.
     """
     _check_steps(n_steps)
     _check_final_time(t_final)
     reg = h.register
-    u = np.eye(reg.dim, dtype=complex)
+    eye = np.eye(reg.dim, dtype=complex)
+    u = eye
     delta = t_final / n_steps
-    # Factors are made per chunk of slices, so memory stays flat in n_steps.
-    per_chunk = max(1, _SWEEP_ENTRIES // sum(t.base.size for t in h.terms))
+    # Slices are made per chunk, so memory stays flat in n_steps.
+    per_chunk = max(1, _SWEEP_ENTRIES // reg.dim ** 2)
     for start in range(0, n_steps, per_chunk):
         chunk = range(start, min(start + per_chunk, n_steps))
-        # factors[i][j] is term i's exponential over the chunk's slice j.
-        factors = [_exp_skew_stack(np.array(
-            [-1j * term.envelope.integral(step * delta, (step + 1) * delta)
-             for step in chunk])[:, None, None] * term.base)
-            for term in h.terms]
-        for j in range(len(chunk)):
-            for term, stack in zip(h.terms, factors):
-                u = _apply_gate(stack[j], term.support, u, reg.L, reg.d)
+        slices = np.broadcast_to(eye, (len(chunk),) + eye.shape)
+        for term in h.terms:
+            # term's exponential over each of the chunk's slices
+            factors = _exp_skew_stack(np.array(
+                [-1j * term.envelope.integral(step * delta, (step + 1) * delta)
+                 for step in chunk])[:, None, None] * term.base)
+            slices = _apply_gate(factors, term.support, slices, reg.L, reg.d)
+        u = _time_ordered_product(slices) @ u
     return UnitaryMatrix(u, _validated=True)
 
 

@@ -7,6 +7,7 @@ from dynnets.circuits import (
     Circuit,
     Gate,
     QuditRegister,
+    _apply_gate,
     circuit_covering_log_bound,
     circuit_from_json,
     circuit_to_json,
@@ -90,6 +91,51 @@ class TestSupportChecks:
         with pytest.raises(ValueError) as exc:
             build(QuditRegister(2, 2), support, dim)
         assert str(exc.value) == f"{what} {message}"
+
+
+def _kron_embedding(matrix, support, L, d):
+    """matrix on support, identity elsewhere: np.kron on the sites ordered
+    support first, then permuted back to the register's site order."""
+    others = [s for s in range(L) if s not in support]
+    grouped = np.kron(matrix, np.eye(d ** len(others)))
+    digits = np.indices((d,) * L).reshape(L, -1)
+    index = np.ravel_multi_index(digits[list(support) + others], (d,) * L)
+    return grouped[np.ix_(index, index)]
+
+
+def _random_complex(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+class TestApplyGate:
+    CASES = [(3, 2, (0, 2)), (4, 2, (0, 3)), (4, 2, (1, 3)),
+             (4, 2, (0, 2, 3)), (3, 3, (0, 2)), (3, 2, (1, 2))]
+    IDS = [f"L{L}-d{d}-sites{''.join(map(str, s))}" for L, d, s in CASES]
+
+    @pytest.mark.parametrize("L, d, support", CASES, ids=IDS)
+    def test_matches_kron_embedding(self, L, d, support):
+        rng = np.random.default_rng(L + 10 * d + sum(support))
+        gate = _random_complex(rng, (d ** len(support),) * 2)
+        state = _random_complex(rng, (d ** L,) * 2)
+        embedded = _kron_embedding(gate, support, L, d)
+        np.testing.assert_allclose(
+            _apply_gate(gate, support, np.eye(d ** L), L, d), embedded,
+            rtol=0, atol=1e-14)
+        np.testing.assert_allclose(_apply_gate(gate, support, state, L, d),
+                                   embedded @ state, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("L, d, support", CASES, ids=IDS)
+    def test_stack_matches_single_applications(self, L, d, support):
+        rng = np.random.default_rng(7)
+        gates = _random_complex(rng, (5,) + (d ** len(support),) * 2)
+        states = _random_complex(rng, (5,) + (d ** L,) * 2)
+        stacked = _apply_gate(gates, support, states, L, d)
+        for gate, state, out in zip(gates, states, stacked):
+            assert np.array_equal(out, _apply_gate(gate, support, state, L, d))
+        shared = _apply_gate(gates[0], support, states, L, d)
+        for state, out in zip(states, shared):
+            assert np.array_equal(out, _apply_gate(gates[0], support, state,
+                                                   L, d))
 
 
 class TestCircuitUnitary:

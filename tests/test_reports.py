@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import dynnets.reports as reports_module
 from dynnets.linalg import operator_norm
 from dynnets.reports import (
     CrossoverReport,
@@ -291,6 +292,21 @@ class TestCrossoverTime:
         # weaker couplings need more time to meet the same demand
         base = crossover_analysis(2, 2, 0.001, [8], "time")
         assert rep.rows[0].min_time > base.rows[0].min_time
+
+    def test_each_time_evaluated_once(self, monkeypatch):
+        calls = []
+        bound = reports_module.evolution_covering_log_bound
+
+        def counted(L, d, k, K, z, h_max, t_final, epsilon):
+            calls.append((L, t_final))
+            return bound(L, d, k, K, z, h_max, t_final, epsilon)
+
+        monkeypatch.setattr(reports_module, "evolution_covering_log_bound",
+                            counted)
+        crossover_analysis(2, 2, 0.001, range(8, 13), "time")
+        # 263 when the doubling re-evaluated a start that missed the target
+        assert len(calls) == 258
+        assert len(set(calls)) == len(calls)
 
     def test_time_needs_two_sites(self):
         with pytest.raises(ValueError, match="L >= 2"):
