@@ -119,24 +119,21 @@ def _apply_gate(matrix: np.ndarray, support: tuple[int, ...],
     is one (d^k, d^k) gate for every block or a (lead, d^k, d^k) stack, one
     gate per block. Each block's rows are viewed as (d^before, d^k, rest),
     with the support's site axes in the middle and the columns in ``rest``,
-    so one np.matmul applies the gate. A contiguous support is a free view;
-    any other is transposed in and out.
+    so one np.matmul applies the gate. The site axes are transposed in and
+    out; on a contiguous support that permutation is the identity, so
+    neither transpose copies.
     """
     dim, k, first = d ** L, len(support), support[0]
-    t = state.reshape((-1,) + (d,) * L + (dim,))
-    contiguous = support[-1] - first == k - 1
-    if not contiguous:
-        # axes: lead, sites before the support, the support, the other sites
-        # in order, columns
-        perm = [0, *range(1, first + 1), *(1 + s for s in support),
-                *(1 + s for s in range(first, L) if s not in support), L + 1]
-        t = t.transpose(perm)
+    # axes: lead, sites before the support, the support, the other sites in
+    # order, columns
+    perm = [0, *range(1, first + 1), *(1 + s for s in support),
+            *(1 + s for s in range(first, L) if s not in support), L + 1]
+    t = state.reshape((-1,) + (d,) * L + (dim,)).transpose(perm)
     t = t.reshape(-1, d ** first, d ** k, d ** (L - first - k) * dim)
     g = matrix if matrix.ndim == 2 else matrix.reshape(-1, 1, d ** k, d ** k)
-    t = np.matmul(g, t)
-    if not contiguous:
-        t = t.reshape((-1,) + (d,) * L + (dim,)).transpose(np.argsort(perm))
-    return np.ascontiguousarray(t).reshape(state.shape)
+    t = np.matmul(g, t).reshape((-1,) + (d,) * L + (dim,))
+    inverse = sorted(range(L + 2), key=perm.__getitem__)
+    return np.ascontiguousarray(t.transpose(inverse)).reshape(state.shape)
 
 
 def circuit_unitary(circuit: Circuit) -> UnitaryMatrix:

@@ -397,9 +397,11 @@ def trotter_propagator(h: TimeDependentHamiltonian, t_final: float,
     factor is the closed-form exponential exp(-i B * integral of e over the
     slice) on its own support, and the only error is the term-splitting
     itself. Per chunk of at most ``_SWEEP_ENTRIES`` matrix entries, the
-    slices start from the identity, each term's stack of factors is applied
-    to all of them in one call, and a pairwise tree multiplies them, the
-    later slice on the left.
+    first slice starts from the product so far and the others from the
+    identity, each term's stack of factors is applied to all of them in one
+    call, and a pairwise tree multiplies them, the later slice on the left.
+    From dim 128 a chunk is one slice, so this is the term-by-term loop with
+    no dense product.
     """
     _check_steps(n_steps)
     _check_final_time(t_final)
@@ -411,14 +413,15 @@ def trotter_propagator(h: TimeDependentHamiltonian, t_final: float,
     per_chunk = max(1, _SWEEP_ENTRIES // reg.dim ** 2)
     for start in range(0, n_steps, per_chunk):
         chunk = range(start, min(start + per_chunk, n_steps))
-        slices = np.broadcast_to(eye, (len(chunk),) + eye.shape)
+        slices = np.concatenate(
+            (u[None], np.broadcast_to(eye, (len(chunk) - 1,) + eye.shape)))
         for term in h.terms:
             # term's exponential over each of the chunk's slices
             factors = _exp_skew_stack(np.array(
                 [-1j * term.envelope.integral(step * delta, (step + 1) * delta)
                  for step in chunk])[:, None, None] * term.base)
             slices = _apply_gate(factors, term.support, slices, reg.L, reg.d)
-        u = _time_ordered_product(slices) @ u
+        u = _time_ordered_product(slices)
     return UnitaryMatrix(u, _validated=True)
 
 

@@ -580,30 +580,50 @@ class TestClosedFormReference:
         assert operator_norm(u.array - expect) <= tol
 
 
+def slice_by_slice(h, t_final, n_steps):
+    """The Trotter product one term factor at a time, later factors left."""
+    reg = h.register
+    u = np.eye(reg.dim, dtype=complex)
+    delta = t_final / n_steps
+    for step in range(n_steps):
+        t0, t1 = step * delta, (step + 1) * delta
+        for term in h.terms:
+            local = _exp_skew_stack(
+                -1j * term.envelope.integral(t0, t1) * term.base[None])[0]
+            u = _apply_gate(local, term.support, u, reg.L, reg.d)
+    return u
+
+
+def one_envelope_chain(kind):
+    """mixed_envelope_chain(1.3) with every term on term kind's envelope."""
+    full = mixed_envelope_chain(1.3)
+    return TimeDependentHamiltonian(full.register, [
+        HamiltonianTerm(term.support, term.base, full.terms[kind].envelope)
+        for term in full.terms])
+
+
 class TestTrotterPropagator:
     @pytest.mark.parametrize("n_steps", [1, 7, 64])
     @pytest.mark.parametrize("kind", [0, 1, 2])
     def test_matches_slice_by_slice_loop(self, kind, n_steps):
-        full = mixed_envelope_chain(1.3)
         # Every term gets the same envelope kind, so each kind is pinned alone.
-        h = TimeDependentHamiltonian(full.register, [
-            HamiltonianTerm(term.support, term.base, full.terms[kind].envelope)
-            for term in full.terms])
-        reg = h.register
-        u = np.eye(reg.dim, dtype=complex)
-        delta = 1.3 / n_steps
-        for step in range(n_steps):
-            t0, t1 = step * delta, (step + 1) * delta
-            for term in h.terms:
-                local = _exp_skew_stack(
-                    -1j * term.envelope.integral(t0, t1) * term.base[None])[0]
-                u = _apply_gate(local, term.support, u, reg.L, reg.d)
+        h = one_envelope_chain(kind)
+        u = slice_by_slice(h, 1.3, n_steps)
         # The propagator multiplies its slices as a pairwise tree, so it
         # rounds differently from this loop: by under eps per slice (6.2e-15
         # at 64 slices). Where slices differ (not with constant envelopes),
         # their product in reverse order misses by 6e-3 or more.
         gap = operator_norm(trotter_propagator(h, 1.3, n_steps).array - u)
         assert gap <= 4 * n_steps * np.finfo(float).eps
+
+    def test_one_slice_chunks_are_the_loop(self, monkeypatch):
+        # Below one slice per chunk (from dim 128 by default) each chunk
+        # applies its factors to the product so far, so no tree and no dense
+        # product is left and the loop's order is kept bit for bit.
+        monkeypatch.setattr(trotter_module, "_SWEEP_ENTRIES", 1)
+        h = one_envelope_chain(0)
+        assert np.array_equal(trotter_propagator(h, 1.3, 7).array,
+                              slice_by_slice(h, 1.3, 7))
 
     def test_peak_memory_flat_in_steps(self, monkeypatch):
         h = qubit_pair_hamiltonian()
