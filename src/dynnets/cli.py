@@ -2,7 +2,8 @@
 
 Exit codes: 0 when the command ran and every checked property held, 2 when a
 verification ran to completion but a property was violated, 1 for usage
-errors (bad flags, invalid parameter ranges, unreadable files). Each
+errors (flags refused while parsing, which also print the usage line, invalid
+parameter ranges, unreadable files). Each
 handler returns its report; ``main`` serializes it once, to stdout as
 deterministic JSON unless --out is given, and exits 2 on ``passed: false``.
 """
@@ -17,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .circuits import circuit_covering_log_bound
+from .circuits import _DENSE_DIM_LIMIT, circuit_covering_log_bound
 from .grassmann import (
     KATO_DISTANCE_LIMIT,
     KATO_RATIO_LIMIT,
@@ -64,11 +65,11 @@ _LIPSCHITZ_ENTRIES = 1 << 18
 
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that reports usage errors with exit code 1, not 2."""
+    """ArgumentParser that exits 1, not 2, with ``main``'s error prefix."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+        self.exit(EXIT_USAGE, f"dynnets: error: {message}\n")
 
 
 def _cmd_bounds_circuit(args):
@@ -90,10 +91,6 @@ def _cmd_crossover(args):
 
 
 def _cmd_verify_trotter(args) -> dict:
-    if args.nt < 1:
-        raise ValueError(f"argument --nt: must be at least 1, got {args.nt}")
-    if args.T < 0:
-        raise ValueError(f"argument --T: must be non-negative, got {args.T}")
     with open(args.hamiltonian, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     h = hamiltonian_from_json(data)
@@ -110,24 +107,7 @@ def _cmd_verify_trotter(args) -> dict:
     return {**cert.as_dict(), "passed": True}
 
 
-def _check_trials(trials: int) -> None:
-    if trials < 1:
-        raise ValueError(f"argument --trials: must be at least 1, got {trials}")
-
-
-def _check_seed(seed: int) -> None:
-    if seed < 0:
-        raise ValueError(f"argument --seed: must be non-negative, got {seed}")
-
-
 def _cmd_verify_lipschitz(args) -> dict:
-    if args.n < 1:
-        raise ValueError(f"argument --n: must be at least 1, got {args.n}")
-    _check_trials(args.trials)
-    if not args.radius > 0:
-        raise ValueError(
-            f"argument --radius: must be positive, got {args.radius}")
-    _check_seed(args.seed)
     seeds = np.random.SeedSequence(args.seed).generate_state(2 * args.trials,
                                                              dtype=np.uint64)
     pairs = max(1, _LIPSCHITZ_ENTRIES // (args.n * args.n))
@@ -178,8 +158,6 @@ def _cmd_verify_kato(args) -> dict:
     if not 1 <= args.n <= args.m:
         raise ValueError(f"arguments --n and --m: need 1 <= n <= m, "
                          f"got n = {args.n}, m = {args.m}")
-    _check_trials(args.trials)
-    _check_seed(args.seed)
     rng = np.random.default_rng(args.seed)
     seeds = np.random.SeedSequence(args.seed).generate_state(2 * args.trials,
                                                              dtype=np.uint64)
@@ -218,10 +196,6 @@ def _cmd_verify_kato(args) -> dict:
 def _cmd_verify_nets(args) -> dict:
     if args.n not in (1, 2):
         raise ValueError(f"argument --n: must be 1 or 2, got {args.n}")
-    if args.samples < 1:
-        raise ValueError(
-            f"argument --samples: must be at least 1, got {args.samples}")
-    _check_seed(args.seed)
     net = build_unitary_net(args.n, args.eps)
     max_gap, covered = empirical_covering_check(net, args.samples, args.seed)
     return {
@@ -307,13 +281,35 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _command(sub, name: str, help: str, handler, ints=(), floats=()):
-    """Add a subcommand with required int flags, then required finite floats."""
+def _checked(parse, holds, requirement: str):
+    """argparse type: ``parse``, then refuse a value ``holds`` rejects."""
+    def parse_checked(text: str):
+        value = parse(text)
+        if not holds(value):
+            raise argparse.ArgumentTypeError(
+                f"must be {requirement}, got {value}")
+        return value
+
+    # argparse names the type in "invalid int value: 'x'"
+    parse_checked.__name__ = parse.__name__
+    return parse_checked
+
+
+_int_at_least_1 = _checked(int, lambda v: v >= 1, "at least 1")
+_int_non_negative = _checked(int, lambda v: v >= 0, "non-negative")
+_int_dense_cap = _checked(int, lambda v: v <= _DENSE_DIM_LIMIT,
+                          f"at most {_DENSE_DIM_LIMIT}")
+_int_dense_dim = _checked(_int_dense_cap, lambda v: v >= 1, "at least 1")
+_float_non_negative = _checked(_finite_float, lambda v: v >= 0,
+                               "non-negative")
+_float_positive = _checked(_finite_float, lambda v: v > 0, "positive")
+
+
+def _command(sub, name: str, help: str, handler, **flags):
+    """Add a subcommand; each keyword is a required ``--flag`` and its type."""
     parser = sub.add_parser(name, help=help)
-    for flag in ints:
-        parser.add_argument(flag, type=int, required=True)
-    for flag in floats:
-        parser.add_argument(flag, type=_finite_float, required=True)
+    for flag, parse in flags.items():
+        parser.add_argument(f"--{flag}", type=parse, required=True)
     parser.set_defaults(handler=handler)
     return parser
 
@@ -330,31 +326,35 @@ def build_parser() -> _Parser:
     bounds = sub.add_parser("bounds", help="log-domain covering bounds")
     bsub = bounds.add_subparsers(dest="target", required=True)
     _command(bsub, "circuit", "circuit covering upper bound",
-             _cmd_bounds_circuit, ("--d", "--k", "--L", "--ng"), ("--eps",))
+             _cmd_bounds_circuit, d=int, k=int, L=int, ng=int,
+             eps=_finite_float)
     _command(bsub, "tevol", "time-evolution covering upper bound",
-             _cmd_bounds_tevol, ("--d", "--k", "--L", "--K", "--z"),
-             ("--h", "--T", "--eps"))
+             _cmd_bounds_tevol, d=int, k=int, L=int, K=int, z=int,
+             h=_finite_float, T=_finite_float, eps=_finite_float)
     _command(bsub, "grassmann", "projector covering bounds",
-             _cmd_bounds_grassmann, ("--n", "--m"), ("--eps",))
+             _cmd_bounds_grassmann, n=int, m=int, eps=_finite_float)
 
     cx = _command(sub, "crossover", "minimal resource vs system size",
-                  _cmd_crossover, ("--d", "--k", "--lmin", "--lmax"), ("--eps",))
+                  _cmd_crossover, d=int, k=int, lmin=int, lmax=int,
+                  eps=_finite_float)
     cx.add_argument("--resource", choices=("circuit", "time"), required=True)
     cx.add_argument("--out", default=None)
     cx.add_argument("--format", choices=("json", "csv"), default="json")
 
     verify = sub.add_parser("verify", help="property verifications")
     vsub = verify.add_subparsers(dest="check", required=True)
-    vt = _command(vsub, "trotter", "certify a Trotter run", _cmd_verify_trotter)
-    vt.add_argument("--hamiltonian", required=True)
-    vt.add_argument("--T", type=_finite_float, required=True)
-    vt.add_argument("--nt", type=int, required=True)
+    _command(vsub, "trotter", "certify a Trotter run", _cmd_verify_trotter,
+             hamiltonian=str, T=_float_non_negative, nt=_int_at_least_1)
+    # kato's 1 <= n <= m and nets' n in {1, 2} are checked by the handlers
     _command(vsub, "lipschitz", "exp-map distortion bounds",
-             _cmd_verify_lipschitz, ("--n", "--trials", "--seed"), ("--radius",))
+             _cmd_verify_lipschitz, n=_int_dense_dim, trials=_int_at_least_1,
+             seed=_int_non_negative, radius=_float_positive)
     _command(vsub, "kato", "projector-pair conjugating unitary",
-             _cmd_verify_kato, ("--n", "--m", "--trials", "--seed"))
+             _cmd_verify_kato, n=int, m=_int_dense_cap,
+             trials=_int_at_least_1, seed=_int_non_negative)
     _command(vsub, "nets", "unitary net covering check", _cmd_verify_nets,
-             ("--n", "--samples", "--seed"), ("--eps",))
+             n=int, samples=_int_at_least_1, seed=_int_non_negative,
+             eps=_finite_float)
     vlem = _command(vsub, "lemmas", "exact small-instance lemma checks",
                     _cmd_verify_lemmas)
     vlem.add_argument("--which", choices=("product", "quotient", "sandwich"),

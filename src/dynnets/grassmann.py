@@ -17,6 +17,7 @@ import numpy as np
 from . import metric
 from .linalg import (
     HERMITIAN_TOL,
+    UNITARY_TOL,
     UnitaryMatrix,
     _as_square_array,
     _greedy_packing,
@@ -26,7 +27,6 @@ from .linalg import (
 )
 from .logdomain import finite_log
 
-_ORTHONORMAL_TOL = 1e-10
 _PROJECTOR_TOL = 1e-9
 KATO_DISTANCE_LIMIT = 1.0 / math.sqrt(2.0)
 # Kato's guarantee ||1 - V|| <= KATO_RATIO_LIMIT * ||P - Q|| below that limit.
@@ -48,7 +48,7 @@ class Subspace:
         if not np.all(np.isfinite(arr.view(float))):
             raise ValueError("basis has non-finite entries")
         gram = arr.conj().T @ arr - np.eye(n)
-        if not _norm_within(gram, _ORTHONORMAL_TOL):
+        if not _norm_within(gram, UNITARY_TOL):
             raise ValueError("basis columns are not orthonormal within 1e-10")
         arr.setflags(write=False)
         self.basis = arr

@@ -206,8 +206,8 @@ class SkewHermitian:
         return f"SkewHermitian(dim={self.dim})"
 
 
-def _require_hermitian(o) -> np.ndarray:
-    arr = _as_square_array(o, "observable")
+def _require_hermitian(o, name: str = "observable") -> np.ndarray:
+    arr = _as_square_array(o, name)
     if not _norm_within(arr - arr.conj().T, HERMITIAN_TOL):
         raise ValueError("matrix is not Hermitian within 1e-10")
     return 0.5 * (arr + arr.conj().T)
@@ -309,17 +309,11 @@ def random_skew_in_ball(n: int, radius: float, seed: int) -> SkewHermitian:
     if not radius > 0:
         raise ValueError("radius must be positive")
     rng = np.random.default_rng(seed)
-    return SkewHermitian(_skew_ball_batch(n, radius, 1, rng)[0], _validated=True)
-
-
-def _skew_ball_batch(n: int, radius: float, count: int,
-                     rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
-    x = 0.5 * (g - np.conj(np.swapaxes(g, -1, -2)))
-    norms = _opnorm_stack(x)
-    norms[norms == 0.0] = 1.0
-    u = 1.0 - rng.random(count)  # uniform on (0, 1]
-    return x * (u * radius / norms)[:, None, None]
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    x = 0.5 * (g - g.conj().T)
+    norm = float(_opnorm_stack(x)) or 1.0
+    u = 1.0 - rng.random()  # uniform on (0, 1]
+    return SkewHermitian(x * (u * radius / norm), _validated=True)
 
 
 def skew_basis(n: int) -> np.ndarray:

@@ -32,7 +32,6 @@ from .circuits import (QuditRegister, _apply_gate, _check_on_register,
                        _checked_support, _encode_matrix, _parse_json)
 from .linalg import (
     UnitaryMatrix,
-    _as_square_array,
     _exp_skew_series,
     _exp_skew_stack,
     _require_hermitian,
@@ -204,7 +203,7 @@ class HamiltonianTerm:
 
     def __init__(self, support, base, envelope):
         self.support = _checked_support(support, "term")
-        self.base = _require_hermitian(_as_square_array(base, "term base"))
+        self.base = _require_hermitian(base, "term base")
         self.base.setflags(write=False)
         self.envelope = envelope
 

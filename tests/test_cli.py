@@ -520,12 +520,28 @@ class TestUsageErrors:
           "--nt", "0"], "argument --nt: must be at least 1, got 0"),
         (["verify", "trotter", "--hamiltonian", "missing.json", "--T", "-1",
           "--nt", "4"], "argument --T: must be non-negative, got -1.0"),
+        # past the dense cap: refused before any matrix is drawn
+        (["verify", "lipschitz", "--n", "4097", "--radius", "0.4", "--trials",
+          "1", "--seed", "1"], "argument --n: must be at most 4096, got 4097"),
+        (["verify", "kato", "--n", "1", "--m", "4097", "--trials", "1",
+          "--seed", "1"], "argument --m: must be at most 4096, got 4097"),
     ])
-    def test_bad_dimension_names_flag(self, capsys, argv, message):
+    def test_bad_dimension_names_flag(self, capsys, monkeypatch, argv,
+                                      message):
+        def no_draw(*args):
+            raise AssertionError("matrix drawn before the flags were checked")
+
+        monkeypatch.setattr("dynnets.cli.random_skew_in_ball", no_draw)
+        monkeypatch.setattr("dynnets.cli.random_subspace", no_draw)
         code, out, err = run_cli(argv, capsys)
         assert code == 1
         assert out == ""
-        assert f"dynnets: error: {message}" in err
+        assert err.endswith(f"dynnets: error: {message}\n")
+        # only kato's n <= m is checked after parsing, without a usage line
+        if message.startswith("arguments --n and --m"):
+            assert err == f"dynnets: error: {message}\n"
+        else:
+            assert err.startswith(f"usage: dynnets verify {argv[1]} ")
 
     @pytest.mark.parametrize("argv, message", [
         (["--n", "0", "--eps", "0.5", "--samples", "10"],
@@ -548,7 +564,11 @@ class TestUsageErrors:
                                  capsys)
         assert code == 1
         assert out == ""
-        assert err == f"dynnets: error: {message}\n"
+        assert err.splitlines()[-1] == f"dynnets: error: {message}"
+        # the flag types refuse --samples and --seed while parsing, with the
+        # usage line; only n in {1, 2} is left to the handler
+        usage = "must be 1 or 2" not in message
+        assert err.startswith("usage: dynnets verify nets ") is usage
 
     def test_nets_tiny_epsilon_is_refused(self, capsys):
         code, out, err = run_cli(["verify", "nets", "--n", "2", "--eps",

@@ -343,6 +343,19 @@ class TestRandomSkewInBall:
         with pytest.raises(ValueError, match="radius must be positive"):
             random_skew_in_ball(2, float("nan"), seed=0)
 
+    @pytest.mark.parametrize("n, radius, seed", [(1, 0.4, 0), (3, np.pi, 7),
+                                                 (6, 0.4, 123)])
+    def test_draw_order(self, n, radius, seed):
+        # the benchmark's verify lipschitz/kato references are built from
+        # these draws: real normals, imaginary normals, then one uniform
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        x = 0.5 * (g - g.conj().T)
+        scale = (1.0 - rng.random()) * radius
+        expect = x * (scale / np.linalg.norm(x, 2))
+        got = random_skew_in_ball(n, radius, seed).array
+        np.testing.assert_allclose(got, expect, rtol=1e-13, atol=0)
+
 
 class TestSkewBasis:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
