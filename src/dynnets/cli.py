@@ -22,21 +22,19 @@ from .circuits import _DENSE_DIM_LIMIT, circuit_covering_log_bound
 from .grassmann import (
     KATO_DISTANCE_LIMIT,
     KATO_RATIO_LIMIT,
-    Projector,
     _kato_unitary,
+    _projector_ranks,
+    _random_bases,
     kato_deviation,
     product_covering_check,
     projector_covering_bounds,
-    projector_distance,
-    projector_from_subspace,
     quotient_covering_check,
-    random_subspace,
 )
 from .linalg import (
     _exp_lipschitz_stack,
-    matrix_exp,
-    operator_norm,
-    random_skew_in_ball,
+    _exp_skew_stack,
+    _opnorm_stack,
+    _skew_ball_stack,
 )
 from .logdomain import EpsilonTooSmall
 from .metric import (
@@ -59,9 +57,13 @@ EXIT_USAGE = 1
 EXIT_VIOLATION = 2
 
 _LEMMA_EPSILONS = (0.6, 1.0, 1.5, 2.0)
-# matrix entries per stacked verify-lipschitz call (16 pairs at n = 128):
-# memory stays flat in --trials and --n
+# matrix entries per stacked verify-lipschitz or verify-kato block (16
+# pairs at n = 128, one pair from m = 513): memory stays flat in --trials,
+# --n and --m
 _LIPSCHITZ_ENTRIES = 1 << 18
+# The lipschitz and kato handlers draw two 8-byte seeds per trial up front:
+# 16 MB at this cap.
+_MAX_TRIALS = 1_000_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -114,10 +116,8 @@ def _cmd_verify_lipschitz(args) -> dict:
     violations = 0
     worst = None
     for start in range(0, seeds.size, 2 * pairs):
-        block = seeds[start:start + 2 * pairs]
-        draws = np.empty((block.size, args.n, args.n), dtype=complex)
-        for i, s in enumerate(block):
-            draws[i] = random_skew_in_ball(args.n, args.radius, int(s)).array
+        draws = _skew_ball_stack(args.n, args.radius,
+                                 seeds[start:start + 2 * pairs])
         lower, mid, upper = _exp_lipschitz_stack(draws[0::2], draws[1::2])
         slack = np.minimum(mid - lower, upper - mid)
         i = int(np.argmin(slack))
@@ -136,22 +136,40 @@ def _cmd_verify_lipschitz(args) -> dict:
     }
 
 
-def _random_projector_pair(n: int, m: int, seed_a: int, seed_b: int,
-                           theta: float):
-    """A rank-n projector and a rotated copy within the Kato distance limit.
+def _random_projector_pairs(n: int, m: int, seeds_a: np.ndarray,
+                            seeds_b: np.ndarray, thetas: np.ndarray):
+    """Rank-n projectors and rotated copies within the Kato distance limit.
 
-    Returns (p, q, ||p - q||).
+    Row i projects onto random_subspace(n, m, seeds_a[i]); its copy is turned
+    by the exponential of random_skew_in_ball(m, thetas[i], seeds_b[i]).
+    Returns the (k, m, m) stacks P and Q and the distances ||P - Q||.
     """
-    p = projector_from_subspace(random_subspace(n, m, seed_a))
-    while True:
-        rot = matrix_exp(random_skew_in_ball(m, theta, seed_b).array)
-        q_mat = rot @ p.matrix @ rot.conj().T
-        q = Projector(0.5 * (q_mat + q_mat.conj().T))
-        dist = projector_distance(p, q)
-        if dist <= KATO_DISTANCE_LIMIT:
-            return p, q, dist
+    bases = _random_bases(n, m, seeds_a)
+    ps = bases @ np.conj(bases).swapaxes(-1, -2)
+    del bases
+    ranks = _projector_ranks(ps)
+    qs = np.empty_like(ps)
+    dists = np.empty(len(ps))
+    thetas = np.array(thetas, dtype=float)
+    rows = np.arange(len(ps))
+    while rows.size:
+        # all rows at first, then only the rejected ones (a copy)
+        p = ps if rows.size == len(ps) else ps[rows]
+        rot = _exp_skew_stack(_skew_ball_stack(m, thetas[rows], seeds_b[rows]))
+        q = rot @ p @ np.conj(rot).swapaxes(-1, -2)
+        del rot
+        q = 0.5 * (q + np.conj(q).swapaxes(-1, -2))
+        if np.any(_projector_ranks(q) != ranks[rows]):
+            raise ValueError("projectors must have equal rank")
+        dist = _opnorm_stack(p - q)
+        near = dist <= KATO_DISTANCE_LIMIT
+        qs[rows[near]] = q[near]
+        dists[rows[near]] = dist[near]
+        del p, q
         # too far apart: shrink the rotation until inside the limit
-        theta *= 0.5
+        rows = rows[~near]
+        thetas[rows] *= 0.5
+    return ps, qs, dists
 
 
 def _cmd_verify_kato(args) -> dict:
@@ -164,22 +182,26 @@ def _cmd_verify_kato(args) -> dict:
     # over 17,200 sampled pairs (m = 2 to 64) the largest rounding gap to
     # the closed form was 3.3 m eps
     closed_form_slack = 16 * args.m * np.finfo(float).eps
+    rows = max(1, _LIPSCHITZ_ENTRIES // (args.m * args.m))
     failures = 0
     worst_ratio = 0.0
     worst_conj = 0.0
-    for i in range(args.trials):
-        theta = float(rng.uniform(0.05, 1.2))
-        p, q, dist = _random_projector_pair(args.n, args.m, int(seeds[2 * i]),
-                                            int(seeds[2 * i + 1]), theta)
-        v = _kato_unitary(p, q, dist)
-        conj = operator_norm(v.array @ p.matrix @ v.array.conj().T - q.matrix)
-        dev = operator_norm(np.eye(args.m) - v.array)
-        ratio = dev / dist if dist > 1e-14 else 0.0
-        worst_ratio = max(worst_ratio, ratio)
-        worst_conj = max(worst_conj, conj)
-        if (conj > 1e-8 or dev > KATO_RATIO_LIMIT * dist + 1e-9
-                or abs(dev - kato_deviation(dist)) > closed_form_slack):
-            failures += 1
+    for start in range(0, args.trials, rows):
+        block = seeds[2 * start:2 * (start + rows)]
+        thetas = rng.uniform(0.05, 1.2, size=block.size // 2)
+        ps, qs, dists = _random_projector_pairs(args.n, args.m, block[0::2],
+                                                block[1::2], thetas)
+        vs = _kato_unitary(ps, qs, dists)
+        conj = _opnorm_stack(vs @ ps @ np.conj(vs).swapaxes(-1, -2) - qs)
+        dev = _opnorm_stack(np.eye(args.m) - vs)
+        del ps, qs, vs  # before the next block is drawn
+        ratio = np.divide(dev, dists, out=np.zeros_like(dev),
+                          where=dists > 1e-14)
+        worst_ratio = max(worst_ratio, float(ratio.max()))
+        worst_conj = max(worst_conj, float(conj.max()))
+        failures += int(np.count_nonzero(
+            (conj > 1e-8) | (dev > KATO_RATIO_LIMIT * dists + 1e-9)
+            | (np.abs(dev - kato_deviation(dists)) > closed_form_slack)))
     return {
         "n": args.n,
         "m": args.m,
@@ -296,6 +318,8 @@ def _checked(parse, holds, requirement: str):
 
 
 _int_at_least_1 = _checked(int, lambda v: v >= 1, "at least 1")
+_int_trials = _checked(_int_at_least_1, lambda v: v <= _MAX_TRIALS,
+                       f"at most {_MAX_TRIALS}")
 _int_non_negative = _checked(int, lambda v: v >= 0, "non-negative")
 _int_dense_cap = _checked(int, lambda v: v <= _DENSE_DIM_LIMIT,
                           f"at most {_DENSE_DIM_LIMIT}")
@@ -347,11 +371,11 @@ def build_parser() -> _Parser:
              hamiltonian=str, T=_float_non_negative, nt=_int_at_least_1)
     # kato's 1 <= n <= m and nets' n in {1, 2} are checked by the handlers
     _command(vsub, "lipschitz", "exp-map distortion bounds",
-             _cmd_verify_lipschitz, n=_int_dense_dim, trials=_int_at_least_1,
+             _cmd_verify_lipschitz, n=_int_dense_dim, trials=_int_trials,
              seed=_int_non_negative, radius=_float_positive)
     _command(vsub, "kato", "projector-pair conjugating unitary",
              _cmd_verify_kato, n=int, m=_int_dense_cap,
-             trials=_int_at_least_1, seed=_int_non_negative)
+             trials=_int_trials, seed=_int_non_negative)
     _command(vsub, "nets", "unitary net covering check", _cmd_verify_nets,
              n=int, samples=_int_at_least_1, seed=_int_non_negative,
              eps=_finite_float)

@@ -20,8 +20,10 @@ from .linalg import (
     UNITARY_TOL,
     UnitaryMatrix,
     _as_square_array,
+    _check_unitary,
     _greedy_packing,
-    _haar_batch,
+    _haar_from_seeds,
+    _haar_qr,
     _norm_within,
     operator_norm,
 )
@@ -45,11 +47,7 @@ class Subspace:
         m, n = arr.shape
         if not 1 <= n <= m:
             raise ValueError(f"need 1 <= dim <= ambient, got basis shape {arr.shape}")
-        if not np.all(np.isfinite(arr.view(float))):
-            raise ValueError("basis has non-finite entries")
-        gram = arr.conj().T @ arr - np.eye(n)
-        if not _norm_within(gram, UNITARY_TOL):
-            raise ValueError("basis columns are not orthonormal within 1e-10")
+        _check_bases(arr[None])
         arr.setflags(write=False)
         self.basis = arr
 
@@ -65,6 +63,15 @@ class Subspace:
         return f"Subspace(n={self.n}, m={self.m})"
 
 
+def _check_bases(stack: np.ndarray) -> None:
+    """Subspace's checks over a (..., m, n) stack of basis matrices."""
+    if not np.all(np.isfinite(stack)):
+        raise ValueError("basis has non-finite entries")
+    gram = np.conj(stack).swapaxes(-1, -2) @ stack - np.eye(stack.shape[-1])
+    if not _norm_within(gram, UNITARY_TOL).all():
+        raise ValueError("basis columns are not orthonormal within 1e-10")
+
+
 class Projector:
     """A Hermitian idempotent matrix with a well-defined integer rank."""
 
@@ -72,17 +79,9 @@ class Projector:
 
     def __init__(self, matrix):
         arr = np.array(_as_square_array(matrix, "projector"), order="C")
-        if not _norm_within(arr - arr.conj().T, HERMITIAN_TOL):
-            raise ValueError("projector must be Hermitian within 1e-10")
-        if not _norm_within(arr @ arr - arr, _PROJECTOR_TOL):
-            raise ValueError("projector must be idempotent within 1e-9")
-        trace = float(np.real(np.trace(arr)))
-        rank = round(trace)
-        if abs(trace - rank) > 1e-6:
-            raise ValueError(f"projector trace {trace} is not near an integer")
+        self.rank = int(_projector_ranks(arr[None])[0])
         arr.setflags(write=False)
         self.matrix = arr
-        self.rank = int(rank)
 
     @property
     def m(self) -> int:
@@ -92,13 +91,40 @@ class Projector:
         return f"Projector(rank={self.rank}, m={self.m})"
 
 
+def _projector_ranks(stack: np.ndarray) -> np.ndarray:
+    """Projector's checks over a (..., m, m) stack; returns the integer ranks."""
+    if not np.all(np.isfinite(stack)):
+        raise ValueError("projector has non-finite entries")
+    if not _norm_within(stack - np.conj(stack).swapaxes(-1, -2),
+                        HERMITIAN_TOL).all():
+        raise ValueError("projector must be Hermitian within 1e-10")
+    if not _norm_within(stack @ stack - stack, _PROJECTOR_TOL).all():
+        raise ValueError("projector must be idempotent within 1e-9")
+    trace = np.trace(stack, axis1=-2, axis2=-1).real
+    rank = np.round(trace)
+    off = np.abs(trace - rank) > 1e-6
+    if off.any():
+        raise ValueError(
+            f"projector trace {float(trace[off][0])} is not near an integer")
+    return rank.astype(int)
+
+
 def random_subspace(n: int, m: int, seed: int) -> Subspace:
     """Haar-random n-dimensional subspace of C^m."""
+    return Subspace(_random_bases(n, m, [seed])[0])
+
+
+def _random_bases(n: int, m: int, seeds) -> np.ndarray:
+    """(len(seeds), m, n) stack of random_subspace's bases, one per seed.
+
+    Each basis is the first n columns of a Haar unitary drawn from the
+    seed's own generator, checked as ``Subspace`` checks it.
+    """
     if not 1 <= n <= m:
         raise ValueError("need 1 <= n <= m")
-    rng = np.random.default_rng(seed)
-    u = _haar_batch(m, 1, rng)[0]
-    return Subspace(u[:, :n])
+    bases = np.ascontiguousarray(_haar_from_seeds(m, seeds)[..., :n])
+    _check_bases(bases)
+    return bases
 
 
 def projector_from_subspace(s: Subspace) -> Projector:
@@ -133,37 +159,51 @@ def kato_unitary(p: Projector, q: Projector) -> UnitaryMatrix:
     it rotates each principal-angle plane by its angle, so ||1 - V|| is
     exactly sqrt(2 (1 - sqrt(1 - d^2))) with d = ||P - Q|| (kato_deviation).
     """
-    return _kato_unitary(p, q, projector_distance(p, q))
+    dist = projector_distance(p, q)
+    v = _kato_unitary(p.matrix[None], q.matrix[None], np.array([dist]))
+    return UnitaryMatrix(v[0], _validated=True)
 
 
-def kato_deviation(dist: float) -> float:
+def kato_deviation(dist):
     """||1 - V|| for kato_unitary's V at ||P - Q|| = dist, in closed form.
 
     The largest principal angle theta has sin(theta) = dist, and V turns
     its plane by theta, so ||1 - V|| = 2 sin(theta / 2). That is
     sqrt(2 (1 - sqrt(1 - dist^2))), written here without the cancellation
-    of 1 - sqrt(1 - dist^2) at small dist.
+    of 1 - sqrt(1 - dist^2) at small dist. ``dist`` may be an array.
     """
-    return dist * math.sqrt(2.0 / (1.0 + math.sqrt(1.0 - dist * dist)))
+    return dist * np.sqrt(2.0 / (1.0 + np.sqrt(1.0 - dist * dist)))
 
 
-def _kato_unitary(p: Projector, q: Projector, dist: float) -> UnitaryMatrix:
-    """kato_unitary for a checked pair whose distance ||P - Q|| is known."""
-    if dist > KATO_DISTANCE_LIMIT + 1e-12:
-        raise ValueError(
-            f"Kato precondition violated: ||P - Q|| = {dist:.6f} > 1/sqrt(2)")
-    m = p.m
-    eye = np.eye(m)
-    diff = p.matrix - q.matrix
-    r = diff @ diff
-    h = eye - r
-    h = 0.5 * (h + h.conj().T)
+def _kato_unitary(ps: np.ndarray, qs: np.ndarray,
+                  dists: np.ndarray) -> np.ndarray:
+    """kato_unitary over (k, m, m) stacks of checked pairs at known distances.
+
+    Returns the (k, m, m) stack of V, each checked as ``UnitaryMatrix``
+    checks it, from one eigendecomposition call.
+    """
+    far = dists > KATO_DISTANCE_LIMIT + 1e-12
+    if far.any():
+        raise ValueError(f"Kato precondition violated: ||P - Q|| = "
+                         f"{float(dists[far][0]):.6f} > 1/sqrt(2)")
+    # from m = 513 a block is one pair of matrices of 4 MB or more: each
+    # temporary is dropped once used
+    eye = np.eye(ps.shape[-1])
+    diff = ps - qs
+    h = eye - diff @ diff
+    del diff
+    h = 0.5 * (h + np.conj(h).swapaxes(-1, -2))
     w, v = np.linalg.eigh(h)
+    del h
     if w.min() < 1e-8:
         raise ValueError("Kato inverse square root is singular")
-    inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
-    core = q.matrix @ p.matrix + (eye - q.matrix) @ (eye - p.matrix)
-    return UnitaryMatrix(inv_sqrt @ core)
+    inv_sqrt = (v / np.sqrt(w)[..., None, :]) @ np.conj(v).swapaxes(-1, -2)
+    del v
+    core = qs @ ps + (eye - qs) @ (eye - ps)
+    vs = inv_sqrt @ core
+    del inv_sqrt, core
+    _check_unitary(vs)
+    return vs
 
 
 def quotient_distance_bounds(p: Projector, q: Projector) -> tuple[float, float]:
@@ -174,8 +214,8 @@ def quotient_distance_bounds(p: Projector, q: Projector) -> tuple[float, float]:
     ||1 - V|| lies between them.
     """
     dist = projector_distance(p, q)
-    v = _kato_unitary(p, q, dist)
-    upper = operator_norm(np.eye(p.m) - v.array)
+    v = _kato_unitary(p.matrix[None], q.matrix[None], np.array([dist]))[0]
+    upper = operator_norm(np.eye(p.m) - v)
     return (0.5 * dist, upper)
 
 
@@ -359,8 +399,10 @@ def empirical_grassmann_packing(n: int, m: int, epsilon: float, trials: int,
         raise ValueError("epsilon must be positive")
     if trials < 1:
         raise ValueError("need at least one trial")
-    rng = np.random.default_rng(seed)
-    bases = np.concatenate([_haar_batch(m, 1, rng) for _ in range(trials)])[..., :n]
+    # one (trials, 2, m, m) draw is the stream of one _haar_batch(m, 1, rng)
+    # call per trial
+    g = np.random.default_rng(seed).standard_normal((trials, 2, m, m))
+    bases = _haar_qr(g[:, 0], g[:, 1])[..., :n]
     projectors = bases @ np.conj(np.swapaxes(bases, -1, -2))
     # P - Q has rank at most 2n, and at most m
     return _greedy_packing(projectors, min(2 * n, m), epsilon)

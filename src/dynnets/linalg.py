@@ -168,10 +168,7 @@ class UnitaryMatrix:
     def __init__(self, array, *, _validated: bool = False):
         arr = np.array(_as_square_array(array, "unitary"), order="C")
         if not _validated:
-            defect = arr.conj().T @ arr - np.eye(arr.shape[0])
-            if not _norm_within(defect, UNITARY_TOL):
-                raise ValueError("matrix is not unitary "
-                                 f"(defect {operator_norm(defect):.3e})")
+            _check_unitary(arr[None])
         arr.setflags(write=False)
         self.array = arr
 
@@ -181,6 +178,19 @@ class UnitaryMatrix:
 
     def __repr__(self) -> str:
         return f"UnitaryMatrix(dim={self.dim})"
+
+
+def _check_unitary(stack: np.ndarray) -> None:
+    """UnitaryMatrix's check over a (..., n, n) stack.
+
+    Raises, with the first failing matrix's defect, unless every matrix has
+    ||U^dag U - 1|| <= 1e-10.
+    """
+    defect = np.conj(stack).swapaxes(-1, -2) @ stack - np.eye(stack.shape[-1])
+    ok = _norm_within(defect, UNITARY_TOL)
+    if not ok.all():
+        worst = float(_opnorm_stack(defect[~ok][0]))
+        raise ValueError(f"matrix is not unitary (defect {worst:.3e})")
 
 
 class SkewHermitian:
@@ -286,13 +296,36 @@ def _exp_skew_series(stack: np.ndarray) -> np.ndarray:
 
 def haar_unitary(n: int, seed: int) -> UnitaryMatrix:
     """Haar-distributed random unitary via QR of a complex Ginibre matrix."""
-    rng = np.random.default_rng(seed)
-    return UnitaryMatrix(_haar_batch(n, 1, rng)[0], _validated=True)
+    return UnitaryMatrix(_haar_from_seeds(n, [seed])[0], _validated=True)
+
+
+def _haar_from_seeds(n: int, seeds) -> np.ndarray:
+    """(len(seeds), n, n) stack of ``_haar_batch(n, 1, default_rng(seed))[0]``."""
+    g = np.empty((len(seeds), 2, n, n))
+    for row, seed in zip(g, seeds):
+        np.random.default_rng(int(seed)).standard_normal(out=row)
+    return _haar_qr(g[:, 0], g[:, 1])
 
 
 def _haar_batch(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """(count, n, n) stack of independent Haar unitaries."""
-    z = (rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n)))
+    """(count, n, n) stack of independent Haar unitaries.
+
+    Draws every real part, then every imaginary part.
+    """
+    re = rng.standard_normal((count, n, n))
+    return _haar_qr(re, rng.standard_normal((count, n, n)))
+
+
+def _haar_qr(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Haar unitaries from the real and imaginary parts of Gaussian stacks.
+
+    QR of the complex Ginibre matrices (re + i im) / sqrt(2), then each
+    column of Q times the phase of R's diagonal entry, which makes the
+    distribution exactly Haar (Mezzadri, Notices AMS 54, 2007). A
+    (count, 2, n, n) draw split as ``[:, 0], [:, 1]`` is the stream of
+    ``count`` one-matrix ``_haar_batch`` calls, and gives their matrices.
+    """
+    z = re + 1j * im
     z /= np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     diag = np.einsum("...ii->...i", r)
@@ -306,14 +339,32 @@ def random_skew_in_ball(n: int, radius: float, seed: int) -> SkewHermitian:
     Antihermitizes a complex Gaussian matrix, then rescales to u * radius
     where u is uniform on (0, 1].
     """
-    if not radius > 0:
+    return SkewHermitian(_skew_ball_stack(n, radius, [seed])[0],
+                         _validated=True)
+
+
+def _skew_ball_stack(n: int, radius, seeds) -> np.ndarray:
+    """(len(seeds), n, n) stack of ``random_skew_in_ball`` draws, one per seed.
+
+    ``radius`` is one value or one per seed. Each seed gets its own
+    generator, which draws the real normals, the imaginary normals, then one
+    uniform; all the norms come from one SVD call.
+    """
+    radius = np.broadcast_to(np.asarray(radius, dtype=float), (len(seeds),))
+    if not np.all(radius > 0):
         raise ValueError("radius must be positive")
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    x = 0.5 * (g - g.conj().T)
-    norm = float(_opnorm_stack(x)) or 1.0
-    u = 1.0 - rng.random()  # uniform on (0, 1]
-    return SkewHermitian(x * (u * radius / norm), _validated=True)
+    g = np.empty((len(seeds), 2, n, n))
+    u = np.empty(len(seeds))
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(int(seed))
+        rng.standard_normal(out=g[i])
+        u[i] = rng.random()
+    g = g[:, 0] + 1j * g[:, 1]
+    x = 0.5 * (g - np.conj(np.swapaxes(g, -1, -2)))
+    norm = _opnorm_stack(x)
+    norm[norm == 0.0] = 1.0
+    u = 1.0 - u  # uniform on (0, 1]
+    return x * (u * radius / norm)[:, None, None]
 
 
 def skew_basis(n: int) -> np.ndarray:

@@ -28,6 +28,7 @@ from .linalg import (
     UnitaryMatrix,
     _greedy_packing,
     _haar_batch,
+    _haar_qr,
     _nearest,
     _norm_within,
     _opnorm_stack,
@@ -289,9 +290,10 @@ def empirical_packing_lower_bound(n: int, epsilon: float, trials: int,
         raise ValueError("epsilon must be positive")
     if trials < 1:
         raise ValueError("need at least one trial")
-    rng = np.random.default_rng(seed)
-    draws = np.concatenate([_haar_batch(n, 1, rng) for _ in range(trials)])
-    return _greedy_packing(draws, n, epsilon)
+    # one (trials, 2, n, n) draw is the stream of one _haar_batch(n, 1, rng)
+    # call per trial
+    g = np.random.default_rng(seed).standard_normal((trials, 2, n, n))
+    return _greedy_packing(_haar_qr(g[:, 0], g[:, 1]), n, epsilon)
 
 
 def circle_covering_number(epsilon: float) -> int:

@@ -14,12 +14,26 @@ from dynnets import cli
 from dynnets.circuits import QuditRegister, circuit_covering_log_bound
 from dynnets.cli import main
 from dynnets.grassmann import (
+    KATO_DISTANCE_LIMIT,
+    KATO_RATIO_LIMIT,
+    Projector,
+    kato_deviation,
+    kato_unitary,
     product_covering_check,
     projector_covering_bounds,
+    projector_distance,
+    projector_from_subspace,
+    random_subspace,
 )
-from dynnets.linalg import UnitaryMatrix, matrix_exp
+from dynnets.linalg import (
+    UnitaryMatrix,
+    check_exp_lipschitz,
+    matrix_exp,
+    operator_norm,
+    random_skew_in_ball,
+)
 from dynnets.logdomain import EpsilonTooSmall, int_power
-from dynnets.reports import crossover_analysis
+from dynnets.reports import crossover_analysis, emit_report
 from dynnets.trotter import (
     CertificateViolation,
     ConstantEnvelope,
@@ -296,9 +310,10 @@ class TestVerifyGeometry:
         # 5/sqrt(2) ||P - Q||, so only the closed-form check can see it
         kato = cli._kato_unitary
 
-        def shifted(p, q, dist):
-            v = kato(p, q, dist).array
-            return UnitaryMatrix(v @ matrix_exp(1j * 1e-6 * p.matrix))
+        def shifted(ps, qs, dists):
+            vs = kato(ps, qs, dists)
+            return np.stack([UnitaryMatrix(v @ matrix_exp(1j * 1e-6 * p)).array
+                             for v, p in zip(vs, ps)])
 
         monkeypatch.setattr("dynnets.cli._kato_unitary", shifted)
         code, out, err = run_cli(["verify", "kato", "--n", "2", "--m", "5",
@@ -337,6 +352,111 @@ class TestVerifyGeometry:
         assert all(case["passed"] for case in payload["cases"])
 
 
+def _trial_seeds(seed, trials):
+    return np.random.SeedSequence(seed).generate_state(2 * trials,
+                                                       dtype=np.uint64)
+
+
+def lipschitz_pair_by_pair(n, radius, trials, seed):
+    """verify lipschitz's report, one pair of one-matrix draws at a time."""
+    seeds = _trial_seeds(seed, trials)
+    violations = 0
+    worst = None
+    for i in range(trials):
+        x = random_skew_in_ball(n, radius, int(seeds[2 * i]))
+        y = random_skew_in_ball(n, radius, int(seeds[2 * i + 1]))
+        lower, mid, upper = check_exp_lipschitz(x, y)
+        slack = min(mid - lower, upper - mid)
+        if worst is None or slack < worst["slack"]:
+            worst = {"lower": lower, "mid": mid, "upper": upper,
+                     "slack": slack}
+        violations += lower > mid + 1e-10 or mid > upper + 1e-10
+    return {"n": n, "radius": radius, "trials": trials, "seed": seed,
+            "violations": violations, "worst_triple": worst,
+            "passed": violations == 0}
+
+
+def kato_pair_by_pair(n, m, trials, seed):
+    """verify kato's report, one projector pair at a time.
+
+    Also returns how many rotations were drawn: one per trial, plus one per
+    rotation too large for the Kato distance limit.
+    """
+    rng = np.random.default_rng(seed)
+    seeds = _trial_seeds(seed, trials)
+    slack = 16 * m * np.finfo(float).eps
+    failures = draws = 0
+    worst_ratio = worst_conj = 0.0
+    for i in range(trials):
+        theta = float(rng.uniform(0.05, 1.2))
+        p = projector_from_subspace(random_subspace(n, m, int(seeds[2 * i])))
+        while True:
+            draws += 1
+            rot = matrix_exp(
+                random_skew_in_ball(m, theta, int(seeds[2 * i + 1])).array)
+            q_mat = rot @ p.matrix @ rot.conj().T
+            q = Projector(0.5 * (q_mat + q_mat.conj().T))
+            dist = projector_distance(p, q)
+            if dist <= KATO_DISTANCE_LIMIT:
+                break
+            theta *= 0.5
+        v = kato_unitary(p, q).array
+        conj = operator_norm(v @ p.matrix @ v.conj().T - q.matrix)
+        dev = operator_norm(np.eye(m) - v)
+        worst_ratio = max(worst_ratio, dev / dist if dist > 1e-14 else 0.0)
+        worst_conj = max(worst_conj, conj)
+        failures += bool(conj > 1e-8 or dev > KATO_RATIO_LIMIT * dist + 1e-9
+                         or abs(dev - kato_deviation(dist)) > slack)
+    report = {"n": n, "m": m, "trials": trials, "seed": seed,
+              "failures": failures, "worst_deviation_ratio": worst_ratio,
+              "ratio_limit": KATO_RATIO_LIMIT,
+              "worst_conjugation_defect": worst_conj,
+              "passed": failures == 0}
+    return report, draws
+
+
+class TestStackedHandlersMatchPairByPair:
+    """The stacked verify handlers print what a loop over pairs prints."""
+
+    @pytest.mark.parametrize("n, radius, trials, seed", [
+        (1, 0.4, 24, 1), (2, 0.2, 24, 5), (2, 3.0, 24, 6), (4, 0.6, 24, 7),
+        (8, 0.4, 24, 8), (16, 3.0, 24, 9),
+        # 16 pairs per block at n = 128: two blocks
+        (128, 0.4, 17, 2),
+    ])
+    def test_lipschitz(self, capsys, n, radius, trials, seed):
+        if n == 128:
+            assert trials > cli._LIPSCHITZ_ENTRIES // (n * n)
+        code, out, _ = run_cli(["verify", "lipschitz", "--n", str(n),
+                                "--radius", repr(radius), "--trials",
+                                str(trials), "--seed", str(seed)], capsys)
+        assert code == 0
+        expect = lipschitz_pair_by_pair(n, radius, trials, seed)
+        assert out == emit_report(expect)
+
+    @pytest.mark.parametrize("n, m, trials, seed, block", [
+        (1, 4, 16, 1, None), (1, 4, 16, 2, None), (2, 5, 16, 1, None),
+        (3, 8, 16, 4, None), (4, 16, 16, 5, None), (2, 2, 6, 1, None),
+        (1, 1, 4, 2, None),
+        # 17 rotations for 16 trials: one pair is redrawn at half the angle
+        (1, 2, 16, 3, None),
+        # blocks of 3 pairs, so the redrawn pair is not in the first block
+        (1, 2, 16, 3, 3), (2, 5, 10, 9, 4),
+    ])
+    def test_kato(self, capsys, monkeypatch, n, m, trials, seed, block):
+        if block is not None:
+            monkeypatch.setattr("dynnets.cli._LIPSCHITZ_ENTRIES",
+                                block * m * m)
+        code, out, _ = run_cli(["verify", "kato", "--n", str(n), "--m",
+                                str(m), "--trials", str(trials), "--seed",
+                                str(seed)], capsys)
+        assert code == 0
+        expect, draws = kato_pair_by_pair(n, m, trials, seed)
+        assert out == emit_report(expect)
+        if (n, m, seed) == (1, 2, 3):
+            assert draws == trials + 1
+
+
 def _fake_lipschitz_stack(xs, ys):
     mid = np.ones(len(xs))
     return mid + 1.0, mid, mid + 2.0
@@ -356,7 +476,8 @@ class TestViolationExitsTwo:
           "--seed", "3"],
          ["n", "radius", "trials", "seed", "violations", "worst_triple",
           "passed"], {"violations": 5}),
-        ("_kato_unitary", lambda p, q, dist: UnitaryMatrix(-np.eye(p.m)),
+        ("_kato_unitary",
+         lambda ps, qs, dists: np.broadcast_to(-np.eye(len(ps[0])), ps.shape),
          ["kato", "--n", "2", "--m", "5", "--trials", "4", "--seed", "9"],
          ["n", "m", "trials", "seed", "failures", "worst_deviation_ratio",
           "ratio_limit", "worst_conjugation_defect", "passed"],
@@ -384,6 +505,18 @@ class TestViolationExitsTwo:
 
 # a 401-digit integer, past the float64 range
 _HUGE = "1" + "0" * 400
+
+
+def _forbid_draws(monkeypatch):
+    """Make every matrix sampler of verify kato and lipschitz raise."""
+    def no_draw(*args):
+        raise AssertionError("matrix drawn before the flags were checked")
+
+    # the stacked samplers the handlers call, and the public one-matrix ones
+    for name in ("dynnets.cli._skew_ball_stack", "dynnets.cli._random_bases",
+                 "dynnets.linalg.random_skew_in_ball",
+                 "dynnets.grassmann.random_subspace"):
+        monkeypatch.setattr(name, no_draw)
 
 
 class TestUsageErrors:
@@ -531,14 +664,17 @@ class TestUsageErrors:
           "1"], "argument --trials: invalid int value: 'x'"),
         (["verify", "lipschitz", "--n", "x", "--radius", "0.4", "--trials",
           "1", "--seed", "1"], "argument --n: invalid int value: 'x'"),
+        # the seeds of every trial are drawn up front: refused before that
+        (["verify", "kato", "--n", "1", "--m", "2", "--trials",
+          "10000000000", "--seed", "1"],
+         "argument --trials: must be at most 1000000, got 10000000000"),
+        (["verify", "lipschitz", "--n", "1", "--radius", "0.4", "--trials",
+          "1000001", "--seed", "1"],
+         "argument --trials: must be at most 1000000, got 1000001"),
     ])
     def test_bad_dimension_names_flag(self, capsys, monkeypatch, argv,
                                       message):
-        def no_draw(*args):
-            raise AssertionError("matrix drawn before the flags were checked")
-
-        monkeypatch.setattr("dynnets.cli.random_skew_in_ball", no_draw)
-        monkeypatch.setattr("dynnets.cli.random_subspace", no_draw)
+        _forbid_draws(monkeypatch)
         code, out, err = run_cli(argv, capsys)
         assert code == 1
         assert out == ""
@@ -548,6 +684,20 @@ class TestUsageErrors:
             assert err == f"dynnets: error: {message}\n"
         else:
             assert err.startswith(f"usage: dynnets verify {argv[1]} ")
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "kato", "--n", "1", "--m", "2", "--trials", "1",
+         "--seed", "1"],
+        ["verify", "lipschitz", "--n", "1", "--radius", "0.4", "--trials",
+         "1", "--seed", "1"],
+    ])
+    def test_draw_guard_sees_the_handlers_draws(self, capsys, monkeypatch,
+                                                argv):
+        # the guard of test_bad_dimension_names_flag patches what the
+        # handlers really call: with valid flags it trips
+        _forbid_draws(monkeypatch)
+        with pytest.raises(AssertionError, match="matrix drawn"):
+            main(argv)
 
     @pytest.mark.parametrize("argv, message", [
         (["--n", "0", "--eps", "0.5", "--samples", "10"],

@@ -14,8 +14,10 @@ from dynnets.linalg import (
     _exp_skew_stack,
     _greedy_packing,
     _haar_batch,
+    _haar_qr,
     _nearest,
     _norm_within,
+    _skew_ball_stack,
     check_exp_lipschitz,
     haar_unitary,
     matrix_exp,
@@ -355,6 +357,58 @@ class TestRandomSkewInBall:
         expect = x * (scale / np.linalg.norm(x, 2))
         got = random_skew_in_ball(n, radius, seed).array
         np.testing.assert_allclose(got, expect, rtol=1e-13, atol=0)
+
+
+def skew_draw_alone(n, radius, seed):
+    """random_skew_in_ball's draw, written out for one matrix."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    x = 0.5 * (g - g.conj().T)
+    norm = float(np.linalg.svd(x, compute_uv=False)[0]) or 1.0
+    u = 1.0 - rng.random()
+    return x * (u * radius / norm)
+
+
+class TestStackedDraws:
+    """The stacked samplers draw what one-matrix draws give, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 16])
+    def test_packing_draw_is_the_per_trial_loop(self, n):
+        # both empirical packings draw (trials, 2, n, n) in one call
+        g = np.random.default_rng(21).standard_normal((9, 2, n, n))
+        rng = np.random.default_rng(21)
+        loop = np.concatenate([_haar_batch(n, 1, rng) for _ in range(9)])
+        assert np.array_equal(_haar_qr(g[:, 0], g[:, 1]), loop)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_haar_batch_draws_real_then_imaginary_parts(self, n):
+        # verify nets and the benchmark's covering reference draw this way
+        rng = np.random.default_rng(4)
+        re = rng.standard_normal((6, n, n))
+        im = rng.standard_normal((6, n, n))
+        expect = []
+        for z in (re + 1j * im) / np.sqrt(2.0):
+            q, r = np.linalg.qr(z)
+            d = np.diagonal(r)
+            expect.append(q * (d / np.abs(d)))
+        assert np.array_equal(_haar_batch(n, 6, np.random.default_rng(4)),
+                              np.array(expect))
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_skew_ball_rows_are_one_matrix_draws(self, n):
+        seeds = np.random.SeedSequence(n).generate_state(6, dtype=np.uint64)
+        radii = np.array([0.05, 0.4, 1.0, np.pi, 2.5, 0.4])
+        for radius in (0.4, radii):
+            stack = _skew_ball_stack(n, radius, seeds)
+            assert stack.shape == (6, n, n)
+            for row, r, seed in zip(stack, np.broadcast_to(radius, 6), seeds):
+                alone = random_skew_in_ball(n, r, int(seed)).array
+                assert np.array_equal(row, alone)
+                assert np.array_equal(row, skew_draw_alone(n, r, int(seed)))
+
+    def test_skew_ball_rejects_a_bad_row_radius(self):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            _skew_ball_stack(2, [0.4, float("nan")], [1, 2])
 
 
 class TestSkewBasis:
