@@ -64,8 +64,8 @@ class Subspace:
 
 
 def _check_bases(stack: np.ndarray) -> None:
-    """Subspace's checks over a (..., m, n) stack of basis matrices."""
-    if not np.all(np.isfinite(stack)):
+    """Subspace's checks over a contiguous (..., m, n) stack of bases."""
+    if not np.all(np.isfinite(stack.view(float))):
         raise ValueError("basis has non-finite entries")
     gram = np.conj(stack).swapaxes(-1, -2) @ stack - np.eye(stack.shape[-1])
     if not _norm_within(gram, UNITARY_TOL).all():
@@ -92,17 +92,19 @@ class Projector:
 
 
 def _projector_ranks(stack: np.ndarray) -> np.ndarray:
-    """Projector's checks over a (..., m, m) stack; returns the integer ranks."""
-    if not np.all(np.isfinite(stack)):
-        raise ValueError("projector has non-finite entries")
+    """Projector's checks over a (..., m, m) stack; returns the integer ranks.
+
+    A non-finite entry fails the Hermitian check's Frobenius test, and
+    ``_norm_within`` raises on it.
+    """
     if not _norm_within(stack - np.conj(stack).swapaxes(-1, -2),
                         HERMITIAN_TOL).all():
         raise ValueError("projector must be Hermitian within 1e-10")
     if not _norm_within(stack @ stack - stack, _PROJECTOR_TOL).all():
         raise ValueError("projector must be idempotent within 1e-9")
-    trace = np.trace(stack, axis1=-2, axis2=-1).real
-    rank = np.round(trace)
-    off = np.abs(trace - rank) > 1e-6
+    trace = stack.trace(axis1=-2, axis2=-1).real
+    rank = np.rint(trace)
+    off = abs(trace - rank) > 1e-6
     if off.any():
         raise ValueError(
             f"projector trace {float(trace[off][0])} is not near an integer")
@@ -186,8 +188,8 @@ def _kato_unitary(ps: np.ndarray, qs: np.ndarray,
     if far.any():
         raise ValueError(f"Kato precondition violated: ||P - Q|| = "
                          f"{float(dists[far][0]):.6f} > 1/sqrt(2)")
-    # from m = 513 a block is one pair of matrices of 4 MB or more: each
-    # temporary is dropped once used
+    # at m in the thousands each (k, m, m) temporary takes hundreds of MB:
+    # each is dropped once used
     eye = np.eye(ps.shape[-1])
     diff = ps - qs
     h = eye - diff @ diff
