@@ -379,14 +379,16 @@ def lipschitz_pair_by_pair(n, radius, trials, seed):
 def kato_pair_by_pair(n, m, trials, seed):
     """verify kato's report, one projector pair at a time.
 
-    Also returns how many rotations were drawn: one per trial, plus one per
-    rotation too large for the Kato distance limit.
+    Also returns how many rotations were drawn (one per trial, plus one per
+    rotation too large for the Kato distance limit) and each trial's
+    (P, Q, ||P - Q||).
     """
     rng = np.random.default_rng(seed)
     seeds = _trial_seeds(seed, trials)
     slack = 16 * m * np.finfo(float).eps
     failures = draws = 0
     worst_ratio = worst_conj = 0.0
+    pairs = []
     for i in range(trials):
         theta = float(rng.uniform(0.05, 1.2))
         p = projector_from_subspace(random_subspace(n, m, int(seeds[2 * i])))
@@ -400,6 +402,7 @@ def kato_pair_by_pair(n, m, trials, seed):
             if dist <= KATO_DISTANCE_LIMIT:
                 break
             theta *= 0.5
+        pairs.append((p.matrix, q.matrix, dist))
         v = kato_unitary(p, q).array
         conj = operator_norm(v @ p.matrix @ v.conj().T - q.matrix)
         dev = operator_norm(np.eye(m) - v)
@@ -412,7 +415,7 @@ def kato_pair_by_pair(n, m, trials, seed):
               "ratio_limit": KATO_RATIO_LIMIT,
               "worst_conjugation_defect": worst_conj,
               "passed": failures == 0}
-    return report, draws
+    return report, draws, pairs
 
 
 class TestStackedHandlersMatchPairByPair:
@@ -438,10 +441,9 @@ class TestStackedHandlersMatchPairByPair:
         (1, 4, 16, 1, None), (1, 4, 16, 2, None), (2, 5, 16, 1, None),
         (3, 8, 16, 4, None), (4, 16, 16, 5, None), (2, 2, 6, 1, None),
         (1, 1, 4, 2, None),
-        # 17 rotations for 16 trials: one pair is redrawn at half the angle
-        (1, 2, 16, 3, None),
-        # blocks of 3 pairs, so the redrawn pair is not in the first block
-        (1, 2, 16, 3, 3), (2, 5, 10, 9, 4),
+        # 17 rotations for 16 trials: the last pair is redrawn at half the
+        # angle, in one block of 16 and alone in the last block of 3
+        (1, 2, 16, 3, None), (1, 2, 16, 3, 3), (2, 5, 10, 9, 4),
     ])
     def test_kato(self, capsys, monkeypatch, n, m, trials, seed, block):
         if block is not None:
@@ -451,10 +453,22 @@ class TestStackedHandlersMatchPairByPair:
                                 str(m), "--trials", str(trials), "--seed",
                                 str(seed)], capsys)
         assert code == 0
-        expect, draws = kato_pair_by_pair(n, m, trials, seed)
+        expect, draws, _ = kato_pair_by_pair(n, m, trials, seed)
         assert out == emit_report(expect)
         if (n, m, seed) == (1, 2, 3):
             assert draws == trials + 1
+
+    @pytest.mark.parametrize("n, m, seed", [(1, 2, 3), (2, 5, 9)])
+    def test_kato_pairs(self, n, m, seed):
+        # the report keeps only maxima, which a wrong redraw may not move
+        trials = 16
+        seeds = _trial_seeds(seed, trials)
+        thetas = np.random.default_rng(seed).uniform(0.05, 1.2, size=trials)
+        ps, qs, dists = cli._random_projector_pairs(n, m, seeds[0::2],
+                                                    seeds[1::2], thetas)
+        _, _, pairs = kato_pair_by_pair(n, m, trials, seed)
+        for got, expect in zip((ps, qs, dists), zip(*pairs)):
+            assert np.array_equal(got, np.array(expect))
 
 
 def _fake_lipschitz_stack(xs, ys):
