@@ -263,7 +263,8 @@ def _parse_json(data, kind: str, items: str, fields: tuple[str, ...], what: str)
     ``data`` is JSON text or an already parsed dict with keys ``L``, ``d`` and
     ``items``; each item carries ``support`` and the ``fields``, the first of
     them a matrix. Items are decoded one at a time, so the caller's per-item
-    checks run in order. A missing key raises ``ValueError`` naming it.
+    checks run in order. A missing key or a mistyped ``L``, ``d``, item list,
+    item or support raises ``ValueError`` naming it.
     """
     if isinstance(data, (str, bytes)):
         data = json.loads(data)
@@ -274,15 +275,26 @@ def _parse_json(data, kind: str, items: str, fields: tuple[str, ...], what: str)
         entries = data[items]
     except KeyError as exc:
         raise ValueError(f"{kind} JSON missing key {exc}") from None
+    except TypeError:
+        raise ValueError(f"{kind} JSON 'L' and 'd' must be integers") from None
+    if not isinstance(entries, (list, tuple)):
+        raise ValueError(
+            f"{kind} JSON {items!r} must be a list, got {type(entries).__name__}")
 
     def decoded():
         for entry in entries:
+            if not isinstance(entry, dict):
+                raise ValueError(f"{kind} JSON item in {items!r} must be an "
+                                 f"object, got {type(entry).__name__}")
             try:
                 support = tuple(int(s) for s in entry["support"])
                 matrix, *rest = (entry[key] for key in fields)
             except KeyError as exc:
                 raise ValueError(
                     f"{kind} JSON item in {items!r} missing key {exc}") from None
+            except TypeError:
+                raise ValueError(f"{kind} JSON item in {items!r}: 'support' "
+                                 f"must be a list of integers") from None
             yield support, _decode_matrix(matrix, reg.d ** len(support), what), *rest
 
     return reg, decoded()

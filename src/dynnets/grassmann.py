@@ -296,16 +296,13 @@ def product_covering_check(space1: metric.FiniteMetricSpace,
                            space2: metric.FiniteMetricSpace,
                            epsilon: float) -> ProductCoveringReport:
     """Exact check of N1(2e) N2(2e) <= N_product(e) <= N1(e) N2(e) (max metric)."""
-    for sp in (space1, space2):
-        if sp.size > metric.EXACT_SEARCH_LIMIT:
-            raise ValueError(
-                f"exact search limit exceeded: factor has {sp.size} points")
-    prod = metric.product_space(space1, space2)
-    prod_limit = space1.size * space2.size
+    # the factor searches refuse an oversized factor before the product is built
     n1 = metric.brute_force_covering_number(space1, epsilon)
     n2 = metric.brute_force_covering_number(space2, epsilon)
     n1_2 = metric.brute_force_covering_number(space1, 2.0 * epsilon)
     n2_2 = metric.brute_force_covering_number(space2, 2.0 * epsilon)
+    prod = metric.product_space(space1, space2)
+    prod_limit = space1.size * space2.size
     np_cover = metric.brute_force_covering_number(prod, epsilon, limit=prod_limit)
     np_pack = metric.brute_force_packing_number(prod, epsilon, limit=prod_limit)
     lower_ok = n1_2 * n2_2 <= np_cover
@@ -362,12 +359,10 @@ def quotient_covering_check(order: int, subgroup_order: int,
     members = [i * step for i in range(subgroup_order)]
     subgroup = metric.FiniteMetricSpace(
         members, gmat[np.ix_(members, members)])
-    reps = list(range(step))
-    qmat = np.zeros((step, step))
-    for a in reps:
-        for b in reps:
-            qmat[a, b] = min(gmat[a, (b + h) % order] for h in members)
-    quotient = metric.FiniteMetricSpace(reps, qmat)
+    # qmat[a, b] = min over h in H of d(a, b + h)
+    shifted = (np.arange(step)[:, None] + members) % order
+    qmat = gmat[:step][:, shifted].min(axis=-1)
+    quotient = metric.FiniteMetricSpace(range(step), qmat)
 
     limit = max(order, metric.EXACT_SEARCH_LIMIT)
     n_g_2 = metric.brute_force_covering_number(group, 2.0 * epsilon, limit=limit)
@@ -401,8 +396,7 @@ def empirical_grassmann_packing(n: int, m: int, epsilon: float, trials: int,
         raise ValueError("epsilon must be positive")
     if trials < 1:
         raise ValueError("need at least one trial")
-    # one (trials, 2, m, m) draw is the stream of one _haar_batch(m, 1, rng)
-    # call per trial
+    # one (trials, 2, m, m) draw: each trial's real, then imaginary part
     g = np.random.default_rng(seed).standard_normal((trials, 2, m, m))
     bases = _haar_qr(g[:, 0], g[:, 1])[..., :n]
     projectors = bases @ np.conj(np.swapaxes(bases, -1, -2))

@@ -300,20 +300,11 @@ def haar_unitary(n: int, seed: int) -> UnitaryMatrix:
 
 
 def _haar_from_seeds(n: int, seeds) -> np.ndarray:
-    """(len(seeds), n, n) stack of ``_haar_batch(n, 1, default_rng(seed))[0]``."""
+    """(len(seeds), n, n) stack of the matrices ``haar_unitary(n, seed)``."""
     g = np.empty((len(seeds), 2, n, n))
     for row, seed in zip(g, seeds):
         np.random.default_rng(int(seed)).standard_normal(out=row)
     return _haar_qr(g[:, 0], g[:, 1])
-
-
-def _haar_batch(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """(count, n, n) stack of independent Haar unitaries.
-
-    Draws every real part, then every imaginary part.
-    """
-    re = rng.standard_normal((count, n, n))
-    return _haar_qr(re, rng.standard_normal((count, n, n)))
 
 
 def _haar_qr(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -322,8 +313,10 @@ def _haar_qr(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     QR of the complex Ginibre matrices (re + i im) / sqrt(2), then each
     column of Q times the phase of R's diagonal entry, which makes the
     distribution exactly Haar (Mezzadri, Notices AMS 54, 2007). A
-    (count, 2, n, n) draw split as ``[:, 0], [:, 1]`` is the stream of
-    ``count`` one-matrix ``_haar_batch`` calls, and gives their matrices.
+    (count, 2, n, n) draw split as ``[:, 0], [:, 1]`` takes each matrix's
+    real and imaginary parts in turn (``haar_unitary``, the packings); a
+    (2, count, n, n) draw split as ``[0], [1]`` takes every real part first
+    (the covering check).
     """
     z = re + 1j * im
     z /= np.sqrt(2.0)

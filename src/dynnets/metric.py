@@ -5,6 +5,14 @@ packing is strict (pairwise distance > epsilon, no slack). The exact
 covering/packing numbers come from branch-and-bound searches over bitmask
 encodings, so they are usable up to a few hundred points for structured
 spaces but are capped by ``limit`` to keep worst cases bounded.
+
+Both searches branch on the lowest open point. Some ball must cover the
+lowest uncovered point, so the covering search tries each ball holding it.
+Every largest packing holds the lowest candidate or a candidate within
+epsilon of it, since otherwise the lowest candidate could join it; so the
+packing search takes each of those in bit order and leaves it out of the
+later branches (Fomin and Kratsch, *Exact Exponential Algorithms*, 2010,
+ch. 1).
 """
 
 from __future__ import annotations
@@ -235,45 +243,29 @@ def brute_force_packing_number(space: FiniteMetricSpace, epsilon: float, *,
                                limit: int = EXACT_SEARCH_LIMIT) -> int:
     """Exact maximum size of an epsilon-packing (pairwise distance > epsilon)."""
     n = _search_size(space, epsilon, limit)
-    if n == 0:
-        return 0
-    conflicts = space.matrix <= epsilon
-    np.fill_diagonal(conflicts, False)
-    adj = _row_masks(conflicts)
-
-    # Greedy min-degree independent set warm-starts the search bound.
+    # Row i holds the points within epsilon of i, i itself included: the
+    # points that cannot share a packing with i.
+    conflicts = _row_masks(space.matrix <= epsilon)
     best = 0
-    remaining = (1 << n) - 1
-    while remaining:
-        v = min(
-            (i for i in range(n) if remaining >> i & 1),
-            key=lambda i: (adj[i] & remaining).bit_count(),
-        )
-        best += 1
-        remaining &= ~adj[v] & ~(1 << v)
 
     def search(candidates: int, size: int) -> None:
         nonlocal best
         if size + candidates.bit_count() <= best:
             return
         if candidates == 0:
-            best = max(best, size)
+            best = size
             return
-        # Pivot on the candidate with the most conflicts.
-        pivot = -1
-        pivot_deg = -1
-        m = candidates
-        while m:
-            v = (m & -m).bit_length() - 1
-            deg = (adj[v] & candidates).bit_count()
-            if deg > pivot_deg:
-                pivot, pivot_deg = v, deg
-            m &= m - 1
-        if pivot_deg == 0:
-            best = max(best, size + candidates.bit_count())
-            return
-        search(candidates & ~adj[pivot] & ~(1 << pivot), size + 1)
-        search(candidates & ~(1 << pivot), size)
+        # Every largest packing holds a point of the lowest candidate's row;
+        # stop once the candidates left cannot beat the best packing found.
+        v = (candidates & -candidates).bit_length() - 1
+        options = conflicts[v] & candidates
+        while options:
+            u = (options & -options).bit_length() - 1
+            search(candidates & ~conflicts[u], size + 1)
+            candidates &= ~(1 << u)
+            if size + candidates.bit_count() <= best:
+                return
+            options &= options - 1
 
     search((1 << n) - 1, 0)
     return best

@@ -182,6 +182,8 @@ class PiecewiseLinearEnvelope:
 
 
 def envelope_from_json(obj) -> CosineEnvelope | PiecewiseLinearEnvelope:
+    if not isinstance(obj, dict):
+        raise ValueError(f"envelope must be an object, got {type(obj).__name__}")
     kind = obj.get("kind")
     try:
         if kind == "constant":
@@ -193,6 +195,8 @@ def envelope_from_json(obj) -> CosineEnvelope | PiecewiseLinearEnvelope:
             return PiecewiseLinearEnvelope(obj["times"], obj["values"])
     except KeyError as exc:
         raise ValueError(f"{kind} envelope missing key {exc}") from None
+    except TypeError:
+        raise ValueError(f"{kind} envelope parameters must be numbers") from None
     raise ValueError(f"unknown envelope kind {kind!r}")
 
 

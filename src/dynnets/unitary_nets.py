@@ -27,7 +27,6 @@ from .linalg import (
     UNITARY_TOL,
     UnitaryMatrix,
     _greedy_packing,
-    _haar_batch,
     _haar_qr,
     _nearest,
     _norm_within,
@@ -271,7 +270,8 @@ def empirical_covering_check(net: UnitaryNet, samples: int,
     remaining = samples
     while remaining > 0:
         batch = min(remaining, 2048)
-        haar = _haar_batch(net.n, batch, rng)
+        g = rng.standard_normal((2, batch, net.n, net.n))
+        haar = _haar_qr(g[0], g[1])
         gaps = _nearest(haar, net.matrices, net.n)[1]
         max_gap = max(max_gap, float(gaps.max()))
         remaining -= batch
@@ -290,8 +290,7 @@ def empirical_packing_lower_bound(n: int, epsilon: float, trials: int,
         raise ValueError("epsilon must be positive")
     if trials < 1:
         raise ValueError("need at least one trial")
-    # one (trials, 2, n, n) draw is the stream of one _haar_batch(n, 1, rng)
-    # call per trial
+    # one (trials, 2, n, n) draw: each trial's real, then imaginary part
     g = np.random.default_rng(seed).standard_normal((trials, 2, n, n))
     return _greedy_packing(_haar_qr(g[:, 0], g[:, 1]), n, epsilon)
 

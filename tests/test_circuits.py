@@ -371,6 +371,16 @@ class TestCircuitJson:
         ({"L": 1, "d": 2, "gates": [{"support": [0]}]},
          "circuit JSON item in 'gates' missing key 'matrix'"),
         ([], "circuit JSON must be an object, got list"),
+        ({"L": None, "d": 2, "gates": []},
+         "circuit JSON 'L' and 'd' must be integers"),
+        ({"L": 1, "d": [2], "gates": []},
+         "circuit JSON 'L' and 'd' must be integers"),
+        ({"L": 1, "d": 2, "gates": {}},
+         "circuit JSON 'gates' must be a list, got dict"),
+        ({"L": 1, "d": 2, "gates": [[0]]},
+         "circuit JSON item in 'gates' must be an object, got list"),
+        ({"L": 1, "d": 2, "gates": [{"support": 0, "matrix": []}]},
+         "circuit JSON item in 'gates': 'support' must be a list of integers"),
     ])
     def test_error_messages(self, data, message):
         with pytest.raises(ValueError) as exc:

@@ -199,6 +199,18 @@ def _document(term):
     return {"L": 1, "d": 2, "terms": [term]}
 
 
+def _assert_refused(capsys, tmp_path, document, message):
+    """verify trotter on the document exits 1 with exactly this error line."""
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    code, out, err = run_cli(
+        ["verify", "trotter", "--hamiltonian", str(path),
+         "--T", "1.0", "--nt", "4"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"dynnets: error: {message}\n"
+
+
 class TestVerifyTrotter:
     def test_pass(self, capsys, hamiltonian_file):
         code, out, _ = run_cli(
@@ -268,14 +280,29 @@ class TestVerifyTrotter:
         ([_document(_TERM)], "Hamiltonian JSON must be an object, got list"),
     ])
     def test_missing_field_exits_one(self, capsys, tmp_path, document, message):
-        path = tmp_path / "h.json"
-        path.write_text(json.dumps(document), encoding="utf-8")
-        code, out, err = run_cli(
-            ["verify", "trotter", "--hamiltonian", str(path),
-             "--T", "1.0", "--nt", "4"], capsys)
-        assert code == 1
-        assert out == ""
-        assert err == f"dynnets: error: {message}\n"
+        _assert_refused(capsys, tmp_path, document, message)
+
+    @pytest.mark.parametrize("document, message", [
+        ({**_document(_TERM), "L": None},
+         "Hamiltonian JSON 'L' and 'd' must be integers"),
+        ({**_document(_TERM), "L": [1]},
+         "Hamiltonian JSON 'L' and 'd' must be integers"),
+        ({**_document(_TERM), "terms": 5},
+         "Hamiltonian JSON 'terms' must be a list, got int"),
+        ({**_document(_TERM), "terms": [5]},
+         "Hamiltonian JSON item in 'terms' must be an object, got int"),
+        (_document({**_TERM, "support": 3}),
+         "Hamiltonian JSON item in 'terms': 'support' must be a list of "
+         "integers"),
+        (_document({**_TERM, "envelope": 5}),
+         "envelope must be an object, got int"),
+        (_document({**_TERM, "envelope": {"kind": "cosine", "amplitude": None,
+                                          "omega": 2.0}}),
+         "cosine envelope parameters must be numbers"),
+    ])
+    def test_mistyped_field_exits_one(self, capsys, tmp_path, document,
+                                      message):
+        _assert_refused(capsys, tmp_path, document, message)
 
 
 class TestVerifyGeometry:

@@ -18,7 +18,7 @@ from dynnets.grassmann import (
     quotient_distance_bounds,
     random_subspace,
 )
-from dynnets.linalg import _haar_batch, matrix_exp, operator_norm
+from dynnets.linalg import haar_unitary, matrix_exp, operator_norm
 from dynnets.metric import FiniteMetricSpace, brute_force_covering_number
 
 KATO_RATIO = 5.0 / math.sqrt(2.0)
@@ -78,7 +78,7 @@ class TestSubspaceAndProjector:
         # eigenvalues 1 + e (first half) and e (second half), so P^2 - P has
         # eigenvalues of modulus about |e|
         m = len(offsets)
-        v = _haar_batch(m, 1, np.random.default_rng(13))[0]
+        v = haar_unitary(m, 13).array
         eig = np.where(np.arange(m) < m // 2, 1.0, 0.0) + np.asarray(offsets)
         p = (v * eig) @ v.conj().T
         return 0.5 * (p + p.conj().T)
@@ -314,10 +314,16 @@ class TestProductCoveringCheck:
         for eps in (0.6, 1.0, 1.5, 2.0):
             assert product_covering_check(s1, s2, eps).passed
 
-    def test_size_limit(self):
-        big = FiniteMetricSpace.cycle(16)
-        with pytest.raises(ValueError, match="limit"):
-            product_covering_check(big, big, 1.0)
+    def test_size_limit(self, monkeypatch):
+        # an oversized factor is refused before the product is built
+        def refuse(*args):
+            raise AssertionError("product built before the factor limit check")
+
+        monkeypatch.setattr("dynnets.metric.product_space", refuse)
+        small, big = FiniteMetricSpace.cycle(3), FiniteMetricSpace.cycle(16)
+        for pair in ((big, big), (big, small), (small, big)):
+            with pytest.raises(ValueError, match="limit"):
+                product_covering_check(*pair, 1.0)
 
 
 class TestQuotientCoveringCheck:
@@ -339,6 +345,25 @@ class TestQuotientCoveringCheck:
         # quotient of Z_8 by {0, 4} behaves like Z_4
         z4_cover = brute_force_covering_number(FiniteMetricSpace.cycle(4), 1.0)
         assert report.quotient_cover_eps == z4_cover
+
+    @pytest.mark.parametrize("order, sub", [
+        (8, 2), (12, 3), (12, 4), (6, 1), (6, 6), (30, 5)])
+    def test_quotient_metric_matches_loop(self, monkeypatch, order, sub):
+        searched = []
+        search = brute_force_covering_number
+
+        def spy(space, epsilon, **kwargs):
+            searched.append(space)
+            return search(space, epsilon, **kwargs)
+
+        monkeypatch.setattr("dynnets.metric.brute_force_covering_number", spy)
+        quotient_covering_check(order, sub, 1.0)
+        gmat = FiniteMetricSpace.cycle(order).matrix
+        step = order // sub
+        loop = [[min(gmat[a, (b + h) % order] for h in range(0, order, step))
+                 for b in range(step)] for a in range(step)]
+        # the searches run on G, H, G / H and G in that order
+        assert np.array_equal(searched[2].matrix, loop)
 
     def test_spec_triples_many_epsilons(self):
         for order, sub in ((8, 2), (12, 3), (12, 4)):

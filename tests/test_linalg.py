@@ -13,7 +13,6 @@ from dynnets.linalg import (
     _exp_skew_series,
     _exp_skew_stack,
     _greedy_packing,
-    _haar_batch,
     _haar_qr,
     _nearest,
     _norm_within,
@@ -28,7 +27,17 @@ from dynnets.linalg import (
     spectral_width,
 )
 from dynnets.grassmann import empirical_grassmann_packing
-from dynnets.unitary_nets import empirical_packing_lower_bound
+from dynnets.unitary_nets import (
+    UnitaryNet,
+    empirical_covering_check,
+    empirical_packing_lower_bound,
+)
+
+
+def haar_stack(n, count, rng):
+    """count Haar unitaries: every real part drawn, then every imaginary part."""
+    g = rng.standard_normal((2, count, n, n))
+    return _haar_qr(g[0], g[1])
 
 
 class TestOperatorNorm:
@@ -58,7 +67,7 @@ class TestOperatorNorm:
         # singular values packed into [0.999, 1]: an iterative estimate that
         # stops when it stagnates lands below the true norm here
         n = 128
-        u, v = _haar_batch(n, 2, np.random.default_rng(7))
+        u, v = haar_stack(n, 2, np.random.default_rng(7))
         a = (u * np.linspace(0.999, 1.0, n)) @ v
         svd_max = np.linalg.svd(a, compute_uv=False)[0]
         eps = np.finfo(float).eps
@@ -94,7 +103,7 @@ class TestMatrixClasses:
     @staticmethod
     def _near_unitary(defects):
         # U = Q diag(sqrt(1 + d)) has U^dag U - 1 = diag(d) up to rounding
-        q = _haar_batch(len(defects), 1, np.random.default_rng(11))[0]
+        q = haar_stack(len(defects), 1, np.random.default_rng(11))[0]
         return q * np.sqrt(1.0 + np.asarray(defects))
 
     def test_unitary_accepts_defect_above_tol_in_frobenius_norm(self):
@@ -144,7 +153,7 @@ class TestNearest:
         rng = np.random.default_rng(30 + n)
         basis = skew_basis(n)
         for _ in range(200):
-            target = _haar_batch(n, 1, rng)[0]
+            target = haar_stack(n, 1, rng)[0]
             coeffs = rng.standard_normal((64, n * n))
             radii = 10.0 ** rng.uniform(-12.0, -7.0, 64)
             coeffs *= (radii / np.linalg.norm(coeffs, axis=1))[:, None]
@@ -160,8 +169,8 @@ class TestNearest:
         # the operator-norm nearest is often not the Frobenius nearest, so
         # this fails if the bracket's sqrt(rank) factor is dropped
         rng = np.random.default_rng(40 + n)
-        targets = _haar_batch(n, 64, rng)
-        elements = _haar_batch(n, 500, rng)
+        targets = haar_stack(n, 64, rng)
+        elements = haar_stack(n, 500, rng)
         svd = np.linalg.svd(targets[:, None] - elements[None],
                             compute_uv=False)[..., 0]
         idx, dist = _nearest(targets, elements, n)
@@ -173,8 +182,8 @@ class TestNearest:
         # U - V two nearly equal singular values
         rng = np.random.default_rng(20)
         count = 2000
-        u = _haar_batch(2, count, rng)
-        q = _haar_batch(2, count, rng)
+        u = haar_stack(2, count, rng)
+        q = haar_stack(2, count, rng)
         theta = rng.uniform(0.05, 3.0, count)
         delta = 10.0 ** rng.uniform(-16.0, -4.0, count)
         phases = np.stack([np.exp(1j * theta),
@@ -203,7 +212,7 @@ class TestGreedyPacking:
     @pytest.mark.parametrize("seed", range(10))
     def test_unitary_packing_matches_svd_greedy(self, seed):
         rng = np.random.default_rng(seed)
-        draws = [_haar_batch(2, 1, rng)[0] for _ in range(300)]
+        draws = [haar_stack(2, 1, rng)[0] for _ in range(300)]
         assert (empirical_packing_lower_bound(2, 0.5, 300, seed)
                 == _svd_greedy_count(draws, 0.5))
 
@@ -212,7 +221,7 @@ class TestGreedyPacking:
     @pytest.mark.parametrize("seed", range(10))
     def test_grassmann_packing_matches_svd_greedy(self, n, m, seed):
         rng = np.random.default_rng(seed)
-        bases = [_haar_batch(m, 1, rng)[0][:, :n] for _ in range(200)]
+        bases = [haar_stack(m, 1, rng)[0][:, :n] for _ in range(200)]
         expected = _svd_greedy_count([b @ b.conj().T for b in bases], 0.5)
         assert empirical_grassmann_packing(n, m, 0.5, 200, seed) == expected
 
@@ -377,12 +386,13 @@ class TestStackedDraws:
         # both empirical packings draw (trials, 2, n, n) in one call
         g = np.random.default_rng(21).standard_normal((9, 2, n, n))
         rng = np.random.default_rng(21)
-        loop = np.concatenate([_haar_batch(n, 1, rng) for _ in range(9)])
+        loop = np.concatenate([haar_stack(n, 1, rng) for _ in range(9)])
         assert np.array_equal(_haar_qr(g[:, 0], g[:, 1]), loop)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_haar_batch_draws_real_then_imaginary_parts(self, n):
-        # verify nets and the benchmark's covering reference draw this way
+        # the covering check behind verify nets draws each batch this way,
+        # as does the benchmark's covering reference
         rng = np.random.default_rng(4)
         re = rng.standard_normal((6, n, n))
         im = rng.standard_normal((6, n, n))
@@ -391,8 +401,11 @@ class TestStackedDraws:
             q, r = np.linalg.qr(z)
             d = np.diagonal(r)
             expect.append(q * (d / np.abs(d)))
-        assert np.array_equal(_haar_batch(n, 6, np.random.default_rng(4)),
-                              np.array(expect))
+        expect = np.array(expect)
+        assert np.array_equal(haar_stack(n, 6, np.random.default_rng(4)), expect)
+        net = UnitaryNet(n, 2.0, np.eye(n, dtype=complex)[None])
+        gap = _nearest(expect, net.matrices, n)[1].max()
+        assert empirical_covering_check(net, 6, seed=4) == (gap, True)
 
     @pytest.mark.parametrize("n", [1, 3, 8])
     def test_skew_ball_rows_are_one_matrix_draws(self, n):

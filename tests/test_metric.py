@@ -205,15 +205,34 @@ class TestVerifiers:
 class TestBruteForce:
     def test_matches_exhaustive_enumeration(self):
         rng = np.random.default_rng(11)
+        cases = []
         for trial in range(25):
             space = random_space(rng, int(rng.integers(3, 9)))
             scale = float(np.median(space.matrix[space.matrix > 0]))
-            for frac in (0.3, 0.7, 1.2):
-                eps = frac * scale
-                assert (brute_force_covering_number(space, eps)
-                        == exhaustive_covering_number(space, eps))
-                assert (brute_force_packing_number(space, eps)
-                        == exhaustive_packing_number(space, eps))
+            cases += [(space, frac * scale) for frac in (0.3, 0.7, 1.2)]
+        # ties: cycles and integer-grid points with eps at each pairwise
+        # distance, where strict packing and closed covering decide
+        spaces = [FiniteMetricSpace.cycle(n) for n in range(3, 11)]
+        for _ in range(12):
+            grid = np.unique(rng.integers(0, 4, size=(10, 2)), axis=0)
+            spaces.append(FiniteMetricSpace.from_coords(grid))
+        for space in spaces:
+            cases += [(space, eps)
+                      for eps in np.unique(space.matrix[space.matrix > 0])]
+        for space, eps in cases:
+            assert (brute_force_covering_number(space, eps)
+                    == exhaustive_covering_number(space, eps))
+            assert (brute_force_packing_number(space, eps)
+                    == exhaustive_packing_number(space, eps))
+
+    def test_eight_by_eight_torus(self):
+        # criterion 7's C8 x C8 under the max metric: the lemma inputs on
+        # which the searches go deepest
+        c8 = FiniteMetricSpace.cycle(8)
+        torus = product_space(c8, c8)
+        for eps, pack, cover in ((1.0, 16, 8), (1.5, 16, 8), (2.0, 5, 4)):
+            assert brute_force_packing_number(torus, eps, limit=64) == pack
+            assert brute_force_covering_number(torus, eps, limit=64) == cover
 
     def test_sandwich_inequality(self):
         rng = np.random.default_rng(23)
