@@ -14,6 +14,7 @@ import numpy as np
 
 from .linalg import UnitaryMatrix, _require_hermitian
 from .logdomain import LogBound, finite_log, int_power
+from .unitary_nets import UnitaryNet
 
 _DENSE_DIM_LIMIT = 4096
 
@@ -175,8 +176,10 @@ def discretize_circuit(circuit: Circuit, net) -> tuple[Circuit, float]:
     """Replace every gate by a net element; returns the circuit and error bound.
 
     The net acts on d^k-dimensional gates; smaller gates are padded with
-    identity factors. The bound is the sum of realized per-gate distances,
-    which dominates the operator-norm deviation of the full circuit unitary.
+    identity factors. An explicit net (``UnitaryNet``) snaps all the padded
+    gates in one stacked search; an ``ImplicitGridNet`` rounds them one by
+    one. The bound is the sum of realized per-gate distances, which
+    dominates the operator-norm deviation of the full circuit unitary.
     """
     reg = circuit.register
     n = net.n
@@ -190,13 +193,18 @@ def discretize_circuit(circuit: Circuit, net) -> tuple[Circuit, float]:
         if len(g.support) > k:
             raise ValueError(
                 f"gate on {len(g.support)} sites exceeds the net's {k} sites")
-    snap = getattr(net, "nearest", None) or net.round
+    padded = [_pad_gate(gate, k, reg.L, reg.d) for gate in circuit.gates]
+    if isinstance(net, UnitaryNet):
+        targets = np.array([g.matrix.array for g in padded]).reshape(-1, n, n)
+        idx, dists = net._search(targets)
+        snapped = [(UnitaryMatrix(net.matrices[i], _validated=True), d)
+                   for i, d in zip(idx, dists)]
+    else:
+        snapped = [net.round(g.matrix) for g in padded]
     new_gates = []
     total = 0.0
-    for gate in circuit.gates:
-        padded = _pad_gate(gate, k, reg.L, reg.d)
-        element, dist = snap(padded.matrix)
-        new_gates.append(Gate(padded.support, element))
+    for gate, (element, dist) in zip(padded, snapped):
+        new_gates.append(Gate(gate.support, element))
         total += float(dist)
     return Circuit(reg, new_gates), total
 

@@ -3,7 +3,10 @@
 Operator norms, skew-Hermitian exponentials, Haar-random unitaries, principal
 logarithms, the two-sided Lipschitz comparison for the exponential map, and
 the Frobenius-bracket search behind nearest-element queries and greedy
-packings. Everything here is deterministic for a fixed seed.
+packings. The search keeps one row per matrix, [e, 1, (1 + c)|E|^2] for
+an element and [-2t, (1 + c)|T|^2, 1] for a target, so one GEMM of the
+two gives every pair's upper bound on ||T - E||_F^2 with its rounding
+slack already added. Everything here is deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ import scipy.linalg
 UNITARY_TOL = 1e-10
 SKEW_TOL = 1e-12
 HERMITIAN_TOL = 1e-10
-# (target, element) pairs per block of a nearest-element search
+# (target, element) pairs per block of a nearest-element search: the block's
+# GEMM output of up2 bounds is 8 MB of float64
 _PAIR_BLOCK = 1 << 20
 # Entry m - 1 is the largest 1-norm theta at which the degree-m Taylor
 # polynomial of exp meets theta^(m+1) / (m+1)! * e^theta <= 2^-53, rounded
@@ -55,57 +59,78 @@ def _opnorm_stack(stack: np.ndarray) -> np.ndarray:
     return np.linalg.svd(stack, compute_uv=False)[..., 0]
 
 
-def _flat_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real [re, im] rows of a (count, n, n) stack and their squared norms."""
-    flat = np.ascontiguousarray(stack, dtype=complex).reshape(len(stack), -1)
-    flat = flat.view(float)
-    return flat, np.einsum("ij,ij->i", flat, flat)
+def _bracket_slack(k: int) -> float:
+    """The relative slack c of the bracket rows, for k real entries per row.
 
-
-def _frobenius_bracket(t: np.ndarray, tsq: np.ndarray, e: np.ndarray,
-                       esq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds lo2 <= ||T_i - E_j||_F^2 <= up2 for every (target, element) pair.
-
-    Takes ``_flat_stack`` rows and norms. ||T - E||_F^2 = |T|^2 + |E|^2
-    - 2 Re<T, E>, and the inner products of the whole block are one real GEMM.
+    One GEMM of a target row [-2t, (1 + c)|T|^2, 1] with an element row
+    [e, 1, (1 + c)|E|^2] gives up2 = ||T - E||_F^2 + c S, S = |T|^2 + |E|^2,
+    and lo2 = up2 - 2 c S. With u = eps / 2:
+    - 1 + c is exact, c being a multiple of eps below 1, and so is -2t.
+    - |T|^2 is a dot of k terms, off by at most k u |T|^2, and its product
+      with 1 + c adds u: the two row entries are off by (k + 1) u S at most.
+    - The GEMM's dot of k + 2 terms is off by at most (k + 2) u times the
+      sum of their magnitudes, 2 |t| . |e| + (1 + c) S <= (2 + c) S.
+    So up2 is off by at most about (3k + 5) u S from ||T - E||_F^2 + c S.
+    c = (3k + 5) eps doubles that to cover the SVD's own rounding of the
+    norms the bracket is compared with.
     """
-    total = np.add.outer(tsq, esq)
-    fro2 = t @ e.T
-    fro2 *= -2.0
-    fro2 += total
-    # |T|^2, |E|^2 and Re<T, E> are dot products of k = 2 n^2 real terms, each
-    # off by at most gamma_k ~ k eps / 2 times its sum of |products|: |T|^2,
-    # |E|^2 and at most (|T|^2 + |E|^2) / 2. With the two additions, fro2 is
-    # off by at most about (k + 1.5) eps (|T|^2 + |E|^2). The slack doubles
-    # (k + 2) to cover the SVD's own rounding of the norms it is compared with.
-    total *= (2 * t.shape[1] + 4) * np.finfo(float).eps
-    lo2 = fro2 - total
-    fro2 += total
-    return lo2, np.maximum(fro2, 0.0, out=fro2)
+    return (3 * k + 5) * np.finfo(float).eps
 
 
-def _nearest(targets: np.ndarray, elements: np.ndarray,
+def _search_rows(stack: np.ndarray) -> np.ndarray:
+    """Element rows [e, 1, (1 + c)|E|^2] of a (count, n, n) stack.
+
+    e holds a matrix's entries as real [re, im] pairs, so Re<T, E> = t . e.
+    """
+    count, n, m = stack.shape
+    flat = np.ascontiguousarray(stack, dtype=complex).reshape(count, n * m)
+    flat = flat.view(float)
+    k = flat.shape[1]
+    rows = np.empty((count, k + 2))
+    rows[:, :k] = flat
+    rows[:, k] = 1.0
+    np.einsum("ij,ij->i", flat, flat, out=rows[:, k + 1])
+    rows[:, k + 1] *= 1.0 + _bracket_slack(k)
+    return rows
+
+
+def _target_rows(rows: np.ndarray) -> np.ndarray:
+    """Target rows [-2t, (1 + c)|T|^2, 1] from a stack's element rows."""
+    out = np.empty_like(rows)
+    np.multiply(rows[:, :-2], -2.0, out=out[:, :-2])
+    out[:, -2] = rows[:, -1]
+    out[:, -1] = 1.0
+    return out
+
+
+def _nearest(targets: np.ndarray, elements: np.ndarray, rows: np.ndarray,
              rank: int) -> tuple[np.ndarray, np.ndarray]:
     """Index of and operator-norm distance to each target's nearest element.
 
-    Every difference has rank at most ``rank``, so ||D||_F / sqrt(rank) <=
-    ||D|| <= ||D||_F: an element whose lower bound exceeds the smallest upper
-    bound of its row cannot be nearest. Only the survivors get an SVD of their
-    explicit difference, and ties go to the first index, as with argmin.
-    Targets run in blocks of at most ``_PAIR_BLOCK`` pairs.
+    ``rows`` are the elements' ``_search_rows``. Every difference has rank at
+    most ``rank``, so ||D||_F / sqrt(rank) <= ||D|| <= ||D||_F: an element
+    whose lo2 exceeds rank times the smallest up2 of its row (the bracket of
+    ``_bracket_slack``) cannot be nearest. Only the survivors get an SVD of
+    their explicit difference, and ties go to the first index, as with
+    argmin. Targets run in blocks of at most ``_PAIR_BLOCK`` pairs.
     """
-    t, tsq = _flat_stack(targets)
-    e, esq = _flat_stack(elements)
-    idx = np.empty(len(targets), dtype=np.intp)
-    dist = np.empty(len(targets))
-    block = max(1, _PAIR_BLOCK // len(elements))
-    for start in range(0, len(targets), block):
-        stop = min(start + block, len(targets))
-        lo2, up2 = _frobenius_bracket(t[start:stop], tsq[start:stop], e, esq)
-        rows, cols = np.nonzero(lo2 <= rank * up2.min(axis=1, keepdims=True))
-        norms = _opnorm_stack(targets[start + rows] - elements[cols])
-        order = np.lexsort((cols, norms, rows))
-        ranked = rows[order]
+    t = _target_rows(_search_rows(targets))
+    c = _bracket_slack(t.shape[1] - 2)
+    # lo2 = up2 - 2c (|T|^2 + |E|^2) is at least up2 - 2c (|T|^2 + max |E|^2),
+    # so comparing up2 with the widened limit keeps every pair whose lo2
+    # passes, with no pass over the block beyond the GEMM and the min
+    widen = (2.0 * c / (1.0 + c)) * (t[:, -2] + rows[:, -1].max(initial=0.0))
+    idx = np.empty(len(t), dtype=np.intp)
+    dist = np.empty(len(t))
+    block = max(1, _PAIR_BLOCK // len(rows))
+    for start in range(0, len(t), block):
+        stop = min(start + block, len(t))
+        up2 = t[start:stop] @ rows.T
+        limit = rank * up2.min(axis=1) + widen[start:stop]
+        hits, cols = np.nonzero(up2 <= limit[:, None])
+        norms = _opnorm_stack(targets[start + hits] - elements[cols])
+        order = np.lexsort((cols, norms, hits))
+        ranked = hits[order]
         first = order[np.r_[True, ranked[1:] != ranked[:-1]]]
         idx[start:stop] = cols[first]
         dist[start:stop] = norms[first]
@@ -117,26 +142,29 @@ def _greedy_packing(candidates: np.ndarray, rank: int, epsilon: float) -> int:
 
     A candidate is kept unless a kept element lies within epsilon of it in
     operator norm, every difference having rank at most ``rank``. The
-    Frobenius bracket rejects on ||D||_F <= epsilon and accepts on
-    ||D||_F > sqrt(rank) epsilon; only the pairs in between get an SVD.
+    bracket of ``_bracket_slack`` rejects on up2 <= epsilon^2 and accepts on
+    lo2 > rank epsilon^2; only the pairs in between get an SVD.
     """
-    flat, sq = _flat_stack(candidates)
+    rows = _search_rows(candidates)
+    targets = _target_rows(rows)
+    c = _bracket_slack(rows.shape[1] - 2)
+    # rows end in (1 + c)|E|^2, so 2c |E|^2 is this times the row's last entry
+    shrink = 2.0 * c / (1.0 + c)
     kept = np.empty(candidates.shape, dtype=complex)
-    kept_flat = kept.reshape(len(kept), -1).view(float)
-    kept_sq = np.empty_like(sq)
+    kept_rows = np.empty_like(rows)
     eps2 = epsilon * epsilon
     count = 0
-    for cand, row, norm2 in zip(candidates, flat, sq):
-        lo2, up2 = _frobenius_bracket(row[None], norm2[None],
-                                      kept_flat[:count], kept_sq[:count])
+    for cand, row, target in zip(candidates, rows, targets):
+        up2 = kept_rows[:count] @ target
         if (up2 <= eps2).any():
             continue
-        undecided = lo2[0] <= rank * eps2
+        lo2 = up2 - shrink * (target[-2] + kept_rows[:count, -1])
+        undecided = lo2 <= rank * eps2
         if (undecided.any()
                 and (_opnorm_stack(kept[:count][undecided] - cand) <= epsilon).any()):
             continue
         kept[count] = cand
-        kept_sq[count] = norm2
+        kept_rows[count] = row
         count += 1
     return count
 

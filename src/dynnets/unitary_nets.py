@@ -31,6 +31,7 @@ from .linalg import (
     _nearest,
     _norm_within,
     _opnorm_stack,
+    _search_rows,
     matrix_exp,
     operator_norm,
     principal_log,
@@ -42,7 +43,7 @@ from .metric import COVERING_SLACK
 _GRID_DIM_LIMIT = 2
 _CANDIDATE_CAP = 20_000_000
 _MAX_ELEMENTS = 5_000_000
-_CHUNK = 65536
+_CHUNK = 8192
 _NET_HEADER = struct.Struct("<IdQ")
 _NET_ENTRY = np.dtype("<c16")
 
@@ -78,40 +79,62 @@ def unitary_covering_bounds(n: int, epsilon: float) -> UnitaryCoveringBounds:
     return UnitaryCoveringBounds(n, float(epsilon), lower, upper, True)
 
 
+def _check_net_args(n: int, epsilon: float) -> None:
+    """Refuse a net dimension below 1 or an epsilon that is not positive and finite."""
+    if n < 1:
+        raise ValueError("dimension must be at least 1")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError("epsilon must be positive and finite")
+
+
 class UnitaryNet:
-    """A finite set of unitaries intended as an epsilon-covering of U(n)."""
+    """A finite set of unitaries intended as an epsilon-covering of U(n).
+
+    The net keeps a read-only copy of the matrices and, beside it, their
+    search rows (``linalg._search_rows``), built once for every search.
+    """
 
     def __init__(self, n: int, epsilon: float, matrices, construction_log=None):
-        arr = np.ascontiguousarray(matrices, dtype=complex)
+        _check_net_args(n, epsilon)
+        arr = np.array(matrices, dtype=complex, order="C")
         if arr.ndim != 3 or arr.shape[1:] != (n, n):
             raise ValueError(f"expected a (count, {n}, {n}) stack, got {arr.shape}")
         if arr.shape[0] == 0:
             raise ValueError("net must contain at least one element")
-        if not epsilon > 0:
-            raise ValueError("epsilon must be positive")
         eye = np.eye(n)
         for start in range(0, arr.shape[0], _CHUNK):
             chunk = arr[start:start + _CHUNK]
-            gram = np.einsum("cji,cjk->cik", np.conj(chunk), chunk) - eye
+            # U^dag U as a sum of the outer products of U's rows
+            gram = np.conj(chunk[:, 0, :, None]) * chunk[:, 0, None, :]
+            for j in range(1, n):
+                gram += np.conj(chunk[:, j, :, None]) * chunk[:, j, None, :]
+            gram -= eye
             ok = _norm_within(gram, UNITARY_TOL)
             if not ok.all():
                 worst = float(_opnorm_stack(gram[~ok]).max())
                 raise ValueError(f"net element is not unitary (defect {worst:.3e})")
         arr.setflags(write=False)
+        rows = _search_rows(arr)
+        rows.setflags(write=False)
         self.n = int(n)
         self.epsilon = float(epsilon)
         self.matrices = arr
+        self._rows = rows
         self.construction_log = dict(construction_log or {})
 
     def __len__(self) -> int:
         return self.matrices.shape[0]
+
+    def _search(self, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Nearest element's index and distance for each of a (count, n, n) stack."""
+        return _nearest(targets, self.matrices, self._rows, self.n)
 
     def nearest(self, u) -> tuple[UnitaryMatrix, float]:
         """Net element closest to ``u`` in operator norm, with its distance."""
         target = u.array if isinstance(u, UnitaryMatrix) else UnitaryMatrix(u).array
         if target.shape[0] != self.n:
             raise ValueError(f"expected a {self.n}-dimensional unitary")
-        idx, dist = _nearest(target[None], self.matrices, self.n)
+        idx, dist = self._search(target[None])
         return (UnitaryMatrix(self.matrices[idx[0]], _validated=True),
                 float(dist[0]))
 
@@ -160,14 +183,11 @@ def build_unitary_net(n: int, epsilon: float) -> UnitaryNet:
     off-diagonal row) pairs keeps |a| + r <= pi + eps, and B is formed only
     for the kept points. Diagonal rows go outer, so elements keep grid order.
     """
-    if n < 1:
-        raise ValueError("dimension must be at least 1")
+    _check_net_args(n, epsilon)
     if n > _GRID_DIM_LIMIT:
         raise ValueError(
             f"explicit grid construction supports n <= {_GRID_DIM_LIMIT}; "
             f"use ImplicitGridNet for n = {n}")
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
     dim = n * n
     spacing = 2.0 * epsilon / n
     # Past about 9e307 the spacing overflows to inf, and the box then holds
@@ -231,10 +251,7 @@ class ImplicitGridNet:
     """
 
     def __init__(self, n: int, epsilon: float):
-        if n < 1:
-            raise ValueError("dimension must be at least 1")
-        if not epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        _check_net_args(n, epsilon)
         self.n = int(n)
         self.epsilon = float(epsilon)
         self.spacing = 2.0 * epsilon / n
@@ -272,7 +289,7 @@ def empirical_covering_check(net: UnitaryNet, samples: int,
         batch = min(remaining, 2048)
         g = rng.standard_normal((2, batch, net.n, net.n))
         haar = _haar_qr(g[0], g[1])
-        gaps = _nearest(haar, net.matrices, net.n)[1]
+        gaps = net._search(haar)[1]
         max_gap = max(max_gap, float(gaps.max()))
         remaining -= batch
     return max_gap, max_gap <= net.epsilon + COVERING_SLACK

@@ -8,6 +8,7 @@ from dynnets.circuits import (
     Gate,
     QuditRegister,
     _apply_gate,
+    _pad_gate,
     circuit_covering_log_bound,
     circuit_from_json,
     circuit_to_json,
@@ -22,7 +23,7 @@ from dynnets.trotter import (
     HamiltonianTerm,
     TimeDependentHamiltonian,
 )
-from dynnets.unitary_nets import ImplicitGridNet, build_unitary_net
+from dynnets.unitary_nets import ImplicitGridNet, UnitaryNet, build_unitary_net
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -264,6 +265,41 @@ class TestDiscretizeCircuit:
                                   - circuit_unitary(c).array)
         assert deviation <= bound + 1e-10
         assert bound <= 2 * 0.4 + 1e-12
+
+    @pytest.mark.parametrize("n, L", [(2, 3), (4, 4)])
+    def test_stacked_search_is_per_gate_nearest(self, n, L):
+        # one- and two-site gates; on the U(4) net every one-site gate is
+        # padded to two sites first
+        if n == 2:
+            net = build_unitary_net(2, 0.5)
+        else:
+            net = UnitaryNet(4, 2.0, np.array(
+                [haar_unitary(4, seed=300 + i).array for i in range(500)]))
+        rng = np.random.default_rng(n)
+        gates = []
+        for i in range(3 * L):
+            if n == 4 and i % 2:
+                support = tuple(sorted(rng.choice(L, 2, replace=False).tolist()))
+                gates.append(Gate(support, haar_unitary(4, seed=400 + i)))
+            else:
+                gates.append(Gate((int(rng.integers(L)),),
+                                  haar_unitary(2, seed=400 + i)))
+        c = Circuit(QuditRegister(L, 2), gates)
+        c_net, bound = discretize_circuit(c, net)
+        total = 0.0
+        for gate, snapped in zip(c.gates, c_net.gates):
+            padded = _pad_gate(gate, n.bit_length() - 1, L, 2)
+            element, dist = net.nearest(padded.matrix)
+            assert snapped.support == padded.support
+            assert np.array_equal(snapped.matrix.array, element.array)
+            total += dist
+        assert bound == total
+        assert len(c_net.gates) == len(c.gates)
+
+    def test_empty_circuit(self):
+        c_net, bound = discretize_circuit(Circuit(QuditRegister(2, 2), []),
+                                          build_unitary_net(2, 0.8))
+        assert c_net.gates == () and bound == 0.0
 
     def test_net_dimension_must_be_power_of_d(self):
         from dynnets.unitary_nets import UnitaryNet

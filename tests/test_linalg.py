@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from dynnets.linalg import (
     SkewHermitian,
     UnitaryMatrix,
     _TAYLOR_THETA,
+    _bracket_slack,
     _exp_lipschitz_stack,
     _exp_skew_series,
     _exp_skew_stack,
@@ -16,7 +18,9 @@ from dynnets.linalg import (
     _haar_qr,
     _nearest,
     _norm_within,
+    _search_rows,
     _skew_ball_stack,
+    _target_rows,
     check_exp_lipschitz,
     haar_unitary,
     matrix_exp,
@@ -29,9 +33,15 @@ from dynnets.linalg import (
 from dynnets.grassmann import empirical_grassmann_packing
 from dynnets.unitary_nets import (
     UnitaryNet,
+    build_unitary_net,
     empirical_covering_check,
     empirical_packing_lower_bound,
 )
+
+
+def nearest(targets, elements, rank):
+    """_nearest against a stack whose search rows are built here."""
+    return _nearest(targets, elements, _search_rows(elements), rank)
 
 
 def haar_stack(n, count, rng):
@@ -160,7 +170,7 @@ class TestNearest:
             elements = target @ _exp_skew_stack(
                 np.einsum("cd,dij->cij", coeffs, basis))
             svd = np.linalg.svd(target - elements, compute_uv=False)[:, 0]
-            idx, dist = _nearest(target[None], elements, n)
+            idx, dist = nearest(target[None], elements, n)
             assert idx[0] == np.argmin(svd)
             assert dist[0] == svd.min()
 
@@ -173,7 +183,7 @@ class TestNearest:
         elements = haar_stack(n, 500, rng)
         svd = np.linalg.svd(targets[:, None] - elements[None],
                             compute_uv=False)[..., 0]
-        idx, dist = _nearest(targets, elements, n)
+        idx, dist = nearest(targets, elements, n)
         np.testing.assert_array_equal(idx, np.argmin(svd, axis=1))
         np.testing.assert_array_equal(dist, svd.min(axis=1))
 
@@ -190,11 +200,85 @@ class TestNearest:
                            np.exp(-1j * theta * (1.0 + delta))], axis=-1)
         v = u @ (q * phases[:, None, :]) @ np.conj(np.swapaxes(q, -1, -2))
         svd_max = np.linalg.svd(u - v, compute_uv=False)[:, 0]
-        dist = np.array([_nearest(u[i:i + 1], v[i:i + 1], 2)[1][0]
+        dist = np.array([nearest(u[i:i + 1], v[i:i + 1], 2)[1][0]
                          for i in range(count)])
         eps = np.finfo(float).eps
         assert np.all(dist >= svd_max * (1.0 - 4.0 * eps))
         assert np.all(dist <= svd_max * (1.0 + 1e-7))
+
+    @pytest.mark.parametrize("n, eps", [(1, 0.05), (1, 0.1), (1, 0.2),
+                                        (2, 0.5), (2, 0.8)])
+    def test_net_sweep_matches_svd_argmin(self, n, eps):
+        # Haar targets, the net's own elements, and targets equidistant from
+        # several elements up to rounding: U(1) midpoints of neighbouring
+        # phases and their conjugates; for U(2), targets that the grid's
+        # symmetries (X -> -X, transposition, diagonal swaps) tie
+        net = build_unitary_net(n, eps)
+        rng = np.random.default_rng(round(100 * eps) + n)
+        elements = net.matrices
+        if n == 1:
+            angles = np.sort(np.angle(elements[:, 0, 0]))
+            mid = np.exp(0.5j * (angles[1:] + angles[:-1]))[:, None, None]
+            targets = np.concatenate([haar_stack(1, 256, rng), mid,
+                                      np.conj(mid), elements])
+        else:
+            sym = np.array([np.eye(2), -np.eye(2), 1j * np.eye(2),
+                            np.diag([1, -1]), np.diag([1j, -1j]),
+                            [[0, 1], [1, 0]], [[0, 1], [-1, 0]]], dtype=complex)
+            haar = haar_stack(2, 8 if len(elements) > 10_000 else 32, rng)
+            targets = np.concatenate([haar, sym, elements[::len(elements) // 4]])
+        svd = np.linalg.svd(targets[:, None] - elements[None],
+                            compute_uv=False)[..., 0]
+        idx, dist = net._search(targets)
+        np.testing.assert_array_equal(idx, np.argmin(svd, axis=1))
+        np.testing.assert_array_equal(dist, svd.min(axis=1))
+
+    def test_duplicated_elements_give_the_first_index(self):
+        net = build_unitary_net(1, 0.1)
+        count = len(net)
+        stack = np.concatenate([net.matrices, net.matrices[::-1], net.matrices])
+        targets = np.concatenate([haar_stack(1, 64, np.random.default_rng(9)),
+                                  net.matrices])
+        svd = np.linalg.svd(targets[:, None] - stack[None],
+                            compute_uv=False)[..., 0]
+        idx, dist = nearest(targets, stack, 1)
+        np.testing.assert_array_equal(idx, np.argmin(svd, axis=1))
+        np.testing.assert_array_equal(dist, svd.min(axis=1))
+        assert idx.max() < count
+
+
+def _exact_bracket_gap(t, e):
+    """up2 - ||T - E||_F^2 and S = |T|^2 + |E|^2 in exact rational arithmetic."""
+    up2 = (_target_rows(_search_rows(t[None])) @ _search_rows(e[None]).T)[0, 0]
+    tf = [Fraction(x) for x in t.reshape(-1).view(float)]
+    ef = [Fraction(x) for x in e.reshape(-1).view(float)]
+    fro2 = sum((a - b) ** 2 for a, b in zip(tf, ef))
+    return Fraction(float(up2)) - fro2, sum(a * a for a in tf + ef)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_bracket_encloses_the_exact_distance(n):
+    # ||T - E||_F^2 <= up2 <= ||T - E||_F^2 + 2c S, so lo2 = up2 - 2c S sits
+    # below it. Adversarial rows: one entry 1, then k - 1 entries whose
+    # squares lie just below half an ulp of 1, so sums that add them to a
+    # large partial sum lose them; T against -T, T and a near copy of T.
+    # Then Haar pairs, and Haar T against -T turned by a small phase. Without
+    # the slack, up2 falls short of the distance by 3.9, 7.7 and 36.7 eps S
+    # on T against -T at n = 2, 4 and 8.
+    k = 2 * n * n
+    c = Fraction(_bracket_slack(k))
+    flat = np.full(k, math.sqrt(0.99 * np.finfo(float).eps / 2))
+    flat[0] = 1.0
+    t = flat.view(complex).reshape(n, n)
+    near = t.copy()
+    near[0, 0] += 1e-9
+    rng = np.random.default_rng(50 + n)
+    haar = haar_stack(n, 8, rng)
+    pairs = [(t, -t), (t, near), (-t, t), *zip(haar[:4], haar[4:]),
+             *((a, -a * np.exp(1e-3j)) for a in haar)]
+    for a, b in pairs:
+        gap, s = _exact_bracket_gap(a, b)
+        assert 0 <= gap <= 2 * c * s
 
 
 def _svd_greedy_count(candidates, epsilon):
@@ -224,6 +308,26 @@ class TestGreedyPacking:
         bases = [haar_stack(m, 1, rng)[0][:, :n] for _ in range(200)]
         expected = _svd_greedy_count([b @ b.conj().T for b in bases], 0.5)
         assert empirical_grassmann_packing(n, m, 0.5, 200, seed) == expected
+
+    @pytest.mark.parametrize("n, eps", [(1, 0.05), (1, 0.2), (2, 0.5),
+                                        (2, 0.8), (3, 1.0)])
+    def test_matches_svd_greedy_count(self, n, eps):
+        draws = haar_stack(n, 200, np.random.default_rng(round(100 * eps) + n))
+        assert _greedy_packing(draws, n, eps) == _svd_greedy_count(draws, eps)
+
+    @pytest.mark.parametrize("m", [5, 12, 31])
+    def test_lattice_ties_match_svd_greedy_count(self, m):
+        # m-th roots of unity and their half-step rotations, with epsilon at
+        # the SVD's own distances between lattice points: every decision is
+        # a tie up to rounding
+        roots = np.exp(2j * np.pi * np.arange(m) / m)
+        stack = np.concatenate([roots, roots * np.exp(1j * np.pi / m)])
+        stack = stack[np.random.default_rng(m).permutation(2 * m)][:, None, None]
+        for step in (1, 2, 3):
+            for eps in np.linalg.svd(stack[step:] - stack[:-step],
+                                     compute_uv=False)[:6, 0]:
+                assert (_greedy_packing(stack, 1, eps)
+                        == _svd_greedy_count(stack, eps))
 
     def test_exact_duplicate_rejected(self):
         u = haar_unitary(3, seed=8).array
@@ -404,7 +508,7 @@ class TestStackedDraws:
         expect = np.array(expect)
         assert np.array_equal(haar_stack(n, 6, np.random.default_rng(4)), expect)
         net = UnitaryNet(n, 2.0, np.eye(n, dtype=complex)[None])
-        gap = _nearest(expect, net.matrices, n)[1].max()
+        gap = nearest(expect, net.matrices, n)[1].max()
         assert empirical_covering_check(net, 6, seed=4) == (gap, True)
 
     @pytest.mark.parametrize("n", [1, 3, 8])

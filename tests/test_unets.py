@@ -1,4 +1,5 @@
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from dynnets import unitary_nets
 from dynnets.linalg import (
     _exp_skew_stack,
+    _search_rows,
     haar_unitary,
     operator_norm,
     skew_basis,
@@ -240,6 +242,50 @@ class TestUnitaryNetType:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             UnitaryNet(2, 0.5, np.zeros((0, 2, 2)))
+
+    def test_copies_the_callers_array(self, u2_net):
+        base = np.array(u2_net.matrices[:50])
+        kept = base.copy()
+        net = UnitaryNet(2, 2.0, base[:])
+        base[0] = 5.0
+        assert np.array_equal(net.matrices, kept)
+        assert not net.matrices.flags.writeable
+        assert not net._rows.flags.writeable
+        assert np.array_equal(net._rows, _search_rows(kept))
+        element, dist = net.nearest(kept[0])
+        assert dist == 0.0
+        assert np.array_equal(element.array, kept[0])
+
+
+_DIMENSION = r"^dimension must be at least 1$"
+_EPSILON = r"^epsilon must be positive and finite$"
+
+
+def _net_file(path, n, epsilon, count):
+    """A save_net file with the given header and all-ones entries."""
+    path.write_bytes(struct.pack("<IdQ", n, epsilon, count)
+                     + np.ones(count * n * n, dtype="<c16").tobytes())
+    return path
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda p: UnitaryNet(0, 0.5, np.zeros((1, 0, 0))), _DIMENSION),
+    (lambda p: build_unitary_net(0, 0.5), _DIMENSION),
+    (lambda p: build_unitary_net(-1, 0.5), _DIMENSION),
+    (lambda p: ImplicitGridNet(0, 0.5), _DIMENSION),
+    (lambda p: load_net(_net_file(p, 0, 0.5, 1)), _DIMENSION),
+    (lambda p: UnitaryNet(1, math.inf, np.ones((1, 1, 1))), _EPSILON),
+    (lambda p: UnitaryNet(1, 0.0, np.ones((1, 1, 1))), _EPSILON),
+    (lambda p: build_unitary_net(1, math.inf), _EPSILON),
+    (lambda p: build_unitary_net(2, -math.inf), _EPSILON),
+    (lambda p: ImplicitGridNet(2, math.inf), _EPSILON),
+    (lambda p: load_net(_net_file(p, 1, math.inf, 1)), _EPSILON),
+], ids=["UnitaryNet-n0", "build-n0", "build-n-1", "ImplicitGridNet-n0",
+        "load_net-n0", "UnitaryNet-inf", "UnitaryNet-zero", "build-inf",
+        "build-minus-inf", "ImplicitGridNet-inf", "load_net-inf"])
+def test_net_constructors_refuse_bad_dimension_or_epsilon(tmp_path, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(tmp_path / "net.bin")
 
 
 class TestEmpiricalCoveringCheck:
