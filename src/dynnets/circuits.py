@@ -2,19 +2,20 @@
 
 Site 0 is the leftmost tensor factor (most significant digit of the basis
 index). A gate's matrix is indexed row-major over its sorted support. Gate 0
-acts first, so the circuit unitary is g_{N-1} ... g_1 g_0.
+acts first, so the circuit unitary is g_{N-1} ... g_1 g_0. Discretization
+snaps all of a circuit's gates to a net in one stacked call of the net.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 
 import numpy as np
 
 from .linalg import UnitaryMatrix, _require_hermitian
 from .logdomain import LogBound, finite_log, int_power
-from .unitary_nets import UnitaryNet
 
 _DENSE_DIM_LIMIT = 4096
 
@@ -25,6 +26,7 @@ class QuditRegister:
     __slots__ = ("L", "d")
 
     def __init__(self, L: int, d: int):
+        L, d = _integer(L, "L"), _integer(d, "d")
         if L < 1:
             raise ValueError("register needs at least one site")
         if d < 2:
@@ -32,8 +34,7 @@ class QuditRegister:
         if d ** L > _DENSE_DIM_LIMIT:
             raise ValueError(
                 f"dense dimension {d}^{L} exceeds the limit {_DENSE_DIM_LIMIT}")
-        self.L = int(L)
-        self.d = int(d)
+        self.L, self.d = L, d
 
     @property
     def dim(self) -> int:
@@ -50,9 +51,16 @@ class QuditRegister:
         return f"QuditRegister(L={self.L}, d={self.d})"
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int; a bool, float, string or other non-integer raises."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
 def _checked_support(support, what: str) -> tuple[int, ...]:
     """A support as a tuple of sorted, distinct, non-negative site indices."""
-    sup = tuple(int(s) for s in support)
+    sup = tuple(_integer(s, f"{what} support site") for s in support)
     if not sup:
         raise ValueError(f"{what} support must be non-empty")
     if len(set(sup)) != len(sup):
@@ -158,13 +166,14 @@ def conjugate_observable(circuit: Circuit, observable) -> np.ndarray:
 
 
 def _pad_gate(gate: Gate, k: int, L: int, d: int) -> Gate:
-    """Extend a gate to exactly k sites by tensoring with identity factors."""
-    if len(gate.support) == k:
+    """Extend a gate to exactly k <= L sites by tensoring with identity factors."""
+    needed = k - len(gate.support)
+    if needed < 0:
+        raise ValueError(
+            f"gate on {len(gate.support)} sites exceeds the net's {k} sites")
+    if needed == 0:
         return gate
     extra = [s for s in range(L) if s not in gate.support]
-    needed = k - len(gate.support)
-    if len(extra) < needed:
-        raise ValueError("register too small to pad gate support")
     padded = tuple(sorted(gate.support + tuple(extra[:needed])))
     positions = tuple(padded.index(s) for s in gate.support)
     eye = np.eye(d ** k, dtype=complex)
@@ -176,10 +185,10 @@ def discretize_circuit(circuit: Circuit, net) -> tuple[Circuit, float]:
     """Replace every gate by a net element; returns the circuit and error bound.
 
     The net acts on d^k-dimensional gates; smaller gates are padded with
-    identity factors. An explicit net (``UnitaryNet``) snaps all the padded
-    gates in one stacked search; an ``ImplicitGridNet`` rounds them one by
-    one. The bound is the sum of realized per-gate distances, which
-    dominates the operator-norm deviation of the full circuit unitary.
+    identity factors, and the net snaps all the padded gates in one stacked
+    call (``UnitaryNet`` or ``ImplicitGridNet`` alike). The bound is the sum
+    of realized per-gate distances, which dominates the operator-norm
+    deviation of the full circuit unitary.
     """
     reg = circuit.register
     n = net.n
@@ -189,24 +198,14 @@ def discretize_circuit(circuit: Circuit, net) -> tuple[Circuit, float]:
             f"net dimension {n} is not a power of the local dimension {reg.d}")
     if k > reg.L:
         raise ValueError(f"net acts on {k} sites but the register has {reg.L}")
-    for g in circuit.gates:
-        if len(g.support) > k:
-            raise ValueError(
-                f"gate on {len(g.support)} sites exceeds the net's {k} sites")
     padded = [_pad_gate(gate, k, reg.L, reg.d) for gate in circuit.gates]
-    if isinstance(net, UnitaryNet):
-        targets = np.array([g.matrix.array for g in padded]).reshape(-1, n, n)
-        idx, dists = net._search(targets)
-        snapped = [(UnitaryMatrix(net.matrices[i], _validated=True), d)
-                   for i, d in zip(idx, dists)]
-    else:
-        snapped = [net.round(g.matrix) for g in padded]
-    new_gates = []
+    targets = np.array([g.matrix.array for g in padded]).reshape(-1, n, n)
+    elements, dists = net._snap(targets)
     total = 0.0
-    for gate, (element, dist) in zip(padded, snapped):
-        new_gates.append(Gate(gate.support, element))
+    for dist in dists:  # in gate order, one float at a time
         total += float(dist)
-    return Circuit(reg, new_gates), total
+    return Circuit(reg, [Gate(g.support, UnitaryMatrix(e, _validated=True))
+                         for g, e in zip(padded, elements)]), total
 
 
 def circuit_covering_log_bound(d: int, k: int, L: int, n_gates: int,
@@ -279,12 +278,13 @@ def _parse_json(data, kind: str, items: str, fields: tuple[str, ...], what: str)
     if not isinstance(data, dict):
         raise ValueError(f"{kind} JSON must be an object, got {type(data).__name__}")
     try:
-        reg = QuditRegister(int(data["L"]), int(data["d"]))
+        L, d = _integer(data["L"], "L"), _integer(data["d"], "d")
         entries = data[items]
     except KeyError as exc:
         raise ValueError(f"{kind} JSON missing key {exc}") from None
-    except TypeError:
+    except ValueError:
         raise ValueError(f"{kind} JSON 'L' and 'd' must be integers") from None
+    reg = QuditRegister(L, d)
     if not isinstance(entries, (list, tuple)):
         raise ValueError(
             f"{kind} JSON {items!r} must be a list, got {type(entries).__name__}")
@@ -295,7 +295,7 @@ def _parse_json(data, kind: str, items: str, fields: tuple[str, ...], what: str)
                 raise ValueError(f"{kind} JSON item in {items!r} must be an "
                                  f"object, got {type(entry).__name__}")
             try:
-                support = tuple(int(s) for s in entry["support"])
+                support = tuple(entry["support"])
                 matrix, *rest = (entry[key] for key in fields)
             except KeyError as exc:
                 raise ValueError(

@@ -216,8 +216,6 @@ def _cmd_verify_kato(args) -> dict:
 
 
 def _cmd_verify_nets(args) -> dict:
-    if args.n not in (1, 2):
-        raise ValueError(f"argument --n: must be 1 or 2, got {args.n}")
     net = build_unitary_net(args.n, args.eps)
     max_gap, covered = empirical_covering_check(net, args.samples, args.seed)
     return {
@@ -369,7 +367,7 @@ def build_parser() -> _Parser:
     vsub = verify.add_subparsers(dest="check", required=True)
     _command(vsub, "trotter", "certify a Trotter run", _cmd_verify_trotter,
              hamiltonian=str, T=_float_non_negative, nt=_int_at_least_1)
-    # kato's 1 <= n <= m and nets' n in {1, 2} are checked by the handlers
+    # kato's 1 <= n <= m is checked by its handler
     _command(vsub, "lipschitz", "exp-map distortion bounds",
              _cmd_verify_lipschitz, n=_int_dense_dim, trials=_int_trials,
              seed=_int_non_negative, radius=_float_positive)
@@ -377,8 +375,8 @@ def build_parser() -> _Parser:
              _cmd_verify_kato, n=int, m=_int_dense_cap,
              trials=_int_trials, seed=_int_non_negative)
     _command(vsub, "nets", "unitary net covering check", _cmd_verify_nets,
-             n=int, samples=_int_at_least_1, seed=_int_non_negative,
-             eps=_finite_float)
+             n=_checked(int, lambda v: v in (1, 2), "1 or 2"),
+             samples=_int_at_least_1, seed=_int_non_negative, eps=_finite_float)
     vlem = _command(vsub, "lemmas", "exact small-instance lemma checks",
                     _cmd_verify_lemmas)
     vlem.add_argument("--which", choices=("product", "quotient", "sandwich"),

@@ -415,19 +415,21 @@ def skew_basis(n: int) -> np.ndarray:
 
 
 def principal_log(u) -> SkewHermitian:
-    """Principal logarithm of a unitary: skew-Hermitian X with exp(X) = U.
-
-    Eigenphases are taken in (-pi, pi], so ||X|| <= pi always. Computed from
-    the complex Schur form, which is diagonal for a unitary matrix.
-    """
+    """Principal logarithm of a unitary: skew-Hermitian X, ||X|| <= pi, e^X = U."""
     arr = u.array if isinstance(u, UnitaryMatrix) else UnitaryMatrix(u).array
-    t, z = scipy.linalg.schur(arr, output="complex")
-    diag = np.diagonal(t)
-    # np.angle maps to (-pi, pi] with angle(-1) = +pi, as required.
-    theta = np.angle(diag)
-    x = (z * (1j * theta)) @ z.conj().T
-    x = 0.5 * (x - x.conj().T)
-    return SkewHermitian(x, _validated=True)
+    return SkewHermitian(_log_unitary_stack(arr[None])[0], _validated=True)
+
+
+def _log_unitary_stack(stack: np.ndarray) -> np.ndarray:
+    """``principal_log`` over a (count, n, n) stack, by one batched Schur call."""
+    if not len(stack):  # scipy's batched schur refuses a zero-size batch
+        return np.zeros(stack.shape, dtype=complex)
+    # The complex Schur form of a unitary is diagonal; np.angle takes its
+    # eigenphases in (-pi, pi], with angle(-1) = +pi.
+    t, z = scipy.linalg.schur(stack, output="complex")
+    theta = np.angle(np.diagonal(t, axis1=-2, axis2=-1))
+    x = (z * (1j * theta)[:, None, :]) @ np.conj(np.swapaxes(z, -1, -2))
+    return 0.5 * (x - np.conj(np.swapaxes(x, -1, -2)))
 
 
 def check_exp_lipschitz(x, y) -> tuple[float, float, float]:

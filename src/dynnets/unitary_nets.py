@@ -12,7 +12,8 @@ epsilon = 3.54, and at epsilon >= 2 a single element covers U(n), since any
 two unitaries lie within 2 of each other.
 An implicit variant materializes only the grid element nearest (in log
 coordinates) to a query, which is what makes discretization feasible for
-n >= 3 where the explicit grid is too large or pointless.
+n >= 3 where the explicit grid is too large or pointless. Both kinds snap
+a whole stack of unitaries in one call; their one-matrix methods wrap it.
 """
 
 from __future__ import annotations
@@ -26,15 +27,15 @@ import numpy as np
 from .linalg import (
     UNITARY_TOL,
     UnitaryMatrix,
+    _check_unitary,
+    _exp_skew_stack,
     _greedy_packing,
     _haar_qr,
+    _log_unitary_stack,
     _nearest,
     _norm_within,
     _opnorm_stack,
     _search_rows,
-    matrix_exp,
-    operator_norm,
-    principal_log,
     skew_basis,
 )
 from .logdomain import finite_log
@@ -87,6 +88,15 @@ def _check_net_args(n: int, epsilon: float) -> None:
         raise ValueError("epsilon must be positive and finite")
 
 
+def _snap_one(net, u) -> tuple[UnitaryMatrix, float]:
+    """The net's element for the unitary ``u`` and their distance, by ``_snap``."""
+    target = u if isinstance(u, UnitaryMatrix) else UnitaryMatrix(u)
+    if target.dim != net.n:
+        raise ValueError(f"expected a {net.n}-dimensional unitary")
+    elements, dists = net._snap(target.array[None])
+    return UnitaryMatrix(elements[0], _validated=True), float(dists[0])
+
+
 class UnitaryNet:
     """A finite set of unitaries intended as an epsilon-covering of U(n).
 
@@ -125,18 +135,12 @@ class UnitaryNet:
     def __len__(self) -> int:
         return self.matrices.shape[0]
 
-    def _search(self, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Nearest element's index and distance for each of a (count, n, n) stack."""
-        return _nearest(targets, self.matrices, self._rows, self.n)
+    def _snap(self, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Nearest element and its distance for each of a (count, n, n) stack."""
+        idx, dist = _nearest(targets, self.matrices, self._rows, self.n)
+        return self.matrices[idx], dist
 
-    def nearest(self, u) -> tuple[UnitaryMatrix, float]:
-        """Net element closest to ``u`` in operator norm, with its distance."""
-        target = u.array if isinstance(u, UnitaryMatrix) else UnitaryMatrix(u).array
-        if target.shape[0] != self.n:
-            raise ValueError(f"expected a {self.n}-dimensional unitary")
-        idx, dist = self._search(target[None])
-        return (UnitaryMatrix(self.matrices[idx[0]], _validated=True),
-                float(dist[0]))
+    nearest = _snap_one  # the element closest to u in operator norm
 
     def __repr__(self) -> str:
         return f"UnitaryNet(n={self.n}, epsilon={self.epsilon}, count={len(self)})"
@@ -255,19 +259,19 @@ class ImplicitGridNet:
         self.n = int(n)
         self.epsilon = float(epsilon)
         self.spacing = 2.0 * epsilon / n
-        self._basis = skew_basis(n)
+        # the basis as real [re, im] rows, so Re tr(B^dag X) = b . x
+        self._basis = skew_basis(n).reshape(n * n, n * n).view(float)
 
-    def round(self, u) -> tuple[UnitaryMatrix, float]:
-        """Grid element within epsilon of ``u`` and the realized distance."""
-        target = u if isinstance(u, UnitaryMatrix) else UnitaryMatrix(u)
-        if target.dim != self.n:
-            raise ValueError(f"expected a {self.n}-dimensional unitary")
-        x = principal_log(target).array
-        coeffs = np.real(np.einsum("dji,ji->d", np.conj(self._basis), x))
-        snapped = self.spacing * np.round(coeffs / self.spacing)
-        xg = np.einsum("d,dij->ij", snapped, self._basis)
-        element = UnitaryMatrix(matrix_exp(xg))
-        return element, operator_norm(element.array - target.array)
+    def _snap(self, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Grid element and its distance for each of a (count, n, n) stack."""
+        x = _log_unitary_stack(targets).reshape(-1, self.n ** 2).view(float)
+        snapped = self.spacing * np.round(x @ self._basis.T / self.spacing)
+        grid = (snapped @ self._basis).view(complex).reshape(targets.shape)
+        elements = _exp_skew_stack(grid)
+        _check_unitary(elements)
+        return elements, _opnorm_stack(elements - targets)
+
+    round = _snap_one  # the grid element within epsilon of u
 
     def __repr__(self) -> str:
         return f"ImplicitGridNet(n={self.n}, epsilon={self.epsilon})"
@@ -284,14 +288,10 @@ def empirical_covering_check(net: UnitaryNet, samples: int,
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     max_gap = 0.0
-    remaining = samples
-    while remaining > 0:
-        batch = min(remaining, 2048)
-        g = rng.standard_normal((2, batch, net.n, net.n))
-        haar = _haar_qr(g[0], g[1])
-        gaps = net._search(haar)[1]
+    for start in range(0, samples, 2048):
+        g = rng.standard_normal((2, min(samples - start, 2048), net.n, net.n))
+        gaps = net._snap(_haar_qr(g[0], g[1]))[1]
         max_gap = max(max_gap, float(gaps.max()))
-        remaining -= batch
     return max_gap, max_gap <= net.epsilon + COVERING_SLACK
 
 

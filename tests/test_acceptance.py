@@ -1,8 +1,10 @@
 """End-to-end acceptance checks, one per shipped guarantee.
 
-Each test prints a single PASS/FAIL line on the real stdout so the verdicts
-survive pytest capture. Tolerances are pinned as module constants; the
-stated runtime budgets are asserted where a guarantee includes one.
+Each test writes a single PASS/FAIL line, with the criterion's wall time,
+to the process's real stdout; pytest's default capture holds file
+descriptor 1 too, so run with ``-s`` to see the lines. Tolerances are
+pinned as module constants; the stated runtime budgets are asserted where
+a guarantee includes one.
 """
 
 import math
@@ -75,9 +77,11 @@ CIRCUIT_SLACK = 1e-9
 SLOPE_WINDOW = (-1.15, -0.85)
 
 
-def _report(num: int, label: str, ok: bool) -> None:
+def _report(num: int, label: str, ok: bool, start: float) -> None:
+    """Print the verdict and the wall time since ``start`` (perf_counter)."""
+    wall = time.perf_counter() - start
     sys.__stdout__.write(f"ACCEPTANCE {num} [{label}]: "
-                         f"{'PASS' if ok else 'FAIL'}\n")
+                         f"{'PASS' if ok else 'FAIL'} ({wall:.2f} s)\n")
     sys.__stdout__.flush()
 
 
@@ -143,7 +147,7 @@ def test_criterion_1_trotter_certificate():
     elapsed = time.perf_counter() - start
     slopes_ok = all(SLOPE_WINDOW[0] <= s <= SLOPE_WINDOW[1] for s in slopes)
     ok = not violations and slopes_ok and elapsed <= 300.0
-    _report(1, "Trotter certificate soundness", ok)
+    _report(1, "Trotter certificate soundness", ok, start)
     assert not violations, f"bound violated on instances {violations}"
     assert slopes_ok, f"log-log slopes {slopes} outside {SLOPE_WINDOW}"
     assert elapsed <= 300.0, f"runtime {elapsed:.1f}s exceeds 5 min"
@@ -168,7 +172,7 @@ def test_criterion_2_exp_map_lipschitz():
                              (lower - mid)[lower > mid + LIPSCHITZ_SLACK]]
     elapsed = time.perf_counter() - start
     ok = not failures and elapsed <= 120.0
-    _report(2, "Exp-map Lipschitz bounds", ok)
+    _report(2, "Exp-map Lipschitz bounds", ok, start)
     assert not failures, f"{len(failures)} violations, first: {failures[:3]}"
     assert elapsed <= 120.0, f"runtime {elapsed:.1f}s exceeds 2 min"
 
@@ -188,6 +192,7 @@ def _nearby_projector_pair(n, m, seed_a, seed_b, theta):
 
 
 def test_criterion_3_kato_construction():
+    start = time.perf_counter()
     failures = []
     for n, m in ((1, 2), (2, 4), (3, 8)):
         seeds = np.random.SeedSequence(55_000 + m).generate_state(
@@ -213,11 +218,12 @@ def test_criterion_3_kato_construction():
             if abs(deviation - closed) > KATO_CLOSED_FORM_SLACK * m:
                 failures.append((n, m, "closed form", deviation, closed))
     ok = not failures
-    _report(3, "Kato unitary construction", ok)
+    _report(3, "Kato unitary construction", ok, start)
     assert ok, f"{len(failures)} failures, first: {failures[:3]}"
 
 
 def test_criterion_4_sandwich():
+    start = time.perf_counter()
     rng = np.random.default_rng(40_404)
     failures = []
     for space_id in range(200):
@@ -237,11 +243,12 @@ def test_criterion_4_sandwich():
             if not (net.is_covering and net.is_packing):
                 failures.append((space_id, eps, "greedy"))
     ok = not failures
-    _report(4, "Covering/packing sandwich", ok)
+    _report(4, "Covering/packing sandwich", ok, start)
     assert ok, f"{len(failures)} failures, first: {failures[:3]}"
 
 
 def test_criterion_5_unitary_net_sanity():
+    start = time.perf_counter()
     failures = []
     for eps in (0.02, 0.05, 0.1):
         exact = circle_covering_number(eps)
@@ -252,11 +259,12 @@ def test_criterion_5_unitary_net_sanity():
     if not covered or max_gap > 0.5:
         failures.append(("haar-gap", max_gap))
     ok = not failures
-    _report(5, "Unitary net covering sanity", ok)
+    _report(5, "Unitary net covering sanity", ok, start)
     assert ok, f"failures: {failures}"
 
 
 def test_criterion_6_circuit_discretization():
+    start = time.perf_counter()
     from dynnets.unitary_nets import ImplicitGridNet
 
     rng = np.random.default_rng(60_606)
@@ -288,11 +296,12 @@ def test_criterion_6_circuit_discretization():
         if conj_err > limit:
             failures.append((circuit_id, "conjugation", conj_err, limit))
     ok = not failures
-    _report(6, "Circuit discretization", ok)
+    _report(6, "Circuit discretization", ok, start)
     assert ok, f"{len(failures)} failures, first: {failures[:3]}"
 
 
 def test_criterion_7_product_quotient_lemmas():
+    start = time.perf_counter()
     failures = []
     eps_values = (0.6, 1.0, 1.5, 2.0)
     for n1, n2 in ((8, 8), (6, 5), (4, 7), (8, 3)):
@@ -308,7 +317,7 @@ def test_criterion_7_product_quotient_lemmas():
             if not rep.passed:
                 failures.append(("quotient", order, sub, eps, rep.as_dict()))
     ok = not failures
-    _report(7, "Product and quotient covering lemmas", ok)
+    _report(7, "Product and quotient covering lemmas", ok, start)
     assert ok, f"failures: {failures[:3]}"
 
 
@@ -324,7 +333,7 @@ def test_criterion_8_crossover_growth():
     growing = all(a < b for a, b in zip(times, times[1:]))
     r2_ok = time_report.fit["r_squared"] >= 0.99
     ok = ratios_ok and growing and r2_ok and elapsed <= 10.0
-    _report(8, "Gate-count and time crossover growth", ok)
+    _report(8, "Gate-count and time crossover growth", ok, start)
     assert ratios_ok, f"per-site ratios {ratios} outside [3.5, 4.5]"
     assert growing, f"minimal times not increasing: {times}"
     assert r2_ok, f"log-linear fit R^2 {time_report.fit['r_squared']}"
@@ -332,6 +341,7 @@ def test_criterion_8_crossover_growth():
 
 
 def test_criterion_9_coarse_graining():
+    start = time.perf_counter()
     profile = degeneracy_profile_extensive_z(4)
     _, shift, deg1, deg2 = coarse_grain_spectrum(profile, 0.0, 2.0, 1.0)
 
@@ -352,7 +362,7 @@ def test_criterion_9_coarse_graining():
 
     ok = ((deg1, deg2) == (6, 4) == (count0, count2)
           and shift == 0.5 and distance <= 0.5)
-    _report(9, "Spectral coarse-graining", ok)
+    _report(9, "Spectral coarse-graining", ok, start)
     assert (deg1, deg2) == (6, 4)
     assert (count0, count2) == (6, 4)
     assert distance <= 0.5, f"reconstruction moved by {distance}"

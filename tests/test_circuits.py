@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from dynnets.trotter import (
     ConstantEnvelope,
     HamiltonianTerm,
     TimeDependentHamiltonian,
+    hamiltonian_from_json,
 )
 from dynnets.unitary_nets import ImplicitGridNet, UnitaryNet, build_unitary_net
 
@@ -63,6 +65,22 @@ class TestRegisterAndGate:
         with pytest.raises(ValueError):
             Circuit(QuditRegister(2, 2), [Gate((5,), haar_unitary(2, seed=0))])
 
+    @pytest.mark.parametrize("L, d, message", [
+        (1.5, 2, "L must be an integer, got 1.5"),
+        (True, 2, "L must be an integer, got True"),
+        ("3", 2, "L must be an integer, got '3'"),
+        (2, 2.0, "d must be an integer, got 2.0"),
+        (2, np.True_, "d must be an integer, got np.True_"),
+    ])
+    def test_register_refuses_non_integers(self, L, d, message):
+        with pytest.raises(ValueError) as exc:
+            QuditRegister(L, d)
+        assert str(exc.value) == message
+
+    def test_register_takes_numpy_integers(self):
+        reg = QuditRegister(np.int64(3), np.uint8(2))
+        assert (reg.L, reg.d) == (3, 2) and type(reg.L) is type(reg.d) is int
+
 
 def _gate_on(register, support, dim):
     return Circuit(register, [Gate(support, np.eye(dim))])
@@ -92,6 +110,24 @@ class TestSupportChecks:
         with pytest.raises(ValueError) as exc:
             build(QuditRegister(2, 2), support, dim)
         assert str(exc.value) == f"{what} {message}"
+
+    @pytest.mark.parametrize("what, build", [("gate", _gate_on),
+                                             ("term", _term_on)],
+                             ids=["gate", "term"])
+    @pytest.mark.parametrize("site", [1.7, 0.0, True, "0"])
+    def test_non_integer_site(self, what, build, site):
+        with pytest.raises(ValueError) as exc:
+            build(QuditRegister(2, 2), (site,), 2)
+        assert str(exc.value) == (
+            f"{what} support site must be an integer, got {site!r}")
+
+    @pytest.mark.parametrize("build", [_gate_on, _term_on],
+                             ids=["gate", "term"])
+    def test_numpy_integer_sites(self, build):
+        system = build(QuditRegister(2, 2), (np.int64(0), np.int32(1)), 4)
+        items = system.gates if isinstance(system, Circuit) else system.terms
+        assert items[0].support == (0, 1)
+        assert all(type(s) is int for s in items[0].support)
 
 
 def _kron_embedding(matrix, support, L, d):
@@ -266,15 +302,20 @@ class TestDiscretizeCircuit:
         assert deviation <= bound + 1e-10
         assert bound <= 2 * 0.4 + 1e-12
 
-    @pytest.mark.parametrize("n, L", [(2, 3), (4, 4)])
-    def test_stacked_search_is_per_gate_nearest(self, n, L):
-        # one- and two-site gates; on the U(4) net every one-site gate is
+    @pytest.mark.parametrize("n, L, grid", [(2, 3, False), (4, 4, False),
+                                            (4, 4, True)],
+                             ids=["2-3", "4-4", "grid-4-4"])
+    def test_stacked_search_is_per_gate_nearest(self, n, L, grid):
+        # one- and two-site gates; on the U(4) nets every one-site gate is
         # padded to two sites first
-        if n == 2:
+        if grid:
+            net = ImplicitGridNet(4, 0.4)
+        elif n == 2:
             net = build_unitary_net(2, 0.5)
         else:
             net = UnitaryNet(4, 2.0, np.array(
                 [haar_unitary(4, seed=300 + i).array for i in range(500)]))
+        one_gate = net.round if grid else net.nearest
         rng = np.random.default_rng(n)
         gates = []
         for i in range(3 * L):
@@ -289,7 +330,7 @@ class TestDiscretizeCircuit:
         total = 0.0
         for gate, snapped in zip(c.gates, c_net.gates):
             padded = _pad_gate(gate, n.bit_length() - 1, L, 2)
-            element, dist = net.nearest(padded.matrix)
+            element, dist = one_gate(padded.matrix)
             assert snapped.support == padded.support
             assert np.array_equal(snapped.matrix.array, element.array)
             total += dist
@@ -297,9 +338,12 @@ class TestDiscretizeCircuit:
         assert len(c_net.gates) == len(c.gates)
 
     def test_empty_circuit(self):
-        c_net, bound = discretize_circuit(Circuit(QuditRegister(2, 2), []),
-                                          build_unitary_net(2, 0.8))
-        assert c_net.gates == () and bound == 0.0
+        # scipy's batched Schur form, behind ImplicitGridNet, refuses an
+        # empty stack
+        for net in (build_unitary_net(2, 0.8), ImplicitGridNet(4, 0.4)):
+            c_net, bound = discretize_circuit(Circuit(QuditRegister(2, 2), []),
+                                              net)
+            assert c_net.gates == () and bound == 0.0
 
     def test_net_dimension_must_be_power_of_d(self):
         from dynnets.unitary_nets import UnitaryNet
@@ -359,6 +403,48 @@ class TestTopologyCountLog:
         assert topology_count_log(5, 2, 5) > base
         assert topology_count_log(4, 3, 5) > base
         assert topology_count_log(4, 2, 6) > base
+
+
+_JSON_FORMATS = {
+    "circuit": (circuit_from_json, "gates", "gate",
+                {"support": [0], "matrix": [[1, 0], [0, 0], [0, 0], [1, 0]]}),
+    "Hamiltonian": (hamiltonian_from_json, "terms", "term",
+                    {"support": [0], "base": [[1, 0], [0, 0], [0, 0], [1, 0]],
+                     "envelope": {"kind": "constant", "value": 1.0}}),
+}
+
+
+class TestJsonIntegers:
+    """Both JSON formats refuse a non-integer L, d or site instead of
+    truncating it, through the same checks as the API."""
+
+    @pytest.mark.parametrize("kind", list(_JSON_FORMATS))
+    @pytest.mark.parametrize("field, value", [
+        ("L", 1.5), ("L", True), ("L", "3"), ("d", 2.5), ("d", False)])
+    def test_register_field(self, kind, field, value):
+        parse, items, _, item = _JSON_FORMATS[kind]
+        data = {"L": 2, "d": 2, items: [item], field: value}
+        with pytest.raises(ValueError) as exc:
+            parse(data)
+        assert str(exc.value) == f"{kind} JSON 'L' and 'd' must be integers"
+
+    @pytest.mark.parametrize("kind", list(_JSON_FORMATS))
+    @pytest.mark.parametrize("site", [1.7, 1.0, True, "1"])
+    def test_support_site(self, kind, site):
+        parse, items, what, item = _JSON_FORMATS[kind]
+        data = {"L": 2, "d": 2, items: [{**item, "support": [site]}]}
+        with pytest.raises(ValueError) as exc:
+            parse(data)
+        assert str(exc.value) == (
+            f"{what} support site must be an integer, got {site!r}")
+
+    @pytest.mark.parametrize("kind", list(_JSON_FORMATS))
+    def test_integers_still_parse(self, kind):
+        parse, items, _, item = _JSON_FORMATS[kind]
+        parsed = parse(json.dumps({"L": 2, "d": 2,
+                                   items: [{**item, "support": [1]}]}))
+        assert (parsed.register.L, parsed.register.d) == (2, 2)
+        assert getattr(parsed, items)[0].support == (1,)
 
 
 class TestCircuitJson:

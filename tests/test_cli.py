@@ -299,6 +299,13 @@ class TestVerifyTrotter:
         (_document({**_TERM, "envelope": {"kind": "cosine", "amplitude": None,
                                           "omega": 2.0}}),
          "cosine envelope parameters must be numbers"),
+        # a non-integer L or site used to be truncated and certified
+        ({**_document(_TERM), "L": 1.5},
+         "Hamiltonian JSON 'L' and 'd' must be integers"),
+        ({**_document(_TERM), "L": True},
+         "Hamiltonian JSON 'L' and 'd' must be integers"),
+        (_document({**_TERM, "support": [0.0]}),
+         "term support site must be an integer, got 0.0"),
     ])
     def test_mistyped_field_exits_one(self, capsys, tmp_path, document,
                                       message):
@@ -761,13 +768,9 @@ class TestUsageErrors:
                                  capsys)
         assert code == 1
         assert out == ""
-        # the flag types refuse --samples and --seed while parsing, with the
-        # usage line; only n in {1, 2} is left to the handler
-        if "must be 1 or 2" in message:
-            assert err == f"dynnets: error: {message}\n"
-        else:
-            assert err.startswith("usage: dynnets verify nets ")
-            assert err.splitlines()[-1] == f"dynnets: error: {message}"
+        # the flag types refuse every flag while parsing, with the usage line
+        assert err.startswith("usage: dynnets verify nets ")
+        assert err.splitlines()[-1] == f"dynnets: error: {message}"
 
     def test_nets_tiny_epsilon_is_refused(self, capsys):
         code, out, err = run_cli(["verify", "nets", "--n", "2", "--eps",

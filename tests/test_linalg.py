@@ -16,6 +16,7 @@ from dynnets.linalg import (
     _exp_skew_stack,
     _greedy_packing,
     _haar_qr,
+    _log_unitary_stack,
     _nearest,
     _norm_within,
     _search_rows,
@@ -229,8 +230,9 @@ class TestNearest:
             targets = np.concatenate([haar, sym, elements[::len(elements) // 4]])
         svd = np.linalg.svd(targets[:, None] - elements[None],
                             compute_uv=False)[..., 0]
-        idx, dist = net._search(targets)
-        np.testing.assert_array_equal(idx, np.argmin(svd, axis=1))
+        snapped, dist = net._snap(targets)
+        # the net's elements are distinct, so equal elements mean equal indices
+        np.testing.assert_array_equal(snapped, elements[np.argmin(svd, axis=1)])
         np.testing.assert_array_equal(dist, svd.min(axis=1))
 
     def test_duplicated_elements_give_the_first_index(self):
@@ -574,6 +576,24 @@ class TestPrincipalLog:
         x = principal_log(-np.eye(2))
         w = np.linalg.eigvalsh(1j * x.array)
         np.testing.assert_allclose(np.abs(w), np.pi, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 5])
+    def test_stack_matches_one_at_a_time(self, n):
+        # Haar rows, then -I and a diagonal with the phase pi among others
+        special = [-np.eye(n), np.diag(np.exp(1j * np.pi * np.arange(n) / 2))]
+        stack = np.concatenate([haar_stack(n, 12, np.random.default_rng(n)),
+                                np.array(special, dtype=complex)])
+        logs = _log_unitary_stack(stack)
+        assert logs.shape == stack.shape
+        for u, x in zip(stack, logs):
+            np.testing.assert_array_equal(x, principal_log(u).array)
+        np.testing.assert_allclose(_exp_skew_stack(logs), stack, atol=1e-10)
+        # -I logs to i pi I: +pi, never -pi
+        np.testing.assert_allclose(logs[-2], 1j * np.pi * np.eye(n), atol=1e-12)
+
+    def test_empty_stack(self):
+        logs = _log_unitary_stack(np.zeros((0, 3, 3), dtype=complex))
+        assert logs.shape == (0, 3, 3) and logs.dtype == complex
 
 
 class TestExpLipschitz:
