@@ -112,7 +112,9 @@ def _nearest(targets: np.ndarray, elements: np.ndarray, rows: np.ndarray,
     whose lo2 exceeds rank times the smallest up2 of its row (the bracket of
     ``_bracket_slack``) cannot be nearest. Only the survivors get an SVD of
     their explicit difference, and ties go to the first index, as with
-    argmin. Targets run in blocks of at most ``_PAIR_BLOCK`` pairs.
+    argmin. Targets run in blocks of at most ``_PAIR_BLOCK`` pairs; a
+    block's survivors come from one flat scan of its row-major mask, and
+    divmod by the element count splits each into (target, element).
     """
     t = _target_rows(_search_rows(targets))
     c = _bracket_slack(t.shape[1] - 2)
@@ -127,7 +129,8 @@ def _nearest(targets: np.ndarray, elements: np.ndarray, rows: np.ndarray,
         stop = min(start + block, len(t))
         up2 = t[start:stop] @ rows.T
         limit = rank * up2.min(axis=1) + widen[start:stop]
-        hits, cols = np.nonzero(up2 <= limit[:, None])
+        hits, cols = np.divmod(np.flatnonzero(up2 <= limit[:, None]),
+                               len(rows))
         norms = _opnorm_stack(targets[start + hits] - elements[cols])
         order = np.lexsort((cols, norms, hits))
         ranked = hits[order]

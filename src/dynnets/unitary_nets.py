@@ -152,20 +152,6 @@ def _box(dim: int, m: int) -> np.ndarray:
     return np.indices((side,) * dim).reshape(dim, side ** dim).T - m
 
 
-def _phase_and_radius(z_diag: np.ndarray, q_off: np.ndarray, n: int,
-                      spacing: float) -> tuple[np.ndarray, np.ndarray]:
-    """a and r of -iX = a I + B, B traceless with ||B|| = r, for X = spacing * z.
-
-    ``z_diag`` holds the diagonal coordinates of z (last axis) and
-    ``q_off = n |z_off|^2`` broadcasts against them. q = n |z|^2 - tr(z)^2 is
-    exact in int64, and 0 for n = 1; for n <= 2, B has eigenvalues +-r, so
-    |B|_F^2 = n r^2 = spacing^2 q / n.
-    """
-    trace = z_diag.sum(axis=-1)
-    q = n * np.einsum("...d,...d->...", z_diag, z_diag) - trace * trace + q_off
-    return spacing * trace / n, spacing * np.sqrt(q / (2 * n))
-
-
 def build_unitary_net(n: int, epsilon: float) -> UnitaryNet:
     """Explicit grid net: certified epsilon-covering of U(n) for n <= 2.
 
@@ -182,10 +168,13 @@ def build_unitary_net(n: int, epsilon: float) -> UnitaryNet:
 
     Each grid point is split as -iX = a I + B with B traceless Hermitian.
     For n <= 2, B^2 = r^2 I, so ||X|| = |a| + r and
-    exp(X) = e^(ia) (cos r I + i (sin r / r) B) in closed form. a depends on
-    the diagonal coordinates alone, so one pass over (diagonal row,
-    off-diagonal row) pairs keeps |a| + r <= pi + eps, and B is formed only
-    for the kept points. Diagonal rows go outer, so elements keep grid order.
+    exp(X) = e^(ia) (cos r I + i (sin r / r) B) in closed form. a, e^(ia)
+    and the diagonal of B depend on the diagonal coordinates alone and the
+    off-diagonal entries of B on the others, so each is formed once per grid
+    row. One pass over (diagonal row, off-diagonal row) pairs keeps
+    |a| + r <= pi + eps; a kept point then gathers its two rows' parts of B
+    and its phase, and only cos r and sin r / r are its own. Diagonal rows go
+    outer, so elements keep grid order.
     """
     _check_net_args(n, epsilon)
     if n > _GRID_DIM_LIMIT:
@@ -206,35 +195,44 @@ def build_unitary_net(n: int, epsilon: float) -> UnitaryNet:
         raise ValueError(
             f"net too large: more than {_CANDIDATE_CAP} grid candidates")
 
+    # a = spacing tr(z) / n and r = spacing sqrt(q / (2n)) with
+    # q = n |z|^2 - tr(z)^2: B has eigenvalues +-r, so
+    # |B|_F^2 = n r^2 = spacing^2 q / n. q is exact in int64 and is the sum
+    # of a diagonal-row part and an off-diagonal-row part.
     z_diag, z_off = _box(n, m_diag), _box(dim - n, m_off)
+    trace = z_diag.sum(axis=1)
+    q_diag = n * np.einsum("cd,cd->c", z_diag, z_diag) - trace * trace
     q_off = n * np.einsum("cd,cd->c", z_off, z_off)
+    a = scale * trace / n
     rows = max(1, _CHUNK // len(z_off))
     keep = np.empty((len(z_diag), len(z_off)), dtype=bool)
     for start in range(0, len(z_diag), rows):
         block = slice(start, start + rows)
-        a, r = _phase_and_radius(z_diag[block, None], q_off, n, scale)
-        keep[block] = np.abs(a) + r <= math.pi + epsilon + 1e-12
+        r = scale * np.sqrt((q_diag[block, None] + q_off) / (2 * n))
+        keep[block] = np.abs(a[block, None]) + r <= math.pi + epsilon + 1e-12
     kept = np.flatnonzero(keep)
     count = kept.size
     if count > _MAX_ELEMENTS:
         raise ValueError(
             f"net too large: retained element count exceeds {_MAX_ELEMENTS}")
 
-    # -i times the basis as real pairs: one real GEMM of the coordinates
-    # onto it gives the Hermitian matrices -iX
+    # -i times the basis as real pairs: a real GEMM of a row's coordinates
+    # onto its part of the basis gives that row's share of -iX. Each entry
+    # of -iX takes one coordinate, so the sum h_diag[d] + h_off[o] is exact.
     herm = (-1j * skew_basis(n)).reshape(dim, dim).view(float)
     diag = np.arange(n)
+    h_diag = ((scale * z_diag) @ herm[:n]).view(complex).reshape(-1, n, n)
+    h_diag[:, diag, diag] -= a[:, None]
+    h_off = ((scale * z_off) @ herm[n:]).view(complex).reshape(-1, n, n)
+    phase = np.exp(1j * a)
     elements = np.empty((count, n, n), dtype=complex)
     for start in range(0, count, _CHUNK):
         d, o = np.divmod(kept[start:start + _CHUNK], len(z_off))
-        a, r = _phase_and_radius(z_diag[d], q_off[o], n, scale)
-        z = np.hstack([z_diag[d], z_off[o]])
-        b = ((scale * z) @ herm).view(complex).reshape(-1, n, n)
-        b[:, diag, diag] -= a[:, None]
+        r = scale * np.sqrt((q_diag[d] + q_off[o]) / (2 * n))
         sinc = np.divide(np.sin(r), r, out=np.ones_like(r), where=r > 0)
-        su2 = (1j * sinc)[:, None, None] * b
+        su2 = (1j * sinc)[:, None, None] * (h_diag[d] + h_off[o])
         su2[:, diag, diag] += np.cos(r)[:, None]
-        elements[start:start + _CHUNK] = su2 * np.exp(1j * a)[:, None, None]
+        elements[start:start + _CHUNK] = su2 * phase[d, None, None]
 
     log = {
         "method": "lie-algebra-grid",

@@ -1,14 +1,13 @@
 """End-to-end acceptance checks, one per shipped guarantee.
 
-Each test writes a single PASS/FAIL line, with the criterion's wall time,
-to the process's real stdout; pytest's default capture holds file
-descriptor 1 too, so run with ``-s`` to see the lines. Tolerances are
+Each test records a single PASS/FAIL line, with the criterion's wall time,
+through the ``acceptance`` fixture of ``conftest.py``; pytest lists the
+lines in the "acceptance" section of its terminal summary. Tolerances are
 pinned as module constants; the stated runtime budgets are asserted where
 a guarantee includes one.
 """
 
 import math
-import sys
 import time
 
 import numpy as np
@@ -77,14 +76,6 @@ CIRCUIT_SLACK = 1e-9
 SLOPE_WINDOW = (-1.15, -0.85)
 
 
-def _report(num: int, label: str, ok: bool, start: float) -> None:
-    """Print the verdict and the wall time since ``start`` (perf_counter)."""
-    wall = time.perf_counter() - start
-    sys.__stdout__.write(f"ACCEPTANCE {num} [{label}]: "
-                         f"{'PASS' if ok else 'FAIL'} ({wall:.2f} s)\n")
-    sys.__stdout__.flush()
-
-
 def _random_hermitian(rng, dim):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return 0.5 * (g + g.conj().T)
@@ -106,7 +97,7 @@ def _random_chain(rng):
     return TimeDependentHamiltonian(QuditRegister(L, 2), terms)
 
 
-def test_criterion_1_trotter_certificate():
+def test_criterion_1_trotter_certificate(acceptance):
     start = time.perf_counter()
     rng = np.random.default_rng(2026)
     violations = []
@@ -147,13 +138,13 @@ def test_criterion_1_trotter_certificate():
     elapsed = time.perf_counter() - start
     slopes_ok = all(SLOPE_WINDOW[0] <= s <= SLOPE_WINDOW[1] for s in slopes)
     ok = not violations and slopes_ok and elapsed <= 300.0
-    _report(1, "Trotter certificate soundness", ok, start)
+    acceptance(1, "Trotter certificate soundness", ok, start)
     assert not violations, f"bound violated on instances {violations}"
     assert slopes_ok, f"log-log slopes {slopes} outside {SLOPE_WINDOW}"
     assert elapsed <= 300.0, f"runtime {elapsed:.1f}s exceeds 5 min"
 
 
-def test_criterion_2_exp_map_lipschitz():
+def test_criterion_2_exp_map_lipschitz(acceptance):
     start = time.perf_counter()
     failures = []
     for n in (2, 3, 4, 6):
@@ -172,7 +163,7 @@ def test_criterion_2_exp_map_lipschitz():
                              (lower - mid)[lower > mid + LIPSCHITZ_SLACK]]
     elapsed = time.perf_counter() - start
     ok = not failures and elapsed <= 120.0
-    _report(2, "Exp-map Lipschitz bounds", ok, start)
+    acceptance(2, "Exp-map Lipschitz bounds", ok, start)
     assert not failures, f"{len(failures)} violations, first: {failures[:3]}"
     assert elapsed <= 120.0, f"runtime {elapsed:.1f}s exceeds 2 min"
 
@@ -191,7 +182,7 @@ def _nearby_projector_pair(n, m, seed_a, seed_b, theta):
         theta *= 0.5
 
 
-def test_criterion_3_kato_construction():
+def test_criterion_3_kato_construction(acceptance):
     start = time.perf_counter()
     failures = []
     for n, m in ((1, 2), (2, 4), (3, 8)):
@@ -218,11 +209,11 @@ def test_criterion_3_kato_construction():
             if abs(deviation - closed) > KATO_CLOSED_FORM_SLACK * m:
                 failures.append((n, m, "closed form", deviation, closed))
     ok = not failures
-    _report(3, "Kato unitary construction", ok, start)
+    acceptance(3, "Kato unitary construction", ok, start)
     assert ok, f"{len(failures)} failures, first: {failures[:3]}"
 
 
-def test_criterion_4_sandwich():
+def test_criterion_4_sandwich(acceptance):
     start = time.perf_counter()
     rng = np.random.default_rng(40_404)
     failures = []
@@ -243,11 +234,11 @@ def test_criterion_4_sandwich():
             if not (net.is_covering and net.is_packing):
                 failures.append((space_id, eps, "greedy"))
     ok = not failures
-    _report(4, "Covering/packing sandwich", ok, start)
+    acceptance(4, "Covering/packing sandwich", ok, start)
     assert ok, f"{len(failures)} failures, first: {failures[:3]}"
 
 
-def test_criterion_5_unitary_net_sanity():
+def test_criterion_5_unitary_net_sanity(acceptance):
     start = time.perf_counter()
     failures = []
     for eps in (0.02, 0.05, 0.1):
@@ -259,11 +250,11 @@ def test_criterion_5_unitary_net_sanity():
     if not covered or max_gap > 0.5:
         failures.append(("haar-gap", max_gap))
     ok = not failures
-    _report(5, "Unitary net covering sanity", ok, start)
+    acceptance(5, "Unitary net covering sanity", ok, start)
     assert ok, f"failures: {failures}"
 
 
-def test_criterion_6_circuit_discretization():
+def test_criterion_6_circuit_discretization(acceptance):
     start = time.perf_counter()
     from dynnets.unitary_nets import ImplicitGridNet
 
@@ -296,11 +287,11 @@ def test_criterion_6_circuit_discretization():
         if conj_err > limit:
             failures.append((circuit_id, "conjugation", conj_err, limit))
     ok = not failures
-    _report(6, "Circuit discretization", ok, start)
+    acceptance(6, "Circuit discretization", ok, start)
     assert ok, f"{len(failures)} failures, first: {failures[:3]}"
 
 
-def test_criterion_7_product_quotient_lemmas():
+def test_criterion_7_product_quotient_lemmas(acceptance):
     start = time.perf_counter()
     failures = []
     eps_values = (0.6, 1.0, 1.5, 2.0)
@@ -317,11 +308,11 @@ def test_criterion_7_product_quotient_lemmas():
             if not rep.passed:
                 failures.append(("quotient", order, sub, eps, rep.as_dict()))
     ok = not failures
-    _report(7, "Product and quotient covering lemmas", ok, start)
+    acceptance(7, "Product and quotient covering lemmas", ok, start)
     assert ok, f"failures: {failures[:3]}"
 
 
-def test_criterion_8_crossover_growth():
+def test_criterion_8_crossover_growth(acceptance):
     start = time.perf_counter()
     gates_report = crossover_analysis(2, 2, 0.001, range(8, 15), "circuit")
     time_report = crossover_analysis(2, 2, 0.001, range(8, 15), "time")
@@ -333,14 +324,14 @@ def test_criterion_8_crossover_growth():
     growing = all(a < b for a, b in zip(times, times[1:]))
     r2_ok = time_report.fit["r_squared"] >= 0.99
     ok = ratios_ok and growing and r2_ok and elapsed <= 10.0
-    _report(8, "Gate-count and time crossover growth", ok, start)
+    acceptance(8, "Gate-count and time crossover growth", ok, start)
     assert ratios_ok, f"per-site ratios {ratios} outside [3.5, 4.5]"
     assert growing, f"minimal times not increasing: {times}"
     assert r2_ok, f"log-linear fit R^2 {time_report.fit['r_squared']}"
     assert elapsed <= 10.0, f"runtime {elapsed:.1f}s exceeds 10 s"
 
 
-def test_criterion_9_coarse_graining():
+def test_criterion_9_coarse_graining(acceptance):
     start = time.perf_counter()
     profile = degeneracy_profile_extensive_z(4)
     _, shift, deg1, deg2 = coarse_grain_spectrum(profile, 0.0, 2.0, 1.0)
@@ -362,7 +353,7 @@ def test_criterion_9_coarse_graining():
 
     ok = ((deg1, deg2) == (6, 4) == (count0, count2)
           and shift == 0.5 and distance <= 0.5)
-    _report(9, "Spectral coarse-graining", ok, start)
+    acceptance(9, "Spectral coarse-graining", ok, start)
     assert (deg1, deg2) == (6, 4)
     assert (count0, count2) == (6, 4)
     assert distance <= 0.5, f"reconstruction moved by {distance}"

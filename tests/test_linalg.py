@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from dynnets import linalg
 from dynnets.linalg import (
     UNITARY_TOL,
     SkewHermitian,
@@ -247,6 +248,30 @@ class TestNearest:
         np.testing.assert_array_equal(idx, np.argmin(svd, axis=1))
         np.testing.assert_array_equal(dist, svd.min(axis=1))
         assert idx.max() < count
+
+    def test_small_target_blocks_match_one_block_and_svd(self, monkeypatch):
+        # blocks of 1 and 3 targets, the last one short: each survivor's
+        # flat index in its block's mask must map back to the right target
+        # and element, and each block must land at its own offset
+        net = build_unitary_net(2, 0.5)
+        rng = np.random.default_rng(25)
+        targets = np.concatenate([haar_stack(2, 4, rng),
+                                  net.matrices[::len(net) // 3]])
+        once = np.linalg.svd(targets[:, None] - net.matrices[None],
+                             compute_uv=False)[..., 0]
+        # the duplicated stack's differences repeat, and so do their norms
+        for stack, svd in ((net.matrices, once),
+                           (np.concatenate([net.matrices] * 2),
+                            np.hstack([once, once]))):
+            idx, dist = nearest(targets, stack, 2)
+            np.testing.assert_array_equal(idx, np.argmin(svd, axis=1))
+            np.testing.assert_array_equal(dist, svd.min(axis=1))
+            for block in (1, 3):
+                monkeypatch.setattr(linalg, "_PAIR_BLOCK", block * len(stack))
+                small_idx, small_dist = nearest(targets, stack, 2)
+                np.testing.assert_array_equal(small_idx, idx)
+                np.testing.assert_array_equal(small_dist, dist)
+            monkeypatch.undo()
 
 
 def _exact_bracket_gap(t, e):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import struct
 import warnings
@@ -204,6 +205,20 @@ class TestPhaseLineBuild:
         net = build_unitary_net(2, 0.5)
         assert calls == []
         assert "lines" not in net.construction_log
+
+    @pytest.mark.parametrize("n, eps, digest", [
+        (2, 0.5, "04ab68728c2332c3b6492a0dd6ff259ee82061037daf6c43546ca52e23d6f725"),
+        (2, 0.8, "e09c95830a12225d2680ceecda4e75fded631f603e34a55fff7d23c2096fb8fd"),
+        (1, 0.05, "e49a21b4950b78fa698913198157f720881d4dccba1e6cc592e2d789714d5894"),
+        (1, 0.1, "e38cca3e566d6c3261c383dfcb0d046e09de4c15606a835d652a5ecdc344b3f6"),
+        (1, 0.2, "7fa3ff4a5d8f6ba45bc177146b154329def8d8c4ca9a8ea113f5a003222a7841"),
+    ])
+    def test_matrices_bit_identical_to_per_element_build(self, n, eps, digest):
+        # SHA-256 of the bytes that the per-element build (a GEMM of every
+        # kept point's coordinates, then a complex exp of its phase) gave;
+        # a platform whose sin, cos or exp round differently moves them
+        data = build_unitary_net(n, eps).matrices.tobytes()
+        assert hashlib.sha256(data).hexdigest() == digest
 
     def test_chunked_lines_give_the_same_net(self, monkeypatch, u2_net):
         monkeypatch.setattr(unitary_nets, "_CHUNK", 1000)
