@@ -128,9 +128,10 @@ def _apply_gate(matrix: np.ndarray, support: tuple[int, ...],
     is one (d^k, d^k) gate for every block or a (lead, d^k, d^k) stack, one
     gate per block. Each block's rows are viewed as (d^before, d^k, rest),
     with the support's site axes in the middle and the columns in ``rest``,
-    so one np.matmul applies the gate. The site axes are transposed in and
-    out; on a contiguous support that permutation is the identity, so
-    neither transpose copies.
+    and the gates as (-1, 1, d^k, d^k), so one broadcast np.matmul applies
+    one gate or a stack alike. The site axes are transposed in and out; on a
+    contiguous support that permutation is the identity, so neither
+    transpose copies.
     """
     dim, k, first = d ** L, len(support), support[0]
     # axes: lead, sites before the support, the support, the other sites in
@@ -139,8 +140,8 @@ def _apply_gate(matrix: np.ndarray, support: tuple[int, ...],
             *(1 + s for s in range(first, L) if s not in support), L + 1]
     t = state.reshape((-1,) + (d,) * L + (dim,)).transpose(perm)
     t = t.reshape(-1, d ** first, d ** k, d ** (L - first - k) * dim)
-    g = matrix if matrix.ndim == 2 else matrix.reshape(-1, 1, d ** k, d ** k)
-    t = np.matmul(g, t).reshape((-1,) + (d,) * L + (dim,))
+    t = np.matmul(matrix.reshape(-1, 1, d ** k, d ** k), t)
+    t = t.reshape((-1,) + (d,) * L + (dim,))
     inverse = sorted(range(L + 2), key=perm.__getitem__)
     return np.ascontiguousarray(t.transpose(inverse)).reshape(state.shape)
 

@@ -94,6 +94,13 @@ def _search_rows(stack: np.ndarray) -> np.ndarray:
     return rows
 
 
+def _row_matrices(rows: np.ndarray, n: int) -> np.ndarray:
+    """The (count, n, n) complex view of a row stack's entries e, read-only."""
+    view = rows[:, :2 * n * n].view(complex).reshape(-1, n, n)
+    view.setflags(write=False)
+    return view
+
+
 def _target_rows(rows: np.ndarray) -> np.ndarray:
     """Target rows [-2t, (1 + c)|T|^2, 1] from a stack's element rows."""
     out = np.empty_like(rows)
@@ -103,11 +110,12 @@ def _target_rows(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _nearest(targets: np.ndarray, elements: np.ndarray, rows: np.ndarray,
+def _nearest(targets: np.ndarray, rows: np.ndarray,
              rank: int) -> tuple[np.ndarray, np.ndarray]:
     """Index of and operator-norm distance to each target's nearest element.
 
-    ``rows`` are the elements' ``_search_rows``. Every difference has rank at
+    ``rows`` are the elements' ``_search_rows``, which hold the elements
+    themselves (``_row_matrices``). Every difference has rank at
     most ``rank``, so ||D||_F / sqrt(rank) <= ||D|| <= ||D||_F: an element
     whose lo2 exceeds rank times the smallest up2 of its row (the bracket of
     ``_bracket_slack``) cannot be nearest. Only the survivors get an SVD of
@@ -118,6 +126,7 @@ def _nearest(targets: np.ndarray, elements: np.ndarray, rows: np.ndarray,
     """
     t = _target_rows(_search_rows(targets))
     c = _bracket_slack(t.shape[1] - 2)
+    elements = _row_matrices(rows, targets.shape[-1])
     # lo2 = up2 - 2c (|T|^2 + |E|^2) is at least up2 - 2c (|T|^2 + max |E|^2),
     # so comparing up2 with the widened limit keeps every pair whose lo2
     # passes, with no pass over the block beyond the GEMM and the min
@@ -146,15 +155,16 @@ def _greedy_packing(candidates: np.ndarray, rank: int, epsilon: float) -> int:
     A candidate is kept unless a kept element lies within epsilon of it in
     operator norm, every difference having rank at most ``rank``. The
     bracket of ``_bracket_slack`` rejects on up2 <= epsilon^2 and accepts on
-    lo2 > rank epsilon^2; only the pairs in between get an SVD.
+    lo2 > rank epsilon^2; only the pairs in between get an SVD, of their
+    difference taken from the kept rows (``_row_matrices``).
     """
     rows = _search_rows(candidates)
     targets = _target_rows(rows)
     c = _bracket_slack(rows.shape[1] - 2)
     # rows end in (1 + c)|E|^2, so 2c |E|^2 is this times the row's last entry
     shrink = 2.0 * c / (1.0 + c)
-    kept = np.empty(candidates.shape, dtype=complex)
     kept_rows = np.empty_like(rows)
+    kept = _row_matrices(kept_rows, candidates.shape[-1])
     eps2 = epsilon * epsilon
     count = 0
     for cand, row, target in zip(candidates, rows, targets):
@@ -166,7 +176,6 @@ def _greedy_packing(candidates: np.ndarray, rank: int, epsilon: float) -> int:
         if (undecided.any()
                 and (_opnorm_stack(kept[:count][undecided] - cand) <= epsilon).any()):
             continue
-        kept[count] = cand
         kept_rows[count] = row
         count += 1
     return count

@@ -12,11 +12,11 @@ tree multiplies the steps in time order. Each factor is unitary to rounding,
 so unitarity drifts by rounding per step, far below the requested tolerance.
 Each Trotter factor is a single term, which commutes with itself at all
 times, so it is the closed-form exponential of the term's base times its
-envelope integral, from an eigendecomposition. Per chunk of slices, one
-call per term makes its factors and one stacked gate application puts them
-on every slice, and the same pairwise tree multiplies the slices. The
-first-order Trotter error is certified
-against delta_t * T * K * z * |h|^2, where z counts support overlaps (a term
+envelope integral, from one eigendecomposition of the base per propagator.
+Per chunk of slices, one product per term makes its factors and one stacked
+gate application puts them on every slice, and the same pairwise tree
+multiplies the slices. The first-order Trotter error is certified against
+delta_t * T * K * z * |h|^2, where z counts support overlaps (a term
 overlaps itself) and |h| is the largest sup-norm of a term over [0, T].
 """
 
@@ -33,7 +33,6 @@ from .circuits import (QuditRegister, _apply_gate, _check_on_register,
 from .linalg import (
     UnitaryMatrix,
     _exp_skew_series,
-    _exp_skew_stack,
     _require_hermitian,
     operator_norm,
 )
@@ -397,9 +396,11 @@ def trotter_propagator(h: TimeDependentHamiltonian, t_final: float,
 
     Within each slice the terms act one after another in their given order.
     A single term e(t) * B commutes with itself at all times, so its slice
-    factor is the closed-form exponential exp(-i B * integral of e over the
-    slice) on its own support, and the only error is the term-splitting
-    itself. Per chunk of at most ``_SWEEP_ENTRIES`` matrix entries, the
+    factor is the closed-form exponential exp(-i theta B), theta the
+    integral of e over the slice, on its own support, and the only error is
+    the term-splitting itself. Each term's B = V diag(w) V^dag is
+    diagonalized once per call, and a factor is (V exp(-i theta w)) V^dag.
+    Per chunk of at most ``_SWEEP_ENTRIES`` matrix entries, the
     first slice starts from the product so far and the others from the
     identity, each term's stack of factors is applied to all of them in one
     call, and a pairwise tree multiplies them, the later slice on the left.
@@ -414,15 +415,18 @@ def trotter_propagator(h: TimeDependentHamiltonian, t_final: float,
     delta = t_final / n_steps
     # Slices are made per chunk, so memory stays flat in n_steps.
     per_chunk = max(1, _SWEEP_ENTRIES // reg.dim ** 2)
+    eigs = [np.linalg.eigh(term.base) for term in h.terms]
     for start in range(0, n_steps, per_chunk):
         chunk = range(start, min(start + per_chunk, n_steps))
         slices = np.concatenate(
             (u[None], np.broadcast_to(eye, (len(chunk) - 1,) + eye.shape)))
-        for term in h.terms:
+        for term, (w, v) in zip(h.terms, eigs):
             # term's exponential over each of the chunk's slices
-            factors = _exp_skew_stack(np.array(
-                [-1j * term.envelope.integral(step * delta, (step + 1) * delta)
-                 for step in chunk])[:, None, None] * term.base)
+            theta = np.array([term.envelope.integral(step * delta,
+                                                     (step + 1) * delta)
+                              for step in chunk])
+            phases = np.exp(-1j * np.multiply.outer(theta, w))
+            factors = (v * phases[:, None, :]) @ v.conj().T
             slices = _apply_gate(factors, term.support, slices, reg.L, reg.d)
         u = _time_ordered_product(slices)
     return UnitaryMatrix(u, _validated=True)

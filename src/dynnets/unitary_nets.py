@@ -35,6 +35,7 @@ from .linalg import (
     _nearest,
     _norm_within,
     _opnorm_stack,
+    _row_matrices,
     _search_rows,
     skew_basis,
 )
@@ -100,13 +101,15 @@ def _snap_one(net, u) -> tuple[UnitaryMatrix, float]:
 class UnitaryNet:
     """A finite set of unitaries intended as an epsilon-covering of U(n).
 
-    The net keeps a read-only copy of the matrices and, beside it, their
-    search rows (``linalg._search_rows``), built once for every search.
+    The net holds one array: the read-only search rows of its elements
+    (``linalg._search_rows``), built once for every search from the checked
+    input, which is never kept. ``matrices`` is the read-only (count, n, n)
+    view of the rows' entries (``linalg._row_matrices``).
     """
 
     def __init__(self, n: int, epsilon: float, matrices, construction_log=None):
         _check_net_args(n, epsilon)
-        arr = np.array(matrices, dtype=complex, order="C")
+        arr = np.asarray(matrices, dtype=complex)
         if arr.ndim != 3 or arr.shape[1:] != (n, n):
             raise ValueError(f"expected a (count, {n}, {n}) stack, got {arr.shape}")
         if arr.shape[0] == 0:
@@ -123,12 +126,11 @@ class UnitaryNet:
             if not ok.all():
                 worst = float(_opnorm_stack(gram[~ok]).max())
                 raise ValueError(f"net element is not unitary (defect {worst:.3e})")
-        arr.setflags(write=False)
         rows = _search_rows(arr)
         rows.setflags(write=False)
         self.n = int(n)
         self.epsilon = float(epsilon)
-        self.matrices = arr
+        self.matrices = _row_matrices(rows, n)
         self._rows = rows
         self.construction_log = dict(construction_log or {})
 
@@ -137,7 +139,7 @@ class UnitaryNet:
 
     def _snap(self, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Nearest element and its distance for each of a (count, n, n) stack."""
-        idx, dist = _nearest(targets, self.matrices, self._rows, self.n)
+        idx, dist = _nearest(targets, self._rows, self.n)
         return self.matrices[idx], dist
 
     nearest = _snap_one  # the element closest to u in operator norm
@@ -301,8 +303,7 @@ def empirical_packing_lower_bound(n: int, epsilon: float, trials: int,
     sandwich inequalities also a lower-bound witness for N_cov(epsilon/2)
     and an upper-bound check against any covering bound at epsilon/2.
     """
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
+    _check_net_args(n, epsilon)
     if trials < 1:
         raise ValueError("need at least one trial")
     # one (trials, 2, n, n) draw: each trial's real, then imaginary part

@@ -43,7 +43,7 @@ from dynnets.unitary_nets import (
 
 def nearest(targets, elements, rank):
     """_nearest against a stack whose search rows are built here."""
-    return _nearest(targets, elements, _search_rows(elements), rank)
+    return _nearest(targets, _search_rows(elements), rank)
 
 
 def haar_stack(n, count, rng):

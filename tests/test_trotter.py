@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 import dynnets.trotter as trotter_module
 from dynnets.circuits import QuditRegister, _apply_gate
 from dynnets.cli import main as cli_main
-from dynnets.linalg import _exp_skew_stack, operator_norm
+from dynnets.linalg import operator_norm
 from dynnets.trotter import (
     CertificateViolation,
     ConstantEnvelope,
@@ -581,15 +581,20 @@ class TestClosedFormReference:
 
 
 def slice_by_slice(h, t_final, n_steps):
-    """The Trotter product one term factor at a time, later factors left."""
+    """The Trotter product one term factor at a time, later factors left.
+
+    Each factor is exp(-i theta B) = (V exp(-i theta w)) V^dag from B's
+    eigendecomposition.
+    """
     reg = h.register
     u = np.eye(reg.dim, dtype=complex)
     delta = t_final / n_steps
     for step in range(n_steps):
         t0, t1 = step * delta, (step + 1) * delta
         for term in h.terms:
-            local = _exp_skew_stack(
-                -1j * term.envelope.integral(t0, t1) * term.base[None])[0]
+            w, v = np.linalg.eigh(term.base)
+            theta = term.envelope.integral(t0, t1)
+            local = (v * np.exp(-1j * theta * w)) @ v.conj().T
             u = _apply_gate(local, term.support, u, reg.L, reg.d)
     return u
 
@@ -644,6 +649,27 @@ class TestTrotterPropagator:
         assert peaks[1] <= 1.25 * peaks[0]
         # the chunks' tree products round differently from one tree's
         assert operator_norm(u - default) <= 4 * 1024 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("support, base", [
+        ((0, 1), ZZ),
+        ((0, 1), random_hermitian(np.random.default_rng(5), 4)),
+        ((1,), random_hermitian(np.random.default_rng(6), 2)),
+    ], ids=["degenerate-bond", "bond", "site"])
+    def test_one_slice_factor_is_expm(self, support, base):
+        # One term and one slice: the propagator is that term's factor,
+        # exp(-i theta B) from B's eigendecomposition.
+        reg = QuditRegister(2, 2)
+        embedded = _apply_gate(base, support,
+                               np.eye(reg.dim, dtype=complex), reg.L, reg.d)
+        for env in (CosineEnvelope(1.3, 2.0, 0.4),
+                    PiecewiseLinearEnvelope([0.0, 0.4, 1.7], [0.5, -1.0, 0.8]),
+                    ConstantEnvelope(-2.1)):
+            h = TimeDependentHamiltonian(
+                reg, [HamiltonianTerm(support, base, env)])
+            expect = scipy.linalg.expm(
+                -1j * env.integral(0.0, 1.7) * embedded)
+            factor = trotter_propagator(h, 1.7, 1).array
+            assert operator_norm(factor - expect) <= 1e-13
 
     def test_single_term_matches_exact(self):
         reg = QuditRegister(2, 2)

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -271,6 +272,28 @@ class TestUnitaryNetType:
         assert dist == 0.0
         assert np.array_equal(element.array, kept[0])
 
+    def test_matrices_are_a_view_of_the_rows(self, u2_net, tmp_path):
+        path = tmp_path / "net.bin"
+        save_net(u2_net, path)
+        for net in (u2_net, UnitaryNet(2, 0.5, np.array(u2_net.matrices)),
+                    load_net(path)):
+            assert np.shares_memory(net.matrices, net._rows)
+            assert not net.matrices.flags.writeable
+            with pytest.raises(ValueError):
+                net.matrices.setflags(write=True)
+
+    def test_net_holds_only_its_rows(self):
+        # Untraced warm-up: what the first build caches is not the net's.
+        build_unitary_net(2, 0.5)
+        tracemalloc.start()
+        try:
+            net = build_unitary_net(2, 0.5)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # 1.90 MB of rows; a second copy of the matrices would add 1.45 MB
+        assert held <= net._rows.nbytes + 64 * 1024
+
 
 _DIMENSION = r"^dimension must be at least 1$"
 _EPSILON = r"^epsilon must be positive and finite$"
@@ -295,9 +318,12 @@ def _net_file(path, n, epsilon, count):
     (lambda p: build_unitary_net(2, -math.inf), _EPSILON),
     (lambda p: ImplicitGridNet(2, math.inf), _EPSILON),
     (lambda p: load_net(_net_file(p, 1, math.inf, 1)), _EPSILON),
+    (lambda p: empirical_packing_lower_bound(0, 0.5, 5, 1), _DIMENSION),
+    (lambda p: empirical_packing_lower_bound(2, math.inf, 5, 1), _EPSILON),
 ], ids=["UnitaryNet-n0", "build-n0", "build-n-1", "ImplicitGridNet-n0",
         "load_net-n0", "UnitaryNet-inf", "UnitaryNet-zero", "build-inf",
-        "build-minus-inf", "ImplicitGridNet-inf", "load_net-inf"])
+        "build-minus-inf", "ImplicitGridNet-inf", "load_net-inf",
+        "packing-n0", "packing-inf"])
 def test_net_constructors_refuse_bad_dimension_or_epsilon(tmp_path, call, message):
     with pytest.raises(ValueError, match=message):
         call(tmp_path / "net.bin")
