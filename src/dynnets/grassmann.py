@@ -17,7 +17,6 @@ import numpy as np
 from . import metric
 from .linalg import (
     HERMITIAN_TOL,
-    UNITARY_TOL,
     UnitaryMatrix,
     _as_square_array,
     _check_unitary,
@@ -36,7 +35,7 @@ KATO_RATIO_LIMIT = 5.0 / math.sqrt(2.0)
 
 
 class Subspace:
-    """An n-dimensional subspace of C^m given by an orthonormal basis matrix."""
+    """An n-dimensional subspace of C^m; its (m, n) basis passes ``_check_unitary``."""
 
     __slots__ = ("basis",)
 
@@ -47,7 +46,7 @@ class Subspace:
         m, n = arr.shape
         if not 1 <= n <= m:
             raise ValueError(f"need 1 <= dim <= ambient, got basis shape {arr.shape}")
-        _check_bases(arr[None])
+        _check_unitary(arr[None])
         arr.setflags(write=False)
         self.basis = arr
 
@@ -61,15 +60,6 @@ class Subspace:
 
     def __repr__(self) -> str:
         return f"Subspace(n={self.n}, m={self.m})"
-
-
-def _check_bases(stack: np.ndarray) -> None:
-    """Subspace's checks over a contiguous (..., m, n) stack of bases."""
-    if not np.all(np.isfinite(stack.view(float))):
-        raise ValueError("basis has non-finite entries")
-    gram = np.conj(stack).swapaxes(-1, -2) @ stack - np.eye(stack.shape[-1])
-    if not _norm_within(gram, UNITARY_TOL).all():
-        raise ValueError("basis columns are not orthonormal within 1e-10")
 
 
 class Projector:
@@ -113,7 +103,9 @@ def _projector_ranks(stack: np.ndarray) -> np.ndarray:
 
 def random_subspace(n: int, m: int, seed: int) -> Subspace:
     """Haar-random n-dimensional subspace of C^m."""
-    return Subspace(_random_bases(n, m, [seed])[0])
+    if not 1 <= n <= m:
+        raise ValueError("need 1 <= n <= m")
+    return Subspace(_haar_from_seeds(m, [seed])[0, :, :n])
 
 
 def _random_bases(n: int, m: int, seeds) -> np.ndarray:
@@ -125,7 +117,7 @@ def _random_bases(n: int, m: int, seeds) -> np.ndarray:
     if not 1 <= n <= m:
         raise ValueError("need 1 <= n <= m")
     bases = np.ascontiguousarray(_haar_from_seeds(m, seeds)[..., :n])
-    _check_bases(bases)
+    _check_unitary(bases)
     return bases
 
 
@@ -215,10 +207,8 @@ def quotient_distance_bounds(p: Projector, q: Projector) -> tuple[float, float]:
     the true infimum over all unitaries mapping range(P) to range(Q) of
     ||1 - V|| lies between them.
     """
-    dist = projector_distance(p, q)
-    v = _kato_unitary(p.matrix[None], q.matrix[None], np.array([dist]))[0]
-    upper = operator_norm(np.eye(p.m) - v)
-    return (0.5 * dist, upper)
+    upper = operator_norm(np.eye(p.m) - kato_unitary(p, q).array)
+    return (0.5 * projector_distance(p, q), upper)
 
 
 @dataclass(frozen=True)

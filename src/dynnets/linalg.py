@@ -23,6 +23,8 @@ HERMITIAN_TOL = 1e-10
 # (target, element) pairs per block of a nearest-element search: the block's
 # GEMM output of up2 bounds is 8 MB of float64
 _PAIR_BLOCK = 1 << 20
+# Gram entries per chunk of the unitarity check: 8192 U(2) matrices, 512 KB
+_GRAM_BLOCK = 1 << 15
 # Entry m - 1 is the largest 1-norm theta at which the degree-m Taylor
 # polynomial of exp meets theta^(m+1) / (m+1)! * e^theta <= 2^-53, rounded
 # down to four significant digits; m runs from 1 to 18.
@@ -221,16 +223,31 @@ class UnitaryMatrix:
 
 
 def _check_unitary(stack: np.ndarray) -> None:
-    """UnitaryMatrix's check over a (..., n, n) stack.
+    """Refuse a (..., m, n) stack, m >= n, unless each matrix has orthonormal columns.
 
-    Raises, with the first failing matrix's defect, unless every matrix has
-    ||U^dag U - 1|| <= 1e-10.
+    The error names the first failing matrix's defect ||U^dag U - 1|| > 1e-10;
+    a non-finite entry makes a non-finite Gram matrix, which ``_norm_within``
+    refuses. Chunks of ``_GRAM_BLOCK`` Gram entries keep the memory flat. At
+    m <= 2 a chunk of 32 or more sums the outer products of U's rows (one
+    BLAS thread, 8192 U(2): 1.6 against 3.4 ms by matmul; the two meet near
+    24 matrices). Otherwise one batched matmul (64 x 64: 0.06 against 1.2 ms).
     """
-    defect = np.conj(stack).swapaxes(-1, -2) @ stack - np.eye(stack.shape[-1])
-    ok = _norm_within(defect, UNITARY_TOL)
-    if not ok.all():
-        worst = float(_opnorm_stack(defect[~ok][0]))
-        raise ValueError(f"matrix is not unitary (defect {worst:.3e})")
+    m, n = stack.shape[-2:]
+    flat = stack.reshape((math.prod(stack.shape[:-2]), m, n))
+    step = max(1, _GRAM_BLOCK // max(1, n * n))
+    for start in range(0, len(flat), step):
+        chunk = flat[start:start + step]
+        if 0 < m <= 2 and len(chunk) >= 32:
+            gram = np.conj(chunk[:, 0, :, None]) * chunk[:, 0, None, :]
+            for j in range(1, m):
+                gram += np.conj(chunk[:, j, :, None]) * chunk[:, j, None, :]
+        else:
+            gram = np.conj(chunk).swapaxes(-1, -2) @ chunk
+        gram -= np.eye(n)
+        ok = _norm_within(gram, UNITARY_TOL)
+        if not ok.all():
+            worst = float(_opnorm_stack(gram[~ok][0]))
+            raise ValueError(f"matrix is not unitary (defect {worst:.3e})")
 
 
 class SkewHermitian:

@@ -11,9 +11,9 @@ Explicit nets stop at U(2): a U(3) box fits the candidate cap only above
 epsilon = 3.54, and at epsilon >= 2 a single element covers U(n), since any
 two unitaries lie within 2 of each other.
 An implicit variant materializes only the grid element nearest (in log
-coordinates) to a query, which is what makes discretization feasible for
-n >= 3 where the explicit grid is too large or pointless. Both kinds snap
-a whole stack of unitaries in one call; their one-matrix methods wrap it.
+coordinates) to a query, which makes discretization feasible for n >= 3.
+Both kinds snap a whole stack of unitaries in one call, to elements that
+pass ``linalg._check_unitary``; their one-matrix methods wrap the call.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    UNITARY_TOL,
     UnitaryMatrix,
     _check_unitary,
     _exp_skew_stack,
@@ -33,7 +32,6 @@ from .linalg import (
     _haar_qr,
     _log_unitary_stack,
     _nearest,
-    _norm_within,
     _opnorm_stack,
     _row_matrices,
     _search_rows,
@@ -102,9 +100,9 @@ class UnitaryNet:
     """A finite set of unitaries intended as an epsilon-covering of U(n).
 
     The net holds one array: the read-only search rows of its elements
-    (``linalg._search_rows``), built once for every search from the checked
-    input, which is never kept. ``matrices`` is the read-only (count, n, n)
-    view of the rows' entries (``linalg._row_matrices``).
+    (``linalg._search_rows``), built from the input once it passes
+    ``linalg._check_unitary``; the input is never kept. ``matrices`` is the
+    read-only (count, n, n) view of the rows' entries (``linalg._row_matrices``).
     """
 
     def __init__(self, n: int, epsilon: float, matrices, construction_log=None):
@@ -114,18 +112,7 @@ class UnitaryNet:
             raise ValueError(f"expected a (count, {n}, {n}) stack, got {arr.shape}")
         if arr.shape[0] == 0:
             raise ValueError("net must contain at least one element")
-        eye = np.eye(n)
-        for start in range(0, arr.shape[0], _CHUNK):
-            chunk = arr[start:start + _CHUNK]
-            # U^dag U as a sum of the outer products of U's rows
-            gram = np.conj(chunk[:, 0, :, None]) * chunk[:, 0, None, :]
-            for j in range(1, n):
-                gram += np.conj(chunk[:, j, :, None]) * chunk[:, j, None, :]
-            gram -= eye
-            ok = _norm_within(gram, UNITARY_TOL)
-            if not ok.all():
-                worst = float(_opnorm_stack(gram[~ok]).max())
-                raise ValueError(f"net element is not unitary (defect {worst:.3e})")
+        _check_unitary(arr)
         rows = _search_rows(arr)
         rows.setflags(write=False)
         self.n = int(n)
@@ -178,6 +165,11 @@ def build_unitary_net(n: int, epsilon: float) -> UnitaryNet:
     and its phase, and only cos r and sin r / r are its own. Diagonal rows go
     outer, so elements keep grid order.
     """
+    return UnitaryNet(n, epsilon, *_grid_elements(n, epsilon))
+
+
+def _grid_elements(n: int, epsilon: float) -> tuple[np.ndarray, dict]:
+    """build_unitary_net's elements and log; its per-row arrays die on return."""
     _check_net_args(n, epsilon)
     if n > _GRID_DIM_LIMIT:
         raise ValueError(
@@ -243,7 +235,7 @@ def build_unitary_net(n: int, epsilon: float) -> UnitaryNet:
         "candidates": candidates,
         "retained": count,
     }
-    return UnitaryNet(n, epsilon, elements, log)
+    return elements, log
 
 
 class ImplicitGridNet:
@@ -333,7 +325,7 @@ def save_net(net: UnitaryNet, path) -> None:
 
 
 def load_net(path) -> UnitaryNet:
-    """Read a net written by save_net; re-validates unitarity of every element."""
+    """Read a net written by save_net; the constructor re-checks every element."""
     with open(path, "rb") as fh:
         header = fh.read(_NET_HEADER.size)
         if len(header) != _NET_HEADER.size:

@@ -6,6 +6,7 @@ import pytest
 from dynnets.grassmann import (
     Projector,
     Subspace,
+    _random_bases,
     empirical_grassmann_packing,
     kato_deviation,
     kato_unitary,
@@ -69,6 +70,31 @@ class TestSubspaceAndProjector:
         with pytest.raises(ValueError):
             Subspace(np.array([[1.0], [1.0]]))
 
+    @staticmethod
+    def _basis(scales):
+        # columns of a Haar unitary times sqrt(1 + d): B^dag B - 1 = diag(d)
+        # up to rounding
+        q = haar_unitary(2 * len(scales), 5).array[:, :len(scales)]
+        return q * np.sqrt(1.0 + np.asarray(scales))
+
+    def test_accepts_column_defects_above_tol_in_frobenius_norm(self):
+        basis = self._basis(np.full(36, 0.5e-10))
+        defect = basis.conj().T @ basis - np.eye(36)
+        assert np.linalg.norm(defect) > 1e-10 >= operator_norm(defect)
+        assert Subspace(basis).n == 36
+
+    def test_rejects_column_defect_just_above_tol(self):
+        scales = np.zeros(36)
+        scales[7] = 1.05e-10
+        with pytest.raises(ValueError, match=r"not unitary \(defect 1\.05\de-10\)"):
+            Subspace(self._basis(scales))
+
+    def test_rejects_nan_in_basis(self):
+        basis = self._basis(np.zeros(36))
+        basis[3, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            Subspace(basis)
+
     def test_rejects_nonidempotent(self):
         with pytest.raises(ValueError):
             Projector(np.diag([0.5, 0.5]))
@@ -101,6 +127,17 @@ class TestSubspaceAndProjector:
         a[0, 1] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             Projector(a)
+
+    @pytest.mark.parametrize("n, m, seed", [(1, 1, 0), (1, 2, 4), (2, 5, 8),
+                                            (3, 3, 2), (36, 72, 3)])
+    def test_random_subspace_is_the_stacked_draw(self, n, m, seed):
+        np.testing.assert_array_equal(random_subspace(n, m, seed).basis,
+                                      _random_bases(n, m, [seed])[0])
+
+    @pytest.mark.parametrize("n, m", [(3, 2), (0, 4)])
+    def test_random_subspace_refuses_bad_dimensions(self, n, m):
+        with pytest.raises(ValueError, match=r"^need 1 <= n <= m$"):
+            random_subspace(n, m, 1)
 
     def test_random_subspace_deterministic(self):
         s1 = random_subspace(2, 5, seed=8)

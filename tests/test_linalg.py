@@ -99,6 +99,9 @@ class TestMatrixClasses:
         with pytest.raises(ValueError):
             UnitaryMatrix(np.eye(3) * 1.5)
 
+    def test_unitary_accepts_empty_matrix(self):
+        assert UnitaryMatrix(np.zeros((0, 0))).dim == 0
+
     def test_unitary_array_readonly(self):
         u = UnitaryMatrix(np.eye(2))
         with pytest.raises(ValueError):

@@ -255,6 +255,27 @@ class TestUnitaryNetType:
         with pytest.raises(ValueError, match=r"not unitary \(defect 2\.100e-01\)"):
             UnitaryNet(2, 0.5, mats)
 
+    @staticmethod
+    def _haar_elements(n, count):
+        # 40,000 of them run past the check's first chunk at n = 1 (32,768
+        # matrices) and at n = 2 (8,192)
+        g = np.random.default_rng(n).standard_normal((2, count, n, n))
+        return unitary_nets._haar_qr(g[0], g[1])
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_rejects_small_defect_past_first_chunk(self, n):
+        mats = self._haar_elements(n, 40_000)
+        # row 0 times sqrt(1 + d): U^dag U - 1 has the single eigenvalue d
+        mats[36_000, 0] *= math.sqrt(1.0 + 1.05e-10)
+        with pytest.raises(ValueError, match=r"not unitary \(defect 1\.05\de-10\)"):
+            UnitaryNet(n, 0.5, mats)
+
+    def test_rejects_nan_past_first_chunk(self):
+        mats = self._haar_elements(2, 40_000)
+        mats[36_000, 1, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            UnitaryNet(2, 0.5, mats)
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             UnitaryNet(2, 0.5, np.zeros((0, 2, 2)))
@@ -293,6 +314,18 @@ class TestUnitaryNetType:
             tracemalloc.stop()
         # 1.90 MB of rows; a second copy of the matrices would add 1.45 MB
         assert held <= net._rows.nbytes + 64 * 1024
+
+    def test_build_peak_is_the_rows_and_their_input(self):
+        build_unitary_net(2, 0.3)  # untraced warm-up, as above
+        tracemalloc.start()
+        try:
+            net = build_unitary_net(2, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the constructor holds the elements and their rows at once; the
+        # build's per-row arrays (3 MB at this epsilon) must be gone by then
+        assert peak <= net._rows.nbytes + net.matrices.nbytes + (1 << 20)
 
 
 _DIMENSION = r"^dimension must be at least 1$"
@@ -436,6 +469,17 @@ class TestNetSerialization:
                                       np.signbit(mats.view(float)))
         save_net(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_load_rejects_a_scaled_element(self, tmp_path, u2_net):
+        path = tmp_path / "net.bin"
+        save_net(u2_net, path)
+        data = path.read_bytes()
+        header = struct.calcsize("<IdQ")
+        mats = np.frombuffer(data, "<c16", offset=header).copy()
+        mats[4 * 9_000:4 * 9_001] *= 1.1
+        path.write_bytes(data[:header] + mats.tobytes())
+        with pytest.raises(ValueError, match=r"not unitary \(defect 2\.100e-01\)"):
+            load_net(path)
 
     def test_load_rejects_corrupt_file(self, tmp_path):
         path = tmp_path / "bad.bin"
