@@ -14,7 +14,7 @@ import operator
 
 import numpy as np
 
-from .linalg import UnitaryMatrix, _require_hermitian
+from .linalg import UnitaryMatrix, _hermitian_part, _require_hermitian
 from .logdomain import LogBound, finite_log, int_power
 
 _DENSE_DIM_LIMIT = 4096
@@ -99,9 +99,14 @@ class Gate:
 
 
 class Circuit:
-    """An ordered gate sequence on a register; validated on construction."""
+    """An ordered gate sequence on a register; validated on construction.
 
-    __slots__ = ("register", "gates")
+    ``circuit_unitary`` builds the dense unitary on first use and keeps it
+    for as long as the circuit lives: d^(2L) complex entries, 268 MB at the
+    4096-dimensional register cap.
+    """
+
+    __slots__ = ("register", "gates", "_unitary")
 
     def __init__(self, register: QuditRegister, gates):
         gs = tuple(gates)
@@ -111,6 +116,7 @@ class Circuit:
             _check_on_register(register, g.support, g.matrix.dim, "gate")
         self.register = register
         self.gates = gs
+        self._unitary = None
 
     @property
     def n_gates(self) -> int:
@@ -147,23 +153,35 @@ def _apply_gate(matrix: np.ndarray, support: tuple[int, ...],
 
 
 def circuit_unitary(circuit: Circuit) -> UnitaryMatrix:
-    """Dense unitary implemented by the circuit (gate 0 applied first)."""
-    reg = circuit.register
-    u = np.eye(reg.dim, dtype=complex)
-    for gate in circuit.gates:
-        u = _apply_gate(gate.matrix.array, gate.support, u, reg.L, reg.d)
-    return UnitaryMatrix(u, _validated=True)
+    """Dense unitary implemented by the circuit (gate 0 applied first).
+
+    Built gate by gate on the first call and cached on the circuit; later
+    calls return the same read-only ``UnitaryMatrix``.
+    """
+    if circuit._unitary is None:
+        reg = circuit.register
+        u = np.eye(reg.dim, dtype=complex)
+        for gate in circuit.gates:
+            u = _apply_gate(gate.matrix.array, gate.support, u, reg.L, reg.d)
+        circuit._unitary = UnitaryMatrix(u, _validated=True)
+    return circuit._unitary
 
 
 def conjugate_observable(circuit: Circuit, observable) -> np.ndarray:
-    """Heisenberg image U^dag O U of a Hermitian observable under the circuit."""
+    """Heisenberg image U^dag O U of a Hermitian observable under the circuit.
+
+    U is the circuit's cached ``circuit_unitary``. The result is the
+    Hermitian part of the product, so it is exactly Hermitian, and so is the
+    difference of two images, whose norm above dimension 64 then comes from
+    one eigvalsh (``operator_norm``).
+    """
     obs = _require_hermitian(observable)
     if obs.shape[0] != circuit.register.dim:
         raise ValueError(
             f"observable dimension {obs.shape[0]} does not match register "
             f"dimension {circuit.register.dim}")
     u = circuit_unitary(circuit).array
-    return u.conj().T @ obs @ u
+    return _hermitian_part(u.conj().T @ obs @ u)
 
 
 def _pad_gate(gate: Gate, k: int, L: int, d: int) -> Gate:

@@ -33,6 +33,7 @@ from .grassmann import (
 from .linalg import (
     _exp_lipschitz_stack,
     _exp_skew_stack,
+    _hermitian_part,
     _opnorm_stack,
     _skew_ball_stack,
 )
@@ -145,7 +146,7 @@ def _random_projector_pairs(n: int, m: int, seeds_a: np.ndarray,
     Returns the (k, m, m) stacks P and Q and the distances ||P - Q||.
     """
     bases = _random_bases(n, m, seeds_a)
-    ps = bases @ np.conj(bases).swapaxes(-1, -2)
+    ps = _hermitian_part(bases @ np.conj(bases).swapaxes(-1, -2))
     del bases
     ranks = _projector_ranks(ps)
     qs = np.empty_like(ps)
@@ -158,7 +159,7 @@ def _random_projector_pairs(n: int, m: int, seeds_a: np.ndarray,
         rot = _exp_skew_stack(_skew_ball_stack(m, thetas[rows], seeds_b[rows]))
         q = rot @ p @ np.conj(rot).swapaxes(-1, -2)
         del rot
-        q = 0.5 * (q + np.conj(q).swapaxes(-1, -2))
+        q = _hermitian_part(q)
         if np.any(_projector_ranks(q) != ranks[rows]):
             raise ValueError("projectors must have equal rank")
         dist = _opnorm_stack(p - q)

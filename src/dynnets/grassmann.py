@@ -23,6 +23,7 @@ from .linalg import (
     _greedy_packing,
     _haar_from_seeds,
     _haar_qr,
+    _hermitian_part,
     _norm_within,
     operator_norm,
 )
@@ -63,13 +64,20 @@ class Subspace:
 
 
 class Projector:
-    """A Hermitian idempotent matrix with a well-defined integer rank."""
+    """A Hermitian idempotent matrix with a well-defined integer rank.
+
+    The input is checked, then stored as its Hermitian part (X + X^dag) / 2,
+    which is exactly Hermitian, as ``_require_hermitian`` stores observables.
+    The difference of two projectors is then exactly Hermitian too, and
+    above dimension 64 ``projector_distance`` takes its norm by eigvalsh.
+    """
 
     __slots__ = ("matrix", "rank")
 
     def __init__(self, matrix):
-        arr = np.array(_as_square_array(matrix, "projector"), order="C")
+        arr = _as_square_array(matrix, "projector")
         self.rank = int(_projector_ranks(arr[None])[0])
+        arr = _hermitian_part(arr)
         arr.setflags(write=False)
         self.matrix = arr
 
@@ -184,9 +192,8 @@ def _kato_unitary(ps: np.ndarray, qs: np.ndarray,
     # each is dropped once used
     eye = np.eye(ps.shape[-1])
     diff = ps - qs
-    h = eye - diff @ diff
+    h = _hermitian_part(eye - diff @ diff)
     del diff
-    h = 0.5 * (h + np.conj(h).swapaxes(-1, -2))
     w, v = np.linalg.eigh(h)
     del h
     if w.min() < 1e-8:
@@ -207,8 +214,9 @@ def quotient_distance_bounds(p: Projector, q: Projector) -> tuple[float, float]:
     the true infimum over all unitaries mapping range(P) to range(Q) of
     ||1 - V|| lies between them.
     """
-    upper = operator_norm(np.eye(p.m) - kato_unitary(p, q).array)
-    return (0.5 * projector_distance(p, q), upper)
+    dist = projector_distance(p, q)
+    v = _kato_unitary(p.matrix[None], q.matrix[None], np.array([dist]))[0]
+    return (0.5 * dist, operator_norm(np.eye(p.m) - v))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .circuits import circuit_covering_log_bound
 from .grassmann import projector_covering_bounds
-from .linalg import _require_hermitian
+from .linalg import _hermitian_part, _require_hermitian
 from .trotter import _min_covered_time, evolution_covering_log_bound
 
 # the CrossoverRow field that holds each resource's minimal value
@@ -128,7 +128,7 @@ def coarse_grain_hermitian(matrix: np.ndarray, center1: float,
     snapped = np.array([_snap_eigenvalue(x, center1, center2, half)
                         for x in w])
     rebuilt = (v * snapped) @ v.conj().T
-    return 0.5 * (rebuilt + rebuilt.conj().T), half
+    return _hermitian_part(rebuilt), half
 
 
 def degeneracy_profile_extensive_z(L: int) -> SpectrumProfile:

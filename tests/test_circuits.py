@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from dynnets import circuits
 from dynnets.circuits import (
     Circuit,
     Gate,
@@ -245,10 +246,48 @@ class TestConjugateObservable:
         with pytest.raises(ValueError):
             conjugate_observable(c, np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("L", [3, 7])
+    def test_exactly_hermitian_and_the_product(self, L):
+        rng = np.random.default_rng(L)
+        c = random_circuit(rng, L, 2 * L, 2)
+        g = rng.normal(size=(2, 2 ** L, 2 ** L))
+        obs = 0.5 * (g[0] + 1j * g[1] + (g[0] + 1j * g[1]).conj().T)
+        out = conjugate_observable(c, obs)
+        assert np.array_equal(out, out.conj().T)
+        u = circuit_unitary(c).array
+        assert np.abs(out - u.conj().T @ obs @ u).max() <= 1e-12
+
     def test_rejects_dimension_mismatch(self):
         c = Circuit(QuditRegister(2, 2), [])
         with pytest.raises(ValueError):
             conjugate_observable(c, SZ)
+
+
+class TestUnitaryCache:
+    def test_each_gate_applied_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1])
+            return _apply_gate(*args)
+
+        monkeypatch.setattr(circuits, "_apply_gate", counted)
+        rng = np.random.default_rng(5)
+        c = random_circuit(rng, 4, 6, 2)
+        obs = np.diag(rng.normal(size=16)).astype(complex)
+        u = circuit_unitary(c)
+        conjugate_observable(c, obs)
+        conjugate_observable(c, obs)
+        assert circuit_unitary(c) is u
+        assert calls == [g.support for g in c.gates]
+
+    def test_cached_array_is_read_only(self):
+        c = random_circuit(np.random.default_rng(6), 3, 4, 2)
+        conjugate_observable(c, np.eye(8))
+        u = circuit_unitary(c)
+        with pytest.raises(ValueError):
+            u.array[0, 0] = 2.0
+        assert circuit_unitary(c).array is u.array
 
 
 class TestDiscretizeCircuit:

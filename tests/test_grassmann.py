@@ -89,6 +89,24 @@ class TestSubspaceAndProjector:
         with pytest.raises(ValueError, match=r"not unitary \(defect 1\.05\de-10\)"):
             Subspace(self._basis(scales))
 
+    @pytest.mark.filterwarnings("error")
+    def test_refuses_overflowing_gram_as_not_unitary(self):
+        # a finite basis whose Gram matrix overflows to inf
+        with pytest.raises(ValueError,
+                           match=r"^matrix is not unitary \(defect overflows\)$"):
+            Subspace(np.array([[1e200], [0.0]]))
+
+    @pytest.mark.parametrize("m", [5, 128])
+    def test_projector_stores_the_exactly_hermitian_part(self, m):
+        s = random_subspace(m // 2, m, 3)
+        raw = s.basis @ s.basis.conj().T
+        raw += 1e-13j * haar_unitary(m, 4).array  # off Hermitian by 1e-13
+        p = Projector(raw)
+        assert np.array_equal(p.matrix, p.matrix.conj().T)
+        assert p.matrix.flags.c_contiguous and not p.matrix.flags.writeable
+        np.testing.assert_array_equal(p.matrix, 0.5 * (raw + raw.conj().T))
+        assert p.rank == m // 2
+
     def test_rejects_nan_in_basis(self):
         basis = self._basis(np.zeros(36))
         basis[3, 2] = np.nan
@@ -278,6 +296,17 @@ class TestQuotientDistanceBounds:
         np.testing.assert_allclose(lower, 0.25, atol=1e-12)
         np.testing.assert_allclose(upper, 2 * math.sin(math.pi / 12),
                                    rtol=1e-12)
+
+    @pytest.mark.parametrize("n, m, count", [(1, 2, 10), (1, 4, 10), (2, 5, 10),
+                                             (3, 8, 10), (36, 72, 3)])
+    def test_one_distance_is_the_two_call_form(self, n, m, count):
+        # the distance is taken once and V built directly; the values are
+        # those of projector_distance and kato_unitary called separately
+        for seed in range(count):
+            p, q = random_projector_pair(n, m, seed, theta=0.5)
+            lower, upper = quotient_distance_bounds(p, q)
+            assert lower == 0.5 * projector_distance(p, q)
+            assert upper == operator_norm(np.eye(m) - kato_unitary(p, q).array)
 
     def test_sandwich_on_random_pairs(self):
         for seed in range(30):

@@ -17,9 +17,11 @@ from dynnets.linalg import (
     _exp_skew_stack,
     _greedy_packing,
     _haar_qr,
+    _hermitian_part,
     _log_unitary_stack,
     _nearest,
     _norm_within,
+    _opnorm_stack,
     _search_rows,
     _skew_ball_stack,
     _target_rows,
@@ -32,7 +34,11 @@ from dynnets.linalg import (
     skew_basis,
     spectral_width,
 )
-from dynnets.grassmann import empirical_grassmann_packing
+from dynnets.grassmann import (
+    Subspace,
+    empirical_grassmann_packing,
+    projector_from_subspace,
+)
 from dynnets.unitary_nets import (
     UnitaryNet,
     build_unitary_net,
@@ -90,6 +96,83 @@ class TestOperatorNorm:
             operator_norm(np.zeros((2, 3)))
 
 
+def hermitian_corpus(m):
+    """Exactly Hermitian m x m matrices of the kinds whose norms meet eigvalsh.
+
+    P - Q is built as the dense benchmark builds it: half-rank bases B and
+    B cos(theta) + C sin(theta), theta the clustered principal angles of a
+    random pair. -P has its norm at lambda_min, not lambda_max.
+    """
+    rng = np.random.default_rng(m)
+    g = rng.standard_normal((2, m, m))
+    u = _haar_qr(*rng.standard_normal((2, 2, m, m)))
+    k = m // 2
+    cosines = np.linalg.svd(u[0, :, :k].conj().T @ u[1, :, :k], compute_uv=False)
+    theta = np.sort(np.arccos(np.clip(cosines, 0.0, 1.0)))
+    first, rest = u[0, :, :k], u[0, :, k:2 * k]
+    p, q = (projector_from_subspace(Subspace(b)).matrix
+            for b in (first, first * np.cos(theta) + rest * np.sin(theta)))
+    v = u[1, :, :1]
+    return {"random": _hermitian_part(g[0] + 1j * g[1]),
+            "p_minus_q": p - q,
+            "minus_p": -p,
+            "rank_one": _hermitian_part(3.0 * v @ v.conj().T),
+            "zero": np.zeros((m, m), dtype=complex),
+            "diagonal": np.diag(np.linspace(-2.0, 1.5, m)).astype(complex)}
+
+
+class TestHermitianNorm:
+    @pytest.mark.parametrize("m", [65, 72, 128, 256])
+    def test_corpus_between_svd_and_svd_plus_1e12(self, m):
+        for name, a in hermitian_corpus(m).items():
+            assert np.array_equal(a, a.conj().T), name
+            svd = np.linalg.svd(a, compute_uv=False)[0]
+            norm = operator_norm(a)
+            assert svd <= norm <= svd * (1.0 + 1e-12), name
+
+    @pytest.mark.parametrize("m", [65, 128])
+    def test_hermitian_stack_takes_eigvalsh(self, m, monkeypatch):
+        stack = np.array(list(hermitian_corpus(m).values()))
+        expected = np.linalg.svd(stack, compute_uv=False)[:, 0]
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("SVD called on an exactly Hermitian stack")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        norms = _opnorm_stack(stack)
+        assert np.all(expected <= norms)
+        assert np.all(norms <= expected * (1.0 + 1e-12))
+
+    @pytest.mark.parametrize("m", [2, 16, 63, 64])
+    def test_hermitian_up_to_64_is_the_svd(self, m):
+        rng = np.random.default_rng(m)
+        g = rng.standard_normal((2, 5, m, m))
+        stack = _hermitian_part(g[0] + 1j * g[1])
+        stack[1] = -stack[1] @ stack[1]  # norm at lambda_min
+        np.testing.assert_array_equal(
+            _opnorm_stack(stack), np.linalg.svd(stack, compute_uv=False)[:, 0])
+        for a in stack:
+            assert operator_norm(a) == np.linalg.svd(a, compute_uv=False)[0]
+
+    @pytest.mark.parametrize("m", [65, 128])
+    def test_non_hermitian_above_64_is_the_svd(self, m):
+        rng = np.random.default_rng(m)
+        g = rng.standard_normal((2, 3, m, m))
+        stack = _hermitian_part(g[0] + 1j * g[1])
+        stack[1, 0, 1] *= 1.0 + 1e-12  # off Hermitian in one entry
+        stack[2] = g[0, 2] + 1j * g[1, 2]
+        expected = np.linalg.svd(stack, compute_uv=False)[:, 0]
+        np.testing.assert_array_equal(_opnorm_stack(stack), expected)
+        np.testing.assert_array_equal(_opnorm_stack(stack[1:]), expected[1:])
+
+    def test_hermitian_part_is_exact(self):
+        g = np.random.default_rng(3).standard_normal((2, 4, 9, 9))
+        x = g[0] + 1j * g[1]
+        h = _hermitian_part(x)
+        assert np.array_equal(h, np.conj(np.swapaxes(h, -1, -2)))
+        np.testing.assert_array_equal(h[2], 0.5 * (x[2] + x[2].conj().T))
+
+
 class TestMatrixClasses:
     def test_unitary_accepts_unitary(self):
         u = UnitaryMatrix(np.eye(3))
@@ -133,6 +216,20 @@ class TestMatrixClasses:
         with pytest.raises(ValueError,
                            match=r"matrix is not unitary \(defect 1\.05\de-10\)"):
             UnitaryMatrix(self._near_unitary(defects))
+
+    @pytest.mark.filterwarnings("error")
+    def test_unitary_refuses_overflowing_gram_as_not_unitary(self):
+        # every entry is finite, but U^dag U overflows to inf
+        with pytest.raises(ValueError,
+                           match=r"^matrix is not unitary \(defect overflows\)$"):
+            UnitaryMatrix(1e200 * np.eye(2))
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_stack_past_the_outer_product_threshold(self):
+        stack = np.broadcast_to(np.eye(2, dtype=complex), (40, 2, 2)).copy()
+        stack[33] *= 1e200
+        with pytest.raises(ValueError, match=r"not unitary \(defect overflows\)"):
+            linalg._check_unitary(stack)
 
     @pytest.mark.parametrize("build", [UnitaryMatrix, SkewHermitian,
                                        matrix_exp, spectral_width])
