@@ -38,7 +38,9 @@ _INV_FACTORIAL = np.array([1.0 / math.factorial(k)
                            for k in range(len(_TAYLOR_THETA) + 1)])
 
 def _as_square_array(a, name: str = "matrix") -> np.ndarray:
-    arr = np.asarray(a, dtype=complex)
+    # C order (no copy for C-ordered input) lets the finiteness check read
+    # the entries as floats: a view numpy refuses for a transposed array.
+    arr = np.asarray(a, dtype=complex, order="C")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"{name} must be a square 2-d array, got shape {arr.shape}")
     if not np.all(np.isfinite(arr.view(float))):

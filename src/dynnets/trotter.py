@@ -3,19 +3,24 @@
 The exact propagator sweeps uniform steps of the sixth-order Magnus
 integrator with three Gauss nodes (one exponential per step, whose exponent
 takes three commutators; Blanes, Casas, Oteo and Ros, Phys. Rep. 470, 2009),
-with step doubling and Richardson extrapolation over whole segments. A sweep
-evaluates each envelope once on all its nodes and makes its exponentials in
-stacked calls; the exponents are small in norm, so each call is a truncated
-Taylor series whose degree, chosen from the stack's 1-norm, keeps the
-truncation under 2^-53 (the eigendecomposition above the table). A pairwise
-tree multiplies the steps in time order. Each factor is unitary to rounding,
-so unitarity drifts by rounding per step, far below the requested tolerance.
+with step doubling and Richardson extrapolation over whole segments. The
+segments between envelope breakpoints run in lockstep rounds: each round
+makes one stacked sweep over every open segment's coarse and fine step
+counts and one stacked norm of their differences. A sweep evaluates each
+envelope once on all its nodes, takes each chunk's alphas from one real
+GEMM onto the bases, and makes its exponentials in stacked calls; the
+exponents are small in norm, so each call is a truncated Taylor series whose
+degree, chosen from the stack's 1-norm, keeps the truncation under 2^-53
+(the eigendecomposition above the table). A pairwise tree multiplies each
+sweep's steps in time order. Each factor is unitary to rounding, so
+unitarity drifts by rounding per step, far below the requested tolerance.
 Each Trotter factor is a single term, which commutes with itself at all
 times, so it is the closed-form exponential of the term's base times its
-envelope integral, from one eigendecomposition of the base per propagator.
-Per chunk of slices, one product per term makes its factors and one stacked
-gate application puts them on every slice, and the same pairwise tree
-multiplies the slices. The first-order Trotter error is certified against
+envelope integral, from one eigendecomposition of the base per propagator;
+one vectorized ``integrals`` call per term covers a block of slices. Per
+chunk of slices, one product per term makes its factors and one stacked gate
+application puts them on every slice, and the same pairwise tree multiplies
+the slices. The first-order Trotter error is certified against
 delta_t * T * K * z * |h|^2, where z counts support overlaps (a term
 overlaps itself) and |h| is the largest sup-norm of a term over [0, T].
 """
@@ -33,6 +38,7 @@ from .circuits import (QuditRegister, _apply_gate, _check_on_register,
 from .linalg import (
     UnitaryMatrix,
     _exp_skew_series,
+    _opnorm_stack,
     _require_hermitian,
     operator_norm,
 )
@@ -84,13 +90,20 @@ class CosineEnvelope:
         return abs(self.amplitude) * max(abs(math.cos(lo)), abs(math.cos(hi)))
 
     def integral(self, t0: float, t1: float) -> float:
+        return float(self.integrals(np.array([t0, t1]))[0])
+
+    def integrals(self, edges) -> np.ndarray:
+        """Integrals over [edges[i], edges[i + 1]] for every i."""
         # a / omega * (sin(b) - sin(a)) in product form, with the 1 / omega
         # folded into sin(x) / x: nothing cancels for short windows, and
         # omega = 0 (or so small that a / omega overflows) needs no division.
+        t = np.asarray(edges, dtype=float)
+        t0, t1 = t[:-1], t[1:]
         x = 0.5 * self.omega * (t1 - t0)
-        sinc = math.sin(x) / x if x != 0.0 else 1.0
+        sinc = np.ones_like(x)
+        np.divide(np.sin(x), x, out=sinc, where=x != 0.0)
         mid = 0.5 * self.omega * (t0 + t1) + self.phase
-        return self.amplitude * (t1 - t0) * math.cos(mid) * sinc
+        return self.amplitude * (t1 - t0) * np.cos(mid) * sinc
 
     def breakpoints(self) -> tuple[float, ...]:
         return ()
@@ -168,9 +181,32 @@ class PiecewiseLinearEnvelope:
     def integral(self, t0: float, t1: float) -> float:
         if t1 < t0:
             return -self.integral(t1, t0)
-        # The trapezoid rule is exact on each linear piece.
-        nodes, v = self._window(t0, t1)
-        return float(0.5 * np.sum(np.diff(nodes) * (v[1:] + v[:-1])))
+        return float(self.integrals(np.array([t0, t1]))[0])
+
+    def integrals(self, edges) -> np.ndarray:
+        """Integrals over [edges[i], edges[i + 1]] for nondecreasing edges.
+
+        The trapezoid rule is exact on each linear piece. The pieces run
+        over the edges and every breakpoint strictly inside a slice, and one
+        ``np.add.reduceat`` sums each slice's pieces. A zero leads each
+        slice's run, so that reduceat adds 0 and then the pieces pairwise,
+        as ``np.sum`` over the slice alone does: a slice's integral is the
+        same bit for bit whatever the other edges.
+        """
+        t = np.asarray(edges, dtype=float)
+        self._check_domain(float(t[0]), float(t[-1]))
+        inner = self.times[(self.times > t[0]) & (self.times < t[-1])]
+        # inner[j] lies in [t[slot[j] - 1], t[slot[j]]); on an edge it
+        # splits nothing.
+        slot = np.searchsorted(t, inner, side="right")
+        inside = t[slot - 1] < inner
+        slot = slot[inside]
+        nodes = np.insert(t, slot, inner[inside])
+        starts = np.flatnonzero(np.insert(np.ones(t.size, dtype=bool), slot,
+                                          False))[:-1]
+        v = np.interp(nodes, self.times, self.values)
+        pieces = np.insert(np.diff(nodes) * (v[1:] + v[:-1]), starts, 0.0)
+        return 0.5 * np.add.reduceat(pieces, starts + np.arange(starts.size))
 
     def breakpoints(self) -> tuple[float, ...]:
         return tuple(float(t) for t in self.times)
@@ -248,8 +284,27 @@ def _check_steps(n_steps: int) -> None:
 
 def term_norm_sup(term: HamiltonianTerm, t_final: float) -> float:
     """sup over [0, T] of ||e(t) * base||, from the envelope's exact sup_abs."""
+    return _term_norm_sups([term], t_final)[0]
+
+
+def _term_norm_sups(terms: Sequence[HamiltonianTerm],
+                    t_final: float) -> list[float]:
+    """``term_norm_sup`` of each term, from one ``_opnorm_stack`` per base dimension.
+
+    Each base was checked finite and square on construction, so each norm is
+    the one ``operator_norm`` returns for it, bit for bit: the SVD up to
+    dimension 64, where the bound side's norms must stay.
+    """
     _check_final_time(t_final)
-    return operator_norm(term.base) * term.envelope.sup_abs(0.0, t_final)
+    by_dim: dict[int, list[int]] = {}
+    for i, term in enumerate(terms):
+        by_dim.setdefault(term.base.shape[0], []).append(i)
+    sups = [0.0] * len(terms)
+    for idx in by_dim.values():
+        norms = _opnorm_stack(np.stack([terms[i].base for i in idx]))
+        for i, norm in zip(idx, norms.tolist()):
+            sups[i] = norm * terms[i].envelope.sup_abs(0.0, t_final)
+    return sups
 
 
 def commutation_degree(h: TimeDependentHamiltonian) -> int:
@@ -288,68 +343,58 @@ def _time_ordered_product(steps: np.ndarray) -> np.ndarray:
 
 def _magnus_sweep(envelopes, bases: np.ndarray, t0: float, t1: float,
                   n: int) -> np.ndarray:
-    """Product of n uniform sixth-order Magnus steps over [t0, t1].
+    """Product of n uniform sixth-order Magnus steps over [t0, t1], from the
+    embedded Hermitian bases."""
+    return _magnus_sweeps(envelopes, -1j * bases, [(t0, t1, n)])[0]
+
+
+def _magnus_sweeps(envelopes, skew: np.ndarray, requests) -> np.ndarray:
+    """Products of uniform sixth-order Magnus sweeps, one per (t0, t1, n).
+
+    ``skew`` is the C-ordered stack of the terms' -i B.
 
     With A_i = -i H(t + c_i h) at the Gauss nodes c = 1/2 -+ sqrt(15)/10 and
     1/2, step j's exponent is built from alpha_1 = h A_2, alpha_2 =
     (sqrt(15) h / 3)(A_3 - A_1) and alpha_3 = (10 h / 3)(A_3 - 2 A_2 + A_1):
     C_1 = [alpha_1, alpha_2], C_2 = -[alpha_1, 2 alpha_3 + C_1] / 60 and
     Omega = alpha_1 + alpha_3 / 12 + [-20 alpha_1 - alpha_3 + C_1,
-    alpha_2 + C_2] / 240. Each envelope is evaluated once on all 3n nodes
-    and mixed into the alphas' weights. Per chunk of at most
-    ``_SWEEP_ENTRIES`` node matrix entries, one GEMM onto the bases gives
-    every alpha, each commutator takes one batched product, and one
-    Taylor-series exponential over the stack, whose exponents are small in
-    norm, gives every step; a pairwise tree multiplies the chunk's steps in
-    log2 of their count batched products, the later step on the left.
+    alpha_2 + C_2] / 240. The requests' steps lie end to end: each envelope
+    is evaluated once on all their nodes and mixed into real weights h
+    _NODE_MIX @ W. Per chunk of at most ``_SWEEP_ENTRIES`` node matrix
+    entries, which may span requests, one real GEMM of those weights onto
+    the [re, im] view of ``skew`` gives every alpha, each commutator
+    takes one batched product, and one Taylor-series exponential over the
+    stack, whose exponents are small in norm, gives every step; a pairwise
+    tree multiplies each request's steps in the chunk onto its product, the
+    later step on the left.
     """
-    k, dim = bases.shape[:2]
+    k, dim = skew.shape[:2]
+    t0, t1, n = (np.array(col) for col in zip(*requests))
     h = (t1 - t0) / n
-    taus = t0 + (np.arange(n)[:, None] + np.array(_GAUSS_NODES)) * h
-    weights = np.stack([env(taus.ravel()) for env in envelopes], axis=-1)
-    alphas = (-1j * h * _NODE_MIX) @ weights.reshape(n, 3, k)
-    flat = bases.reshape(k, dim * dim)
+    # first[r] is request r's first step in the sweep; owner its request
+    first = np.concatenate(([0], np.cumsum(n)))
+    owner = np.repeat(np.arange(len(n)), n)
+    step = np.arange(first[-1]) - first[owner]
+    taus = (t0[owner, None]
+            + (step[:, None] + np.array(_GAUSS_NODES)) * h[owner, None])
+    nodes = np.stack([env(taus.ravel()) for env in envelopes], axis=-1)
+    weights = (h[owner, None, None] * _NODE_MIX) @ nodes.reshape(-1, 3, k)
+    flat = skew.reshape(k, dim * dim).view(float)
     per_chunk = max(1, _SWEEP_ENTRIES // (3 * dim * dim))
-    u = np.eye(dim, dtype=complex)
-    for start in range(0, n, per_chunk):
-        a1, a2, a3 = (alphas[start:start + per_chunk] @ flat).reshape(
-            -1, 3, dim, dim).swapaxes(0, 1)
+    u = np.empty((len(n), dim, dim), dtype=complex)
+    u[:] = np.eye(dim)
+    for start in range(0, first[-1], per_chunk):
+        stop = min(start + per_chunk, first[-1])
+        a1, a2, a3 = (weights[start:stop].reshape(-1, k) @ flat).view(
+            complex).reshape(-1, 3, dim, dim).swapaxes(0, 1)
         c1 = _commutator(a1, a2)
         c2 = _commutator(a1, 2.0 * a3 + c1) / -60.0
         x = a1 + a3 / 12.0 + _commutator(c1 - 20.0 * a1 - a3, a2 + c2) / 240.0
-        u = _time_ordered_product(_exp_skew_series(x)) @ u
+        steps = _exp_skew_series(x)
+        for r in range(owner[start], owner[stop - 1] + 1):
+            lo, hi = max(first[r], start), min(first[r + 1], stop)
+            u[r] = _time_ordered_product(steps[lo - start:hi - start]) @ u[r]
     return u
-
-
-def _adaptive_unitary(envelopes, bases: np.ndarray, t0: float, t1: float,
-                      tol: float) -> np.ndarray:
-    """Propagator over [t0, t1] with its error budgeted to <= tol."""
-    # Rounding noise of the doubling estimator grows ~sqrt(dim) * eps per
-    # step; the additive floor keeps the loop from chasing that noise when
-    # the segment's tolerance share is tiny.
-    noise_floor = 32.0 * np.finfo(float).eps * math.sqrt(bases.shape[-1])
-    n, coarse = 4, None
-    while True:
-        if 2 * n > _MAX_STEPS:
-            raise ValueError(f"adaptive propagator exceeded {_MAX_STEPS} "
-                             f"steps on [{t0}, {t1}]")
-        if coarse is None:
-            coarse = _magnus_sweep(envelopes, bases, t0, t1, n)
-        fine = _magnus_sweep(envelopes, bases, t0, t1, 2 * n)
-        diff = fine - coarse
-        est = operator_norm(diff)
-        # The fine sweep's error is about est / 63, so this holds it to
-        # tol / 2; the Richardson combination returned is a higher order.
-        budget = 31.5 * tol + noise_floor * 2 * n
-        if est <= budget:
-            return fine + diff / 63.0
-        # est falls as n^-6, so the pair at n (est / budget)^(1/6) should
-        # pass; below a doubling, the fine sweep is the next coarse one.
-        jump = 1.1 * n * (est / budget) ** (1.0 / 6.0)
-        if jump > 2 * n:
-            n, coarse = math.ceil(min(jump, _MAX_STEPS)), None
-        else:
-            n, coarse = 2 * n, fine
 
 
 def exact_propagator(h: TimeDependentHamiltonian, t_final: float,
@@ -362,8 +407,11 @@ def exact_propagator(h: TimeDependentHamiltonian, t_final: float,
     1/63) once that difference is within 31.5 times the segment's tolerance
     share (the fine sweep within half of it) plus a rounding floor; else n
     jumps to the count the n^-6 decay of that difference predicts, or
-    doubles. Every factor is unitary to rounding and the steps multiply as a
-    pairwise tree, so the unitarity defect stays within 10 * tol.
+    doubles. The segments run in lockstep: each round makes one stacked
+    sweep over every open segment's coarse and fine counts and one stacked
+    norm of their differences. Every factor is unitary to rounding and the
+    steps multiply as a pairwise tree, so the unitarity defect stays within
+    10 * tol.
     """
     _check_final_time(t_final)
     if not _MIN_TOL <= tol < math.inf:
@@ -374,7 +422,9 @@ def exact_propagator(h: TimeDependentHamiltonian, t_final: float,
         raise ValueError(
             f"exact propagation capped at dimension {_EXACT_DIM_LIMIT}, "
             f"got {dim}")
-    bases = _embedded_bases(h)
+    # -i B in place: a copy would hold another K * 64 KB at dimension 64
+    skew = _embedded_bases(h)
+    skew *= -1j
     envelopes = [t.envelope for t in h.terms]
     # Step doubling assumes a smooth integrand, so the interval is cut at
     # every interior envelope breakpoint; each segment gets a tolerance
@@ -383,10 +433,64 @@ def exact_propagator(h: TimeDependentHamiltonian, t_final: float,
     interior = {b for env in envelopes for b in env.breakpoints()
                 if edge < b < t_final - edge}
     cuts = sorted({0.0, float(t_final)} | interior)
+    segments = list(zip(cuts, cuts[1:]))
+    # Rounding noise of the doubling estimator grows ~sqrt(dim) * eps per
+    # step; the additive floor keeps the loop from chasing that noise when
+    # a segment's tolerance share is tiny.
+    noise_floor = 32.0 * np.finfo(float).eps * math.sqrt(dim)
+    n = [4] * len(segments)
+    coarse: list[np.ndarray | None] = [None] * len(segments)
+    parts: list[np.ndarray | None] = [None] * len(segments)
+
+    def doubling_round(live: list[int]) -> list[int]:
+        # One round over the open segments; returns those left open. The
+        # round's sweeps are its locals, so they are freed before the next.
+        requests = []
+        for i in live:
+            a, b = segments[i]
+            if 2 * n[i] > _MAX_STEPS:
+                raise ValueError(f"adaptive propagator exceeded {_MAX_STEPS} "
+                                 f"steps on [{a}, {b}]")
+            if coarse[i] is None:
+                requests.append((a, b, n[i]))
+            requests.append((a, b, 2 * n[i]))
+        # per open segment, its coarse sweep unless carried over, then its fine
+        swept = iter(_magnus_sweeps(envelopes, skew, requests))
+        pairs = [(next(swept) if coarse[i] is None else coarse[i], next(swept))
+                 for i in live]
+        diffs = np.empty((len(live), dim, dim), dtype=complex)
+        for diff, (c, fine) in zip(diffs, pairs):
+            np.subtract(fine, c, out=diff)
+        if not np.isfinite(diffs.view(float)).all():
+            raise ValueError("Magnus sweep has non-finite entries")
+        still = []
+        for i, (_, fine), diff, est in zip(live, pairs, diffs,
+                                           _opnorm_stack(diffs).tolist()):
+            a, b = segments[i]
+            # The fine sweep's error is about est / 63, so this holds it to
+            # the segment's share / 2; the Richardson combination kept is a
+            # higher order.
+            budget = 31.5 * (tol * (b - a) / t_final) + noise_floor * 2 * n[i]
+            if est <= budget:
+                parts[i] = fine + diff / 63.0
+                continue
+            # est falls as n^-6, so the pair at n (est / budget)^(1/6) should
+            # pass; below a doubling, the fine sweep is the next coarse one,
+            # copied out of the round's stack so that the stack is freed.
+            jump = 1.1 * n[i] * (est / budget) ** (1.0 / 6.0)
+            if jump > 2 * n[i]:
+                n[i], coarse[i] = math.ceil(min(jump, _MAX_STEPS)), None
+            else:
+                n[i], coarse[i] = 2 * n[i], fine.copy()
+            still.append(i)
+        return still
+
+    live = list(range(len(segments)))
+    while live:
+        live = doubling_round(live)
     u = np.eye(dim, dtype=complex)
-    for a, b in zip(cuts, cuts[1:]):
-        u = _adaptive_unitary(envelopes, bases, a, b,
-                              tol * (b - a) / t_final) @ u
+    for part in parts:
+        u = part @ u
     return UnitaryMatrix(u, _validated=True)
 
 
@@ -400,7 +504,8 @@ def trotter_propagator(h: TimeDependentHamiltonian, t_final: float,
     integral of e over the slice, on its own support, and the only error is
     the term-splitting itself. Each term's B = V diag(w) V^dag is
     diagonalized once per call, and a factor is (V exp(-i theta w)) V^dag.
-    Per chunk of at most ``_SWEEP_ENTRIES`` matrix entries, the
+    Per block of dim chunks, one ``integrals`` call per term gives every
+    slice's theta. Per chunk of at most ``_SWEEP_ENTRIES`` matrix entries, the
     first slice starts from the product so far and the others from the
     identity, each term's stack of factors is applied to all of them in one
     call, and a pairwise tree multiplies them, the later slice on the left.
@@ -413,22 +518,28 @@ def trotter_propagator(h: TimeDependentHamiltonian, t_final: float,
     eye = np.eye(reg.dim, dtype=complex)
     u = eye
     delta = t_final / n_steps
-    # Slices are made per chunk, so memory stays flat in n_steps.
+    # Slices are made per chunk, and thetas per block of dim chunks, so
+    # memory stays flat in n_steps: per term, a block's thetas take 1 / (2
+    # dim) of a chunk's bytes. Up to dim 64 a default block holds 256 slices
+    # or more.
     per_chunk = max(1, _SWEEP_ENTRIES // reg.dim ** 2)
+    per_block = per_chunk * reg.dim
     eigs = [np.linalg.eigh(term.base) for term in h.terms]
-    for start in range(0, n_steps, per_chunk):
-        chunk = range(start, min(start + per_chunk, n_steps))
-        slices = np.concatenate(
-            (u[None], np.broadcast_to(eye, (len(chunk) - 1,) + eye.shape)))
-        for term, (w, v) in zip(h.terms, eigs):
-            # term's exponential over each of the chunk's slices
-            theta = np.array([term.envelope.integral(step * delta,
-                                                     (step + 1) * delta)
-                              for step in chunk])
-            phases = np.exp(-1j * np.multiply.outer(theta, w))
-            factors = (v * phases[:, None, :]) @ v.conj().T
-            slices = _apply_gate(factors, term.support, slices, reg.L, reg.d)
-        u = _time_ordered_product(slices)
+    for block in range(0, n_steps, per_block):
+        edges = np.arange(block, min(block + per_block, n_steps) + 1) * delta
+        thetas = [term.envelope.integrals(edges) for term in h.terms]
+        for start in range(0, len(edges) - 1, per_chunk):
+            stop = min(start + per_chunk, len(edges) - 1)
+            slices = np.concatenate(
+                (u[None],
+                 np.broadcast_to(eye, (stop - start - 1,) + eye.shape)))
+            for term, theta, (w, v) in zip(h.terms, thetas, eigs):
+                # term's exponential over each of the chunk's slices
+                phases = np.exp(-1j * np.multiply.outer(theta[start:stop], w))
+                factors = (v * phases[:, None, :]) @ v.conj().T
+                slices = _apply_gate(factors, term.support, slices, reg.L,
+                                     reg.d)
+            u = _time_ordered_product(slices)
     return UnitaryMatrix(u, _validated=True)
 
 
@@ -499,7 +610,7 @@ def certify_trotter(h: TimeDependentHamiltonian, t_final: float,
     measured = operator_norm(approx.array - exact.array)
     k_terms = h.n_terms
     z = commutation_degree(h)
-    h_max = max(term_norm_sup(term, t_final) for term in h.terms)
+    h_max = max(_term_norm_sups(h.terms, t_final))
     bound = _trotter_error(t_final, n_steps, k_terms, z, h_max)
     if measured > bound + 1e-9:
         raise CertificateViolation(measured, bound)

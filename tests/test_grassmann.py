@@ -107,6 +107,19 @@ class TestSubspaceAndProjector:
         np.testing.assert_array_equal(p.matrix, 0.5 * (raw + raw.conj().T))
         assert p.rank == m // 2
 
+    @pytest.mark.parametrize("layout", ["transposed", "fortran", "strided"])
+    def test_projector_reads_non_contiguous_input(self, layout):
+        # a layout whose last axis is not contiguous holds the same matrix
+        s = random_subspace(2, 5, 3)
+        raw = s.basis @ s.basis.conj().T
+        wide = np.zeros((5, 10), dtype=complex)
+        wide[:, ::2] = raw
+        a = {"transposed": np.array(raw.T, order="C").T,
+             "fortran": np.asfortranarray(raw), "strided": wide[:, ::2]}[layout]
+        assert not a.flags.c_contiguous and np.array_equal(a, raw)
+        p, expect = Projector(a), Projector(raw)
+        assert np.array_equal(p.matrix, expect.matrix) and p.rank == 2
+
     def test_rejects_nan_in_basis(self):
         basis = self._basis(np.zeros(36))
         basis[3, 2] = np.nan

@@ -240,6 +240,56 @@ class TestMatrixClasses:
             build(a)
 
 
+def non_c_layouts(m):
+    """m itself, held as a transposed view, in Fortran order and as a strided view."""
+    wide = np.zeros((m.shape[0], 2 * m.shape[1]), dtype=m.dtype)
+    wide[:, ::2] = m
+    layouts = {"transposed": np.array(m.T, order="C").T,
+               "fortran": np.asfortranarray(m), "strided": wide[:, ::2]}
+    for a in layouts.values():
+        assert not a.flags.c_contiguous and np.array_equal(a, m, equal_nan=True)
+    return layouts
+
+
+LAYOUTS = ["transposed", "fortran", "strided"]
+
+
+class TestNonContiguousInput:
+    """Inputs whose last axis is not contiguous are read, not refused."""
+
+    def test_transposed_literals(self):
+        m = np.arange(9.0).reshape(3, 3) + 0j
+        assert operator_norm(m.T) == operator_norm(np.array(m.T, order="C"))
+        assert np.array_equal(UnitaryMatrix(np.eye(3).T).array, np.eye(3))
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_operator_norm(self, layout):
+        rng = np.random.default_rng(3)
+        for n in (3, 72):
+            m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            for a in (m, _hermitian_part(m)):
+                assert operator_norm(non_c_layouts(a)[layout]) == operator_norm(a)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_unitary(self, layout):
+        u = haar_unitary(4, 7).array
+        got = UnitaryMatrix(non_c_layouts(u)[layout]).array
+        assert got.flags.c_contiguous and np.array_equal(got, u)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_skew_hermitian(self, layout):
+        x = random_skew_in_ball(4, 0.8, 7).array
+        got = SkewHermitian(non_c_layouts(x)[layout]).array
+        assert got.flags.c_contiguous and np.array_equal(got, x)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_nan_entry_still_raises(self, layout):
+        a = np.zeros((3, 3), dtype=complex)
+        a[1, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            operator_norm(non_c_layouts(a)[layout])
+
+
 class TestNormWithin:
     def test_stack_verdicts(self):
         stack = np.zeros((3, 2, 2), dtype=complex)

@@ -212,6 +212,43 @@ class TestIntegral:
         assert env.integral(2.0, 0.0) == pytest.approx(2.5, rel=1e-15)
         assert env.sup_abs(2.0, 0.0) == 3.0
 
+    @staticmethod
+    def window_trapezoid(env, t0, t1):
+        """The trapezoid sum over one window's breakpoints, by np.sum."""
+        nodes = np.array([t0] + [t for t in env.times if t0 < t < t1] + [t1])
+        v = np.interp(nodes, env.times, env.values)
+        return float(0.5 * np.sum(np.diff(nodes) * (v[1:] + v[:-1])))
+
+    @pytest.mark.parametrize("env, t_final, n", [
+        (CosineEnvelope(0.8, 2.5, 0.3), 1.3, 7),
+        (CosineEnvelope(1.3, 1e-9, 0.7), 0.9, 7),
+        (ConstantEnvelope(-0.7), 0.9, 5),
+        # 13 breakpoints on [0, 0.9]: three slices of four or five pieces
+        (PiecewiseLinearEnvelope(np.linspace(0.0, 0.9, 13),
+                                 np.cos(7.0 * np.arange(13))), 0.9, 3),
+        # the breakpoint 0.5 is the slice edge 2 * (1 / 4)
+        (PiecewiseLinearEnvelope([0.0, 0.5, 1.0], [0.6, -0.9, 0.4]), 1.0, 4),
+        # the last edge 7 * (0.9 / 7) lies above 0.9, so the breakpoint 0.9
+        # splits the last slice
+        (PiecewiseLinearEnvelope([0.0, 0.4, 0.9], [0.6, -0.9, 0.4]), 0.9, 7),
+        # the last edge 3 * (0.9 / 3) lies below 0.9
+        (PiecewiseLinearEnvelope([0.0, 0.4, 0.9], [0.6, -0.9, 0.4]), 0.9, 3),
+    ], ids=["cosine", "slow-cosine", "constant", "pwl-many-pieces",
+            "pwl-breakpoint-on-edge", "pwl-last-edge-above-T",
+            "pwl-last-edge-below-T"])
+    def test_integrals_are_the_per_slice_integrals(self, env, t_final, n):
+        edges = np.arange(n + 1) * (t_final / n)
+        per_slice = [env.integral(a, b) for a, b in zip(edges[:-1], edges[1:])]
+        assert np.array_equal(env.integrals(edges), per_slice)
+        if isinstance(env, PiecewiseLinearEnvelope):
+            assert per_slice == [self.window_trapezoid(env, a, b)
+                                 for a, b in zip(edges[:-1], edges[1:])]
+
+    def test_integrals_edge_cases_hold(self):
+        # the premises of the edge cases above
+        assert 7 * (0.9 / 7) > 0.9 > 3 * (0.9 / 3)
+        assert 2 * (1.0 / 4) == 0.5
+
     def test_pwl_domain_error(self):
         env = PiecewiseLinearEnvelope([0.0, 1.0], [1.0, 1.0])
         with pytest.raises(ValueError, match="domain"):
@@ -435,42 +472,72 @@ class TestSweep:
         chunked = trotter_module._magnus_sweep(envelopes, bases, 0.0, 1.0, 37)
         assert operator_norm(chunked - whole) <= 1e-14
 
+    def test_stacked_requests_match_single_sweeps(self, monkeypatch):
+        h = mixed_envelope_chain()
+        envelopes = [term.envelope for term in h.terms]
+        bases = trotter_module._embedded_bases(h)
+        requests = [(0.0, 0.45, 5), (0.0, 0.45, 10), (0.45, 1.0, 7)]
+        # three steps per chunk, so chunks straddle both request boundaries
+        monkeypatch.setattr(trotter_module, "_SWEEP_ENTRIES", 9 * 64)
+        stacked = trotter_module._magnus_sweeps(envelopes, -1j * bases,
+                                                requests)
+        assert stacked.shape == (3, 8, 8)
+        for got, (t0, t1, n) in zip(stacked, requests):
+            single = trotter_module._magnus_sweep(envelopes, bases, t0, t1, n)
+            assert operator_norm(got - single) <= 1e-14
+
     def test_one_norm_per_round_one_exponential_per_chunk(self, monkeypatch):
         monkeypatch.setattr(trotter_module, "_SWEEP_ENTRIES", 9 * 64)
         per_chunk = 3
         events, exps = [], []
 
-        def recorded_sweep(envelopes, bases, t0, t1, n):
-            events.append(n)
-            return sweep(envelopes, bases, t0, t1, n)
+        def recorded_sweeps(envelopes, skew, requests):
+            events.append(("sweep", list(requests)))
+            exps.append([])
+            return sweeps(envelopes, skew, requests)
 
-        def recorded_norm(a):
-            events.append("norm")
-            return norm(a)
+        def recorded_norm(stack):
+            events.append(("norm", len(stack)))
+            return norm(stack)
 
         def recorded_exp(stack):
-            exps.append(len(stack))
+            exps[-1].append(len(stack))
             return exp(stack)
 
-        sweep = trotter_module._magnus_sweep
-        norm, exp = trotter_module.operator_norm, trotter_module._exp_skew_series
-        monkeypatch.setattr(trotter_module, "_magnus_sweep", recorded_sweep)
-        monkeypatch.setattr(trotter_module, "operator_norm", recorded_norm)
+        sweeps, norm = trotter_module._magnus_sweeps, trotter_module._opnorm_stack
+        exp = trotter_module._exp_skew_series
+        monkeypatch.setattr(trotter_module, "_magnus_sweeps", recorded_sweeps)
+        monkeypatch.setattr(trotter_module, "_opnorm_stack", recorded_norm)
         monkeypatch.setattr(trotter_module, "_exp_skew_series", recorded_exp)
         exact_propagator(mixed_envelope_chain(), 1.0)
-        # Each norm closes one round: it comes right after the fine sweep,
-        # whose step count is twice that of the sweep before it.
-        sweeps = [i for i, e in enumerate(events) if e != "norm"]
-        norms = [i for i, e in enumerate(events) if e == "norm"]
-        assert norms
-        for i in norms:
-            fine = sweeps.index(i - 1)
-            assert fine > 0 and events[i - 1] == 2 * events[sweeps[fine - 1]]
-        steps = [events[i] for i in sweeps]
-        # one exponent per step, so a full chunk's stack holds per_chunk
-        assert len(exps) == sum(-(-n // per_chunk) for n in steps)
-        assert max(exps) == per_chunk
-        assert sum(exps) == sum(steps)
+        # Each round is one sweep call and then one stacked norm, over the
+        # round's open segments.
+        kinds = [kind for kind, _ in events]
+        assert kinds == ["sweep", "norm"] * (len(kinds) // 2)
+        rounds = [requests for kind, requests in events if kind == "sweep"]
+        norms = [size for kind, size in events if kind == "norm"]
+        per_segment = {}
+        for requests, size in zip(rounds, norms):
+            counts = {}
+            for t0, t1, n in requests:
+                counts.setdefault((t0, t1), []).append(n)
+            assert size == len(counts)
+            for segment, ns in counts.items():
+                seen = per_segment.setdefault(segment, [])
+                # a fresh pair (n, 2n), or the fine count doubling the last
+                # round's fine sweep, which is its coarse one
+                assert (len(ns) == 2 and ns[1] == 2 * ns[0]
+                        or len(ns) == 1 and seen and ns[0] == 2 * seen[-1])
+                seen.extend(ns)
+        assert sorted(per_segment.values()) == [[4, 8, 18, 36], [4, 8, 20, 40]]
+        # one exponent per step, at most a chunk's worth per stack, and one
+        # stack per chunk of the round's steps laid end to end
+        for requests, stacks in zip(rounds, exps):
+            swept = sum(n for _, _, n in requests)
+            assert sum(stacks) == swept
+            assert max(stacks) <= per_chunk
+            assert len(stacks) == -(-swept // per_chunk)
+        assert max(max(stacks) for stacks in exps) == per_chunk
 
     def test_step_count_guard(self, monkeypatch):
         # Total steps swept for this chain at tol 1e-11 are 138 (4, 8, 18, 36
@@ -479,12 +546,12 @@ class TestSweep:
         # tighter budget, a lower order or a start at n = 8 (162) shows here.
         steps = []
 
-        def recorded_sweep(envelopes, bases, t0, t1, n):
-            steps.append(n)
-            return sweep(envelopes, bases, t0, t1, n)
+        def recorded_sweeps(envelopes, skew, requests):
+            steps.extend(n for _, _, n in requests)
+            return sweeps(envelopes, skew, requests)
 
-        sweep = trotter_module._magnus_sweep
-        monkeypatch.setattr(trotter_module, "_magnus_sweep", recorded_sweep)
+        sweeps = trotter_module._magnus_sweeps
+        monkeypatch.setattr(trotter_module, "_magnus_sweeps", recorded_sweeps)
         exact_propagator(mixed_envelope_chain(), 1.0, tol=1e-11)
         assert sum(steps) <= 1.1 * 138
 
@@ -541,6 +608,18 @@ class TestNonFiniteArguments:
     def test_exact_rejects_tol(self, tol):
         with pytest.raises(ValueError, match="tol must be finite"):
             exact_propagator(mixed_envelope_chain(), 1.0, tol=tol)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_exact_refuses_an_overflowing_sweep(self):
+        # finite inputs whose Magnus exponents overflow: the round's
+        # stacked norm would meet NaN, which the SVD cannot take
+        reg = QuditRegister(2, 2)
+        h = TimeDependentHamiltonian(reg, [
+            HamiltonianTerm((0,), SX, CosineEnvelope(1e300, 1.0)),
+            HamiltonianTerm((0, 1), ZZ, CosineEnvelope(1.0, 2.0))])
+        with pytest.raises(ValueError, match="non-finite entries"):
+            exact_propagator(h, 1.0)
 
     @pytest.mark.parametrize("t_final", [math.nan, math.inf, -1.0])
     @pytest.mark.parametrize("call", [
@@ -768,6 +847,22 @@ class TestCertifyTrotter:
         with pytest.raises(ValueError,
                            match="n_steps must be at least 1, got 0"):
             certify_trotter(qubit_pair_hamiltonian(), 1.0, 0)
+
+    def test_h_max_is_the_largest_term_norm(self):
+        # site and bond terms with different base norms and envelope sups:
+        # the stacked norms must land on their own terms, bit for bit
+        rng = np.random.default_rng(8)
+        reg = QuditRegister(3, 2)
+        terms = [HamiltonianTerm(sup, scale * random_hermitian(rng, 2 ** len(sup)),
+                                 CosineEnvelope(amp, 1.7, 0.4))
+                 for sup, scale, amp in [((0, 1), 0.3, 1.1), ((1, 2), 1.4, 0.2),
+                                         ((0,), 0.5, 0.9), ((2,), 2.0, 0.1)]]
+        h = TimeDependentHamiltonian(reg, terms)
+        sups = [operator_norm(t.base) * t.envelope.sup_abs(0.0, 0.8)
+                for t in terms]
+        assert [term_norm_sup(t, 0.8) for t in terms] == sups
+        assert trotter_module._term_norm_sups(terms, 0.8) == sups
+        assert certify_trotter(h, 0.8, 4).h_max == max(sups)
 
     def test_certificate_dict_keys(self):
         h = qubit_pair_hamiltonian()
