@@ -3,7 +3,8 @@
 The crossover analysis pits the log-domain covering lower bound for half-rank
 projectors in a d^L-dimensional space against the covering upper bounds of
 two resource families (gate count, evolution time), returning the minimal
-resource at which the upper bound first matches the geometric demand.
+resource at which the upper bound first matches the geometric demand, in
+closed form through the Lambert W function.
 Reports serialize byte-identically: fixed key order and 17-significant-digit
 floats.
 """
@@ -15,6 +16,7 @@ import io
 import json
 import math
 from dataclasses import asdict, dataclass
+from decimal import Context, Decimal, localcontext
 from typing import Any, Sequence
 
 import numpy as np
@@ -22,11 +24,20 @@ import numpy as np
 from .circuits import circuit_covering_log_bound
 from .grassmann import projector_covering_bounds
 from .linalg import _hermitian_part, _require_hermitian
-from .trotter import _min_covered_time, evolution_covering_log_bound
+from .logdomain import int_power
+from .trotter import (
+    _first_order_constant,
+    _min_covered_time,
+    evolution_covering_log_bound,
+)
 
 # the CrossoverRow field that holds each resource's minimal value
 _RESOURCE_FIELDS = {"circuit": "min_gates", "time": "min_time"}
 _RESOURCES = tuple(_RESOURCE_FIELDS)
+# digits of the minimal time's root: y = b / W(b) from the float W is good
+# to about 1e-15 and one Newton step squares that, so this precision, not
+# the start, limits the root (to about 1e-29)
+_ROOT_DIGITS = Context(prec=30)
 
 
 @dataclass(frozen=True)
@@ -191,23 +202,42 @@ class CrossoverReport:
         return payload
 
 
+def _lambert_w(ln_b: float) -> float:
+    """W(b), the root u of u + ln u = ln b, for b >= e (taken as ln b).
+
+    Newton's method from u = ln b. The curve u + ln u is concave, so the
+    first step lands at or below the root and the later ones rise to it;
+    the first step that does not rise ends the search.
+    """
+    def step(u: float) -> float:
+        return u - (u + math.log(u) - ln_b) / (1.0 + 1.0 / u)
+
+    u = step(ln_b)
+    while (rising := step(u)) > u:
+        u = rising
+    return u
+
+
 def _minimal_gates(d: int, k: int, L: int, epsilon: float, target: float) -> int:
     def value(n_gates: int) -> float:
         return circuit_covering_log_bound(d, k, L, n_gates, epsilon).ln_value
 
-    hi = 1
-    while value(hi) < target:
-        hi *= 2
-        if hi > 2 ** 60:
-            raise ValueError("minimal gate count search did not terminate")
-    lo = hi // 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if value(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    # value(Ng) = Ng (a + D ln Ng) with a = value(1) and D = d^(2k). In
+    # x = Ng e^(a/D) that reads x ln x = b = target e^(a/D) / D, so the
+    # real root is Ng = x e^(-a/D) = target / (D W(b)). Its float error
+    # stays below one gate up to about 1e16 gates, so one step either way
+    # makes the ceiling exact.
+    a = value(1)  # before int_power, so that an overflow names its inputs
+    if a >= target:
+        return 1
+    D = int_power(d, 2 * k)
+    gates = math.ceil(
+        target / (D * _lambert_w(math.log(target) + a / D - math.log(D))))
+    if value(gates) < target:
+        return gates + 1
+    if value(gates - 1) >= target:
+        return gates - 1
+    return gates
 
 
 def _minimal_time(d: int, k: int, L: int, K: int, z: int, h_max: float,
@@ -216,26 +246,28 @@ def _minimal_time(d: int, k: int, L: int, K: int, z: int, h_max: float,
         return evolution_covering_log_bound(L, d, k, K, z, h_max, t,
                                             epsilon).ln_value
 
-    start = _min_covered_time(K, z, h_max, epsilon) * (1.0 + 1e-12)
-    if value(start) >= target:
-        return start
-    hi = start
-    while True:
-        hi *= 2.0
-        if hi > 1e12:
-            raise ValueError("minimal time search did not terminate")
-        if value(hi) >= target:
-            break
-    lo = hi / 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if value(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * hi:
-            break
-    return hi
+    edge = _min_covered_time(K, z, h_max, epsilon) * (1.0 + 1e-12)
+    if value(edge) >= target:  # before int_power, as in _minimal_gates
+        return edge
+    # value(T) = k K ln L + (D eps / 28) y ln y with D = d^(2k) and
+    # y = 112 T^2 K c / eps^2, so y ln y = b = 28 (target - k K ln L) /
+    # (D eps), y = b / W(b) and T^2 = y eps^2 / (112 K c). A measurement
+    # needs at least this time, so T must not pass the root; a float check
+    # cannot promise that, as the bound's own rounding moves its float root
+    # by up to 2 ulp. So one Newton step on y ln y = b from the float W
+    # takes y to 30 digits, and the root is rounded down to a float.
+    D = int_power(d, 2 * k)
+    w = _lambert_w(math.log(28.0) + math.log(target - k * K * math.log(L))
+                   - math.log(D) - math.log(epsilon))
+    with localcontext(_ROOT_DIGITS):
+        eps = Decimal(epsilon)
+        b = 28 * (Decimal(target) - k * K * Decimal(L).ln()) / (D * eps)
+        y = b / Decimal(w)
+        y = (y + b) / (y.ln() + 1)
+        root = (y * eps ** 2 / (
+            112 * K * _first_order_constant(K, z, Decimal(h_max)))).sqrt()
+    t = float(root)
+    return t if Decimal(t) <= root else math.nextafter(t, 0.0)
 
 
 def _growth_fit(l_values: Sequence[int], values: Sequence[float]) -> dict[str, Any] | None:
@@ -264,11 +296,18 @@ def crossover_analysis(d: int, k: int, epsilon: float, l_range,
     """Minimal resource (gates or time) meeting the projector-covering demand.
 
     For each L the demand is the log-domain covering lower bound for
-    half-rank projectors in dimension m = d^L; the resource is grown until
-    its covering upper bound reaches that demand. The time family is the
-    canonical nearest-neighbor chain: K = L - 1 terms and configurable z
-    (default 3) and h_max (default 1.0). Finite-size trend only; no
-    asymptotic claim is made.
+    half-rank projectors in dimension m = d^L; the resource is the root of
+    covering upper bound = demand, in closed form. Both log bounds read
+    x ln x = b in a rescaled resource x, so the root is x = b / W(b) with
+    W the Lambert W function. The gate count is the least integer whose
+    bound meets the demand: the root's ceiling, moved by one if the bound
+    says so. The time is the largest float at or below the root (taken to
+    30 digits), never above it, since it is a lower bound on the time a
+    measurement needs; when the validity window's edge already meets the
+    demand, it is that edge. The time family is the canonical
+    nearest-neighbor chain: K = L - 1 terms and configurable z (default 3)
+    and h_max (default 1.0), entering as the first-order constant
+    c = K z h_max^2. Finite-size trend only; no asymptotic claim is made.
     """
     if resource not in _RESOURCES:
         raise ValueError(f"resource must be one of {_RESOURCES}")

@@ -383,17 +383,22 @@ def _magnus_sweeps(envelopes, skew: np.ndarray, requests) -> np.ndarray:
     per_chunk = max(1, _SWEEP_ENTRIES // (3 * dim * dim))
     u = np.empty((len(n), dim, dim), dtype=complex)
     u[:] = np.eye(dim)
-    for start in range(0, first[-1], per_chunk):
-        stop = min(start + per_chunk, first[-1])
-        a1, a2, a3 = (weights[start:stop].reshape(-1, k) @ flat).view(
-            complex).reshape(-1, 3, dim, dim).swapaxes(0, 1)
-        c1 = _commutator(a1, a2)
-        c2 = _commutator(a1, 2.0 * a3 + c1) / -60.0
-        x = a1 + a3 / 12.0 + _commutator(c1 - 20.0 * a1 - a3, a2 + c2) / 240.0
-        steps = _exp_skew_series(x)
-        for r in range(owner[start], owner[stop - 1] + 1):
-            lo, hi = max(first[r], start), min(first[r + 1], stop)
-            u[r] = _time_ordered_product(steps[lo - start:hi - start]) @ u[r]
+    # finite inputs may still overflow here; the caller refuses the
+    # non-finite result, so numpy's warnings would only repeat that
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, first[-1], per_chunk):
+            stop = min(start + per_chunk, first[-1])
+            a1, a2, a3 = (weights[start:stop].reshape(-1, k) @ flat).view(
+                complex).reshape(-1, 3, dim, dim).swapaxes(0, 1)
+            c1 = _commutator(a1, a2)
+            c2 = _commutator(a1, 2.0 * a3 + c1) / -60.0
+            x = (a1 + a3 / 12.0
+                 + _commutator(c1 - 20.0 * a1 - a3, a2 + c2) / 240.0)
+            steps = _exp_skew_series(x)
+            for r in range(owner[start], owner[stop - 1] + 1):
+                lo, hi = max(first[r], start), min(first[r + 1], stop)
+                u[r] = (_time_ordered_product(steps[lo - start:hi - start])
+                        @ u[r])
     return u
 
 
@@ -579,30 +584,42 @@ class TrotterCertificate:
         }
 
 
+def _first_order_constant(K: int, z: int, h_max: float) -> float:
+    """The paper's first-order Trotter constant c = K z h^2.
+
+    Every first-order quantity derives from c alone: the error delta_t T c,
+    the step count T^2 c / err, the covering bound's scale T^2 K c and its
+    window edge. A float h_max past ~1e154 raises OverflowError; a Decimal
+    one gives c to the context's precision.
+    """
+    return K * z * h_max ** 2
+
+
 def _trotter_error(t_final: float, n_steps: int, K: int, z: int,
                    h_max: float) -> float:
-    """The paper's first-order Trotter bound delta_t T K z h^2, delta_t = T / n."""
-    return t_final / n_steps * t_final * K * z * h_max ** 2
+    """The paper's first-order Trotter bound delta_t T c, delta_t = T / n."""
+    return t_final / n_steps * t_final * _first_order_constant(K, z, h_max)
 
 
 def _trotter_steps(t_final: float, K: int, z: int, h_max: float,
                    error: float) -> float:
     """The step count, unrounded, at which _trotter_error equals error."""
-    return t_final ** 2 * K * z * h_max ** 2 / error
+    return t_final ** 2 * _first_order_constant(K, z, h_max) / error
 
 
 def _min_covered_time(K: int, z: int, h_max: float, epsilon: float) -> float:
-    """eps^2 / (16 T^2 K^2 z h^2) <= 1/10 solved for the smallest T."""
-    return epsilon * math.sqrt(10.0) / (4.0 * K * math.sqrt(z) * h_max)
+    """eps^2 / (16 T^2 K c) <= 1/10 solved for the smallest T."""
+    return epsilon * math.sqrt(10.0) / (
+        4.0 * math.sqrt(K * _first_order_constant(K, z, h_max)))
 
 
 def certify_trotter(h: TimeDependentHamiltonian, t_final: float,
                     n_steps: int) -> TrotterCertificate:
     """Measure ||U_trotter - U_exact|| and certify it against the a priori bound.
 
-    The bound is delta_t * T * K * z * h_max^2. A measurement exceeding the
-    bound by more than 1e-9 raises CertificateViolation (it would falsify
-    the bound, so it must never be silently returned).
+    The bound is delta_t * T * c with c = K z h_max^2. A measurement
+    exceeding the bound by more than 1e-9 raises CertificateViolation (it
+    would falsify the bound, so it must never be silently returned).
     """
     _check_steps(n_steps)
     exact = exact_propagator(h, t_final, tol=1e-11)
@@ -631,16 +648,19 @@ def evolution_covering_log_bound(L: int, d: int, k: int, K: int, z: int,
                                  epsilon: float) -> LogBound:
     """ln of the covering bound for time-T reachable conjugations.
 
-    The bound is L^(k K) * (112 T^2 K^2 z h^2 / eps^2)^(4 d^(2k) T^2 K^2 z
-    h^2 / eps); it requires eps^2 / (16 T^2 K^2 z h^2) <= 1/10 so the
-    implied per-gate net scale stays within its validity window.
+    With the first-order constant c = K z h^2 and scale = T^2 K c, the
+    bound is L^(k K) * (112 scale / eps^2)^(4 d^(2k) scale / eps); it
+    requires eps^2 / (16 scale) <= 1/10 so the implied per-gate net scale
+    stays within its validity window. Its log is k K ln L plus
+    (d^(2k) eps / 28) y ln y with y = 112 scale / eps^2, which is what lets
+    the crossover solve for T in closed form (Lambert W).
     """
     if L < 1 or d < 2 or k < 1 or K < 1 or z < 1:
         raise ValueError("L >= 1, d >= 2, k >= 1, K >= 1, z >= 1 required")
     if not (h_max > 0 and t_final > 0 and epsilon > 0):
         raise ValueError("h_max, T, and epsilon must be positive")
     try:
-        scale = t_final ** 2 * K ** 2 * z * h_max ** 2
+        scale = t_final ** 2 * K * _first_order_constant(K, z, h_max)
     except OverflowError:  # float ** raises past 1e154; finite_log reports it
         scale = math.inf
     if epsilon ** 2 == 0.0:  # underflows below about 1.5e-162

@@ -59,6 +59,19 @@ def run_cli(argv, capsys):
     return code, out, err
 
 
+def run_module(argv):
+    """``python -m dynnets`` in a subprocess, with Python's default warnings.
+
+    The subprocess finds the package where this process imported it from.
+    """
+    package_parent = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(
+        filter(None, [package_parent, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "dynnets", *argv], capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": path})
+
+
 def write_chain(path):
     reg = QuditRegister(2, 2)
     terms = [HamiltonianTerm((0, 1), ZZ, CosineEnvelope(0.8, 2.0)),
@@ -235,6 +248,21 @@ class TestVerifyTrotter:
         assert payload["passed"] is False
         assert payload["measured"] == 1.0
         assert payload["bound"] == 0.5
+
+    def test_overflowing_sweep_prints_only_the_error(self, tmp_path):
+        # finite amplitudes whose Magnus commutators overflow: the one error
+        # line, with no numpy warning naming a package source line
+        h = TimeDependentHamiltonian(QuditRegister(2, 2), [
+            HamiltonianTerm((0,), SX, CosineEnvelope(1e300, 1.0)),
+            HamiltonianTerm((0, 1), ZZ, CosineEnvelope(1.0, 2.0))])
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(hamiltonian_to_json(h)), encoding="utf-8")
+        proc = run_module(["verify", "trotter", "--hamiltonian", str(path),
+                           "--T", "1.0", "--nt", "4"])
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == ("dynnets: error: Magnus sweep has non-finite "
+                               "entries\n")
 
     def test_seed_flag_rejected(self, capsys, hamiltonian_file):
         code, _, err = run_cli(
@@ -806,14 +834,8 @@ def test_readme_commands_exit_zero(capsys, tmp_path, monkeypatch):
 
 
 def test_module_entry_point():
-    # the subprocess finds the package where this process imported it from
-    package_parent = str(pathlib.Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(
-        filter(None, [package_parent, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "dynnets", "bounds", "grassmann",
-         "--n", "2", "--m", "4", "--eps", "0.01"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    proc = run_module(["bounds", "grassmann", "--n", "2", "--m", "4",
+                       "--eps", "0.01"])
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload == projector_covering_bounds(2, 4, 0.01).as_dict()

@@ -1,5 +1,7 @@
 import functools
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -228,15 +230,38 @@ class TestCrossoverCircuit:
         gates = [r.min_gates for r in circuit_report.rows]
         assert all(a < b for a, b in zip(gates, gates[1:]))
 
-    def test_minimality(self, circuit_report):
+    def test_minimality(self):
+        # every row of eps x d x k x (L = 2..14), up to 6e10 gates: the
+        # least count whose bound meets the demand
         from dynnets.circuits import circuit_covering_log_bound
 
-        row = circuit_report.rows[0]
-        above = circuit_covering_log_bound(2, 2, row.L, row.min_gates, 0.001)
-        below = circuit_covering_log_bound(2, 2, row.L, row.min_gates - 1,
-                                           0.001)
-        assert above.ln_value >= row.lower_log
-        assert below.ln_value < row.lower_log
+        for epsilon, d, k in itertools.product((1e-3, 2e-3, 4e-3), (2, 3),
+                                               (1, 2)):
+            report = crossover_analysis(d, k, epsilon, range(2, 15),
+                                        "circuit")
+            assert len(report.rows) == 13
+            for row in report.rows:
+                def value(n_gates):
+                    return circuit_covering_log_bound(d, k, row.L, n_gates,
+                                                      epsilon).ln_value
+
+                assert value(row.min_gates) >= row.lower_log
+                assert (row.min_gates == 1
+                        or value(row.min_gates - 1) < row.lower_log)
+
+    @pytest.mark.parametrize("shift", [-0.99, 0.99])
+    def test_root_off_by_under_one_gate(self, circuit_report, monkeypatch,
+                                        shift):
+        # the closed-form root lands within a gate of the exact one; moved
+        # by up to 0.99 gates either way, one step against the bound still
+        # gives the least count
+        lambert_w = reports_module._lambert_w
+        for row in circuit_report.rows:
+            scale = 1.0 - shift / row.min_gates
+            monkeypatch.setattr(reports_module, "_lambert_w",
+                                lambda ln_b, s=scale: lambert_w(ln_b) * s)
+            rep = crossover_analysis(2, 2, 0.001, [row.L], "circuit")
+            assert rep.rows[0].min_gates == row.min_gates
 
     def test_single_size_has_no_fit(self):
         rep = crossover_analysis(2, 2, 0.001, [8], "circuit")
@@ -304,9 +329,48 @@ class TestCrossoverTime:
         monkeypatch.setattr(reports_module, "evolution_covering_log_bound",
                             counted)
         crossover_analysis(2, 2, 0.001, range(8, 13), "time")
-        # 263 when the doubling re-evaluated a start that missed the target
-        assert len(calls) == 258
+        # one per size, at the window edge; the closed form needs no more
+        # (258 calls with the bisection it replaced)
+        assert len(calls) == 5
         assert len(set(calls)) == len(calls)
+
+    def test_minimality(self, time_report):
+        # the bound misses the demand a hair before min_time and meets it a
+        # hair after, the time analogue of the gate count's minimality
+        from dynnets.trotter import evolution_covering_log_bound
+
+        for row in time_report.rows:
+            def value(t):
+                return evolution_covering_log_bound(row.L, 2, 2, row.L - 1, 3,
+                                                    1.0, t, 0.001).ln_value
+
+            assert (value(row.min_time * (1.0 - 1e-14)) < row.lower_log
+                    < value(row.min_time * (1.0 + 1e-14)))
+
+    @pytest.mark.parametrize("z, h_max", [(3, 1.0), (2, 0.7), (5, 2.0)])
+    @pytest.mark.parametrize("epsilon", [1e-3, 2e-3, 4e-3])
+    def test_time_is_the_exact_root_rounded_down(self, epsilon, z, h_max):
+        # the reported time is a lower bound on what a measurement needs, so
+        # it must not pass the root of bound = demand: it is the largest
+        # float at or below it. The bisection this replaced returned times
+        # up to 7.8e-13 above it.
+        mp = pytest.importorskip("mpmath")
+        report = crossover_analysis(2, 2, epsilon, [8, 10, 12], "time",
+                                    params={"z": z, "h_max": h_max})
+        with mp.workdps(50):
+            eps = mp.mpf(epsilon)
+            for row in report.rows:
+                K = row.L - 1
+                c = K * z * mp.mpf(h_max) ** 2
+
+                def excess(t):
+                    scale = t ** 2 * K * c
+                    return (2 * K * mp.log(row.L) + 64 * scale / eps
+                            * mp.log(112 * scale / eps ** 2) - row.lower_log)
+
+                root = mp.findroot(excess, mp.mpf(row.min_time))
+                assert (row.min_time <= root
+                        < math.nextafter(row.min_time, math.inf)), row.L
 
     def test_time_needs_two_sites(self):
         with pytest.raises(ValueError, match="L >= 2"):

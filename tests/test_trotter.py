@@ -609,8 +609,7 @@ class TestNonFiniteArguments:
         with pytest.raises(ValueError, match="tol must be finite"):
             exact_propagator(mixed_envelope_chain(), 1.0, tol=tol)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_exact_refuses_an_overflowing_sweep(self):
         # finite inputs whose Magnus exponents overflow: the round's
         # stacked norm would meet NaN, which the SVD cannot take
@@ -830,8 +829,8 @@ class TestCertifyTrotter:
             n_steps = int(rng.integers(1, 65))
             for h in (qubit_pair_hamiltonian(), mixed_envelope_chain(t_final)):
                 cert = certify_trotter(h, t_final, n_steps)
-                assert cert.bound == ((t_final / n_steps) * t_final * cert.K
-                                      * cert.z * cert.h_max ** 2)
+                assert cert.bound == ((t_final / n_steps) * t_final
+                                      * (cert.K * cert.z * cert.h_max ** 2))
 
     def test_violation_type_carries_numbers(self):
         exc = CertificateViolation(1.5, 0.2)
@@ -959,11 +958,11 @@ class TestEvolutionCoveringLogBound:
                 rng.uniform(1.0, 10.0))
             n_steps = int(rng.integers(1, 10 ** 6))
             assert (trotter_module._trotter_error(t_final, n_steps, K, z, h)
-                    == (t_final / n_steps) * t_final * K * z * h ** 2)
+                    == (t_final / n_steps) * t_final * (K * z * h ** 2))
             bound = evolution_covering_log_bound(L, 2, 2, K, z, h, t_final, eps)
-            # the number of steps at which delta T K z h^2 equals eps / 4
+            # the number of steps at which delta T c equals eps / 4
             assert (bound.context["n_steps_implied"]
-                    == 4.0 * t_final ** 2 * K * z * h ** 2 / eps)
+                    == 4.0 * t_final ** 2 * (K * z * h ** 2) / eps)
 
 
 class TestHamiltonianJson:
