@@ -1,28 +1,28 @@
 """Time-dependent lattice Hamiltonians and certified Trotterization.
 
-The exact propagator sweeps uniform steps of the sixth-order Magnus
-integrator with three Gauss nodes (one exponential per step, whose exponent
-takes three commutators; Blanes, Casas, Oteo and Ros, Phys. Rep. 470, 2009),
-with step doubling and Richardson extrapolation over whole segments. The
-segments between envelope breakpoints run in lockstep rounds: each round
-makes one stacked sweep over every open segment's coarse and fine step
-counts and one stacked norm of their differences. A sweep evaluates each
-envelope once on all its nodes, takes each chunk's alphas from one real
-GEMM onto the bases, and makes its exponentials in stacked calls; the
-exponents are small in norm, so each call is a truncated Taylor series whose
-degree, chosen from the stack's 1-norm, keeps the truncation under 2^-53
-(the eigendecomposition above the table). A pairwise tree multiplies each
-sweep's steps in time order. Each factor is unitary to rounding, so
-unitarity drifts by rounding per step, far below the requested tolerance.
-Each Trotter factor is a single term, which commutes with itself at all
-times, so it is the closed-form exponential of the term's base times its
-envelope integral, from one eigendecomposition of the base per propagator;
-one vectorized ``integrals`` call per term covers a block of slices. Per
-chunk of slices, one product per term makes its factors and one stacked gate
-application puts them on every slice, and the same pairwise tree multiplies
-the slices. The first-order Trotter error is certified against
-delta_t * T * K * z * |h|^2, where z counts support overlaps (a term
-overlaps itself) and |h| is the largest sup-norm of a term over [0, T].
+The exact propagator sweeps steps of the sixth-order Magnus integrator with
+three Gauss nodes (one exponential per step, whose exponent takes three
+commutators; Blanes, Casas, Oteo and Ros, Phys. Rep. 470, 2009), on one
+step grid whose pieces end at every envelope breakpoint, so that no step
+crosses a kink. Each step-doubling round makes one stacked sweep over that
+grid and the grid with every piece's count doubled, one norm of their
+difference, and Richardson extrapolation once it is within budget. A sweep
+evaluates each envelope once on all its nodes, takes each chunk's alphas
+from one real GEMM onto the bases, and makes its exponentials in stacked
+calls; the exponents are small in norm, so each call is a truncated Taylor
+series whose degree, chosen from the stack's 1-norm, keeps the truncation
+under 2^-53 (the eigendecomposition above the table). A pairwise tree
+multiplies each sweep's steps in time order. Each factor is unitary to
+rounding, so unitarity drifts by rounding per step, far below the requested
+tolerance. Each Trotter factor is a single term, which commutes with itself
+at all times, so it is the closed-form exponential of the term's base times
+its envelope integral, from one eigendecomposition of the base per
+propagator. Per chunk of slices, one vectorized ``integrals`` call and one
+product per term make its factors, one stacked gate application puts them
+on every slice, and the same pairwise tree multiplies the slices. The
+first-order Trotter error is certified against delta_t * T * K * z * |h|^2,
+where z counts support overlaps (a term overlaps itself) and |h| is the
+largest sup-norm of a term over [0, T].
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ _MIN_TOL = 1e-12
 # exponent stack added 2 MB to the trotter workload's peak RSS at the same
 # speed.
 _SWEEP_ENTRIES = 1 << 14
-# Steps allowed in one sweep; criterion 1's segments take at most a few
+# Steps allowed in one fine grid; criterion 1's chains take at most a few
 # hundred, so a run past this is a broken integrator.
 _MAX_STEPS = 1 << 17
 _EXACT_DIM_LIMIT = 64
@@ -341,47 +341,39 @@ def _time_ordered_product(steps: np.ndarray) -> np.ndarray:
     return steps[0]
 
 
-def _magnus_sweep(envelopes, bases: np.ndarray, t0: float, t1: float,
-                  n: int) -> np.ndarray:
-    """Product of n uniform sixth-order Magnus steps over [t0, t1], from the
-    embedded Hermitian bases."""
-    return _magnus_sweeps(envelopes, -1j * bases, [(t0, t1, n)])[0]
+def _magnus_sweeps(envelopes, skew: np.ndarray, grids) -> np.ndarray:
+    """Products of sixth-order Magnus sweeps, one per array of step edges.
 
-
-def _magnus_sweeps(envelopes, skew: np.ndarray, requests) -> np.ndarray:
-    """Products of uniform sixth-order Magnus sweeps, one per (t0, t1, n).
-
-    ``skew`` is the C-ordered stack of the terms' -i B.
+    ``skew`` is the C-ordered stack of the terms' -i B, and grid g's step j
+    runs over [g[j], g[j + 1]].
 
     With A_i = -i H(t + c_i h) at the Gauss nodes c = 1/2 -+ sqrt(15)/10 and
     1/2, step j's exponent is built from alpha_1 = h A_2, alpha_2 =
     (sqrt(15) h / 3)(A_3 - A_1) and alpha_3 = (10 h / 3)(A_3 - 2 A_2 + A_1):
     C_1 = [alpha_1, alpha_2], C_2 = -[alpha_1, 2 alpha_3 + C_1] / 60 and
     Omega = alpha_1 + alpha_3 / 12 + [-20 alpha_1 - alpha_3 + C_1,
-    alpha_2 + C_2] / 240. The requests' steps lie end to end: each envelope
-    is evaluated once on all their nodes and mixed into real weights h
+    alpha_2 + C_2] / 240. The grids' steps lie end to end: each envelope is
+    evaluated once on all their nodes and mixed into real weights h
     _NODE_MIX @ W. Per chunk of at most ``_SWEEP_ENTRIES`` node matrix
-    entries, which may span requests, one real GEMM of those weights onto
-    the [re, im] view of ``skew`` gives every alpha, each commutator
-    takes one batched product, and one Taylor-series exponential over the
-    stack, whose exponents are small in norm, gives every step; a pairwise
-    tree multiplies each request's steps in the chunk onto its product, the
-    later step on the left.
+    entries, which may span grids, one real GEMM of those weights onto the
+    [re, im] view of ``skew`` gives every alpha, each commutator takes one
+    batched product, and one Taylor-series exponential over the stack, whose
+    exponents are small in norm, gives every step; a pairwise tree
+    multiplies each grid's steps in the chunk onto its product, the later
+    step on the left.
     """
     k, dim = skew.shape[:2]
-    t0, t1, n = (np.array(col) for col in zip(*requests))
-    h = (t1 - t0) / n
-    # first[r] is request r's first step in the sweep; owner its request
-    first = np.concatenate(([0], np.cumsum(n)))
-    owner = np.repeat(np.arange(len(n)), n)
-    step = np.arange(first[-1]) - first[owner]
-    taus = (t0[owner, None]
-            + (step[:, None] + np.array(_GAUSS_NODES)) * h[owner, None])
+    t0 = np.concatenate([g[:-1] for g in grids])
+    h = np.concatenate([np.diff(g) for g in grids])
+    # first[r] is grid r's first step in the sweep; owner each step's grid
+    first = np.cumsum([0] + [len(g) - 1 for g in grids])
+    owner = np.repeat(np.arange(len(grids)), np.diff(first))
+    taus = t0[:, None] + np.array(_GAUSS_NODES) * h[:, None]
     nodes = np.stack([env(taus.ravel()) for env in envelopes], axis=-1)
-    weights = (h[owner, None, None] * _NODE_MIX) @ nodes.reshape(-1, 3, k)
+    weights = (h[:, None, None] * _NODE_MIX) @ nodes.reshape(-1, 3, k)
     flat = skew.reshape(k, dim * dim).view(float)
     per_chunk = max(1, _SWEEP_ENTRIES // (3 * dim * dim))
-    u = np.empty((len(n), dim, dim), dtype=complex)
+    u = np.empty((len(grids), dim, dim), dtype=complex)
     u[:] = np.eye(dim)
     # finite inputs may still overflow here; the caller refuses the
     # non-finite result, so numpy's warnings would only repeat that
@@ -402,21 +394,30 @@ def _magnus_sweeps(envelopes, skew: np.ndarray, requests) -> np.ndarray:
     return u
 
 
+def _step_edges(cuts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Edges of counts[i] uniform steps on each [cuts[i], cuts[i + 1]]."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    step = np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]
+    width = np.diff(cuts) / counts
+    return np.append(cuts[owner] + step * width[owner], cuts[-1])
+
+
 def exact_propagator(h: TimeDependentHamiltonian, t_final: float,
                      tol: float = 1e-11) -> UnitaryMatrix:
     """Reference time-ordered propagator over [0, T] to accuracy ~tol.
 
-    On each segment, uniform Magnus sweeps of n and 2n steps are compared
-    from n = 4 up. The scheme is sixth order, so ||fine - coarse|| is about
-    63 times the fine sweep's error; the pair is Richardson-combined (weight
-    1/63) once that difference is within 31.5 times the segment's tolerance
-    share (the fine sweep within half of it) plus a rounding floor; else n
-    jumps to the count the n^-6 decay of that difference predicts, or
-    doubles. The segments run in lockstep: each round makes one stacked
-    sweep over every open segment's coarse and fine counts and one stacked
-    norm of their differences. Every factor is unitary to rounding and the
-    steps multiply as a pairwise tree, so the unitarity defect stays within
-    10 * tol.
+    Step doubling assumes a smooth integrand, so the Magnus steps run on one
+    grid whose pieces end at every interior envelope breakpoint: piece i of
+    S starts at max(1, ceil(4 S len_i / T)) uniform steps, so a chain with
+    no breakpoint starts at 4. Each round sweeps that grid and the grid with
+    every piece's count doubled in one stacked call. The scheme is sixth
+    order, so ||fine - coarse|| is about 63 times the fine sweep's error;
+    the pair is Richardson-combined (weight 1/63) once that difference is
+    within 31.5 tol (the fine sweep within tol / 2) plus a rounding floor;
+    else every count scales by the jump the n^-6 decay of that difference
+    predicts, or doubles, when the fine sweep is the next coarse one. Every
+    factor is unitary to rounding and the steps multiply as a pairwise
+    tree, so the unitarity defect stays within 10 * tol.
     """
     _check_final_time(t_final)
     if not _MIN_TOL <= tol < math.inf:
@@ -427,76 +428,48 @@ def exact_propagator(h: TimeDependentHamiltonian, t_final: float,
         raise ValueError(
             f"exact propagation capped at dimension {_EXACT_DIM_LIMIT}, "
             f"got {dim}")
+    if t_final == 0.0:
+        return UnitaryMatrix(np.eye(dim, dtype=complex), _validated=True)
     # -i B in place: a copy would hold another K * 64 KB at dimension 64
     skew = _embedded_bases(h)
     skew *= -1j
     envelopes = [t.envelope for t in h.terms]
-    # Step doubling assumes a smooth integrand, so the interval is cut at
-    # every interior envelope breakpoint; each segment gets a tolerance
-    # share proportional to its length. At t_final == 0 there is no segment.
     edge = 1e-12 * max(t_final, 1.0)
     interior = {b for env in envelopes for b in env.breakpoints()
                 if edge < b < t_final - edge}
-    cuts = sorted({0.0, float(t_final)} | interior)
-    segments = list(zip(cuts, cuts[1:]))
+    cuts = np.array(sorted({0.0, float(t_final)} | interior))
+    n = np.maximum(1, np.ceil(4 * (len(cuts) - 1) * np.diff(cuts) / t_final)
+                   ).astype(int)
     # Rounding noise of the doubling estimator grows ~sqrt(dim) * eps per
     # step; the additive floor keeps the loop from chasing that noise when
-    # a segment's tolerance share is tiny.
+    # tol is tiny.
     noise_floor = 32.0 * np.finfo(float).eps * math.sqrt(dim)
-    n = [4] * len(segments)
-    coarse: list[np.ndarray | None] = [None] * len(segments)
-    parts: list[np.ndarray | None] = [None] * len(segments)
-
-    def doubling_round(live: list[int]) -> list[int]:
-        # One round over the open segments; returns those left open. The
-        # round's sweeps are its locals, so they are freed before the next.
-        requests = []
-        for i in live:
-            a, b = segments[i]
-            if 2 * n[i] > _MAX_STEPS:
-                raise ValueError(f"adaptive propagator exceeded {_MAX_STEPS} "
-                                 f"steps on [{a}, {b}]")
-            if coarse[i] is None:
-                requests.append((a, b, n[i]))
-            requests.append((a, b, 2 * n[i]))
-        # per open segment, its coarse sweep unless carried over, then its fine
-        swept = iter(_magnus_sweeps(envelopes, skew, requests))
-        pairs = [(next(swept) if coarse[i] is None else coarse[i], next(swept))
-                 for i in live]
-        diffs = np.empty((len(live), dim, dim), dtype=complex)
-        for diff, (c, fine) in zip(diffs, pairs):
-            np.subtract(fine, c, out=diff)
-        if not np.isfinite(diffs.view(float)).all():
+    coarse = None
+    while True:
+        if 2 * n.sum() > _MAX_STEPS:
+            raise ValueError(f"adaptive propagator exceeded {_MAX_STEPS} "
+                             f"steps on [0, {t_final}]")
+        grids = [_step_edges(cuts, 2 * n)]
+        if coarse is None:
+            grids.insert(0, _step_edges(cuts, n))
+        swept = _magnus_sweeps(envelopes, skew, grids)
+        fine = swept[-1]
+        diff = fine - (swept[0] if coarse is None else coarse)
+        if not np.isfinite(diff.view(float)).all():
             raise ValueError("Magnus sweep has non-finite entries")
-        still = []
-        for i, (_, fine), diff, est in zip(live, pairs, diffs,
-                                           _opnorm_stack(diffs).tolist()):
-            a, b = segments[i]
-            # The fine sweep's error is about est / 63, so this holds it to
-            # the segment's share / 2; the Richardson combination kept is a
-            # higher order.
-            budget = 31.5 * (tol * (b - a) / t_final) + noise_floor * 2 * n[i]
-            if est <= budget:
-                parts[i] = fine + diff / 63.0
-                continue
-            # est falls as n^-6, so the pair at n (est / budget)^(1/6) should
-            # pass; below a doubling, the fine sweep is the next coarse one,
-            # copied out of the round's stack so that the stack is freed.
-            jump = 1.1 * n[i] * (est / budget) ** (1.0 / 6.0)
-            if jump > 2 * n[i]:
-                n[i], coarse[i] = math.ceil(min(jump, _MAX_STEPS)), None
-            else:
-                n[i], coarse[i] = 2 * n[i], fine.copy()
-            still.append(i)
-        return still
-
-    live = list(range(len(segments)))
-    while live:
-        live = doubling_round(live)
-    u = np.eye(dim, dtype=complex)
-    for part in parts:
-        u = part @ u
-    return UnitaryMatrix(u, _validated=True)
+        est = float(_opnorm_stack(diff[None])[0])
+        # The fine sweep's error is about est / 63, so this holds it to
+        # tol / 2; the Richardson combination kept is a higher order.
+        budget = 31.5 * tol + noise_floor * 2 * n.sum()
+        if est <= budget:
+            return UnitaryMatrix(fine + diff / 63.0, _validated=True)
+        # est falls as n^-6, so counts grown by (est / budget)^(1/6) should
+        # pass; below a doubling, the fine sweep is the next coarse one.
+        grow = 1.1 * (est / budget) ** (1.0 / 6.0)
+        if grow > 2.0:
+            n, coarse = np.ceil(min(grow, _MAX_STEPS) * n).astype(int), None
+        else:
+            n, coarse = 2 * n, fine
 
 
 def trotter_propagator(h: TimeDependentHamiltonian, t_final: float,
@@ -509,13 +482,13 @@ def trotter_propagator(h: TimeDependentHamiltonian, t_final: float,
     integral of e over the slice, on its own support, and the only error is
     the term-splitting itself. Each term's B = V diag(w) V^dag is
     diagonalized once per call, and a factor is (V exp(-i theta w)) V^dag.
-    Per block of dim chunks, one ``integrals`` call per term gives every
-    slice's theta. Per chunk of at most ``_SWEEP_ENTRIES`` matrix entries, the
-    first slice starts from the product so far and the others from the
-    identity, each term's stack of factors is applied to all of them in one
-    call, and a pairwise tree multiplies them, the later slice on the left.
-    From dim 128 a chunk is one slice, so this is the term-by-term loop with
-    no dense product.
+    Per chunk of at most ``_SWEEP_ENTRIES`` matrix entries, one
+    ``integrals`` call per term gives the chunk's thetas, the first slice
+    starts from the product so far and the others from the identity, each
+    term's stack of factors is applied to all of them in one call, and a
+    pairwise tree multiplies them, the later slice on the left. So memory
+    stays flat in n_steps. From dim 128 a chunk is one slice, so this is
+    the term-by-term loop with no dense product.
     """
     _check_steps(n_steps)
     _check_final_time(t_final)
@@ -523,28 +496,20 @@ def trotter_propagator(h: TimeDependentHamiltonian, t_final: float,
     eye = np.eye(reg.dim, dtype=complex)
     u = eye
     delta = t_final / n_steps
-    # Slices are made per chunk, and thetas per block of dim chunks, so
-    # memory stays flat in n_steps: per term, a block's thetas take 1 / (2
-    # dim) of a chunk's bytes. Up to dim 64 a default block holds 256 slices
-    # or more.
     per_chunk = max(1, _SWEEP_ENTRIES // reg.dim ** 2)
-    per_block = per_chunk * reg.dim
     eigs = [np.linalg.eigh(term.base) for term in h.terms]
-    for block in range(0, n_steps, per_block):
-        edges = np.arange(block, min(block + per_block, n_steps) + 1) * delta
-        thetas = [term.envelope.integrals(edges) for term in h.terms]
-        for start in range(0, len(edges) - 1, per_chunk):
-            stop = min(start + per_chunk, len(edges) - 1)
-            slices = np.concatenate(
-                (u[None],
-                 np.broadcast_to(eye, (stop - start - 1,) + eye.shape)))
-            for term, theta, (w, v) in zip(h.terms, thetas, eigs):
-                # term's exponential over each of the chunk's slices
-                phases = np.exp(-1j * np.multiply.outer(theta[start:stop], w))
-                factors = (v * phases[:, None, :]) @ v.conj().T
-                slices = _apply_gate(factors, term.support, slices, reg.L,
-                                     reg.d)
-            u = _time_ordered_product(slices)
+    for start in range(0, n_steps, per_chunk):
+        stop = min(start + per_chunk, n_steps)
+        edges = np.arange(start, stop + 1) * delta
+        slices = np.concatenate(
+            (u[None], np.broadcast_to(eye, (stop - start - 1,) + eye.shape)))
+        for term, (w, v) in zip(h.terms, eigs):
+            # term's exponential over each of the chunk's slices
+            theta = term.envelope.integrals(edges)
+            phases = np.exp(-1j * np.multiply.outer(theta, w))
+            factors = (v * phases[:, None, :]) @ v.conj().T
+            slices = _apply_gate(factors, term.support, slices, reg.L, reg.d)
+        u = _time_ordered_product(slices)
     return UnitaryMatrix(u, _validated=True)
 
 

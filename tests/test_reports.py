@@ -3,10 +3,12 @@ import itertools
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 import dynnets.reports as reports_module
+from dynnets.cli import main as cli_main
 from dynnets.linalg import operator_norm
 from dynnets.reports import (
     CrossoverReport,
@@ -354,7 +356,6 @@ class TestCrossoverTime:
         # it must not pass the root of bound = demand: it is the largest
         # float at or below it. The bisection this replaced returned times
         # up to 7.8e-13 above it.
-        mp = pytest.importorskip("mpmath")
         report = crossover_analysis(2, 2, epsilon, [8, 10, 12], "time",
                                     params={"z": z, "h_max": h_max})
         with mp.workdps(50):
@@ -376,13 +377,34 @@ class TestCrossoverTime:
         with pytest.raises(ValueError, match="L >= 2"):
             crossover_analysis(2, 2, 0.001, [1, 8], "time")
 
+    @pytest.mark.parametrize("params, message", [
+        ({"h_max": 0.0}, "h_max must be finite and positive"),
+        ({"z": 0}, "z must be at least 1"),
+        ({"h_max": 1e200}, "overflows float64 at L = 9, z = 3, h_max = 1e"),
+        ({"z": 2.5}, "z must be an integer, got 2.5"),
+    ], ids=["h_max-zero", "z-zero", "h_max-overflow", "z-fraction"])
+    def test_bad_params_refused_up_front(self, params, message):
+        # each once ended in ZeroDivisionError, OverflowError or, for
+        # z = 2.5, a silent z = 2
+        with pytest.raises(ValueError, match=message):
+            crossover_analysis(2, 2, 0.001, [8, 9], "time", params=params)
+
 
 class TestReportValidation:
-    def test_nonmonotone_rows_rejected(self):
-        rows = (CrossoverRow(4, 16, 10.0, 50, None),
-                CrossoverRow(5, 32, 40.0, 20, None))
-        with pytest.raises(ValueError, match="non-decreasing"):
-            CrossoverReport("circuit", 2, 2, 0.001, rows, None, {})
+    def test_nonmonotone_times_reported(self, capsys):
+        # the minimal time is not monotone in L here: L = 2 needs more
+        # time than L = 3
+        code = cli_main(["crossover", "--d", "2", "--k", "2", "--eps", "0.001",
+                         "--lmin", "2", "--lmax", "9", "--resource", "time"])
+        out, err = capsys.readouterr()
+        assert code == 0 and err == ""
+        times = [row["min_time"] for row in json.loads(out)["rows"]]
+        assert len(times) == 8 and times[0] > times[1]
+
+    def test_row_without_value_rejected(self):
+        rows = (CrossoverRow(4, 16, 10.0, 50, None),)
+        with pytest.raises(ValueError, match="lacks a time value"):
+            CrossoverReport("time", 2, 2, 0.001, rows, None, {})
 
     def test_row_value_follows_resource(self):
         row = CrossoverRow(4, 16, 10.0, 50, 0.25)
@@ -450,9 +472,6 @@ class TestHighPrecisionSpotValues:
     """Log-domain evaluators vs 50-digit arithmetic on ten parameter sets."""
 
     def test_spot_values(self):
-        mp = pytest.importorskip("mpmath")
-        mp.mp.dps = 50
-
         from dynnets.circuits import circuit_covering_log_bound
         from dynnets.grassmann import projector_covering_bounds
         from dynnets.trotter import evolution_covering_log_bound
@@ -480,28 +499,29 @@ class TestHighPrecisionSpotValues:
         def unitary_upper_ref(n, eps):
             return n * n * mp.log(7 / mp.mpf(eps))
 
-        cases = [
-            (circuit_covering_log_bound(2, 2, 4, 8, 0.3).ln_value,
-             circuit_ref(2, 2, 4, 8, 0.3)),
-            (circuit_covering_log_bound(2, 1, 6, 10, 0.5).ln_value,
-             circuit_ref(2, 1, 6, 10, 0.5)),
-            (circuit_covering_log_bound(3, 2, 5, 12, 1.0).ln_value,
-             circuit_ref(3, 2, 5, 12, 1.0)),
-            (evolution_covering_log_bound(4, 2, 2, 3, 3, 1.0, 1.0, 0.1)
-             .ln_value, tevol_ref(4, 2, 2, 3, 3, 1.0, 1.0, 0.1)),
-            (evolution_covering_log_bound(6, 2, 1, 5, 2, 0.5, 2.0, 0.2)
-             .ln_value, tevol_ref(6, 2, 1, 5, 2, 0.5, 2.0, 0.2)),
-            (evolution_covering_log_bound(3, 3, 1, 2, 3, 1.0, 0.7, 0.15)
-             .ln_value, tevol_ref(3, 3, 1, 2, 3, 1.0, 0.7, 0.15)),
-            (projector_covering_bounds(2, 4, 0.01).lower_log,
-             projector_lower_ref(2, 4, 0.01)),
-            (projector_covering_bounds(8, 16, 0.002).lower_log,
-             projector_lower_ref(8, 16, 0.002)),
-            (projector_covering_bounds(8, 16, 0.002).upper_log,
-             projector_upper_ref(8, 16, 0.002)),
-            (unitary_covering_bounds(2, 0.05).upper_log,
-             unitary_upper_ref(2, 0.05)),
-        ]
+        with mp.workdps(50):
+            cases = [
+                (circuit_covering_log_bound(2, 2, 4, 8, 0.3).ln_value,
+                 circuit_ref(2, 2, 4, 8, 0.3)),
+                (circuit_covering_log_bound(2, 1, 6, 10, 0.5).ln_value,
+                 circuit_ref(2, 1, 6, 10, 0.5)),
+                (circuit_covering_log_bound(3, 2, 5, 12, 1.0).ln_value,
+                 circuit_ref(3, 2, 5, 12, 1.0)),
+                (evolution_covering_log_bound(4, 2, 2, 3, 3, 1.0, 1.0, 0.1)
+                 .ln_value, tevol_ref(4, 2, 2, 3, 3, 1.0, 1.0, 0.1)),
+                (evolution_covering_log_bound(6, 2, 1, 5, 2, 0.5, 2.0, 0.2)
+                 .ln_value, tevol_ref(6, 2, 1, 5, 2, 0.5, 2.0, 0.2)),
+                (evolution_covering_log_bound(3, 3, 1, 2, 3, 1.0, 0.7, 0.15)
+                 .ln_value, tevol_ref(3, 3, 1, 2, 3, 1.0, 0.7, 0.15)),
+                (projector_covering_bounds(2, 4, 0.01).lower_log,
+                 projector_lower_ref(2, 4, 0.01)),
+                (projector_covering_bounds(8, 16, 0.002).lower_log,
+                 projector_lower_ref(8, 16, 0.002)),
+                (projector_covering_bounds(8, 16, 0.002).upper_log,
+                 projector_upper_ref(8, 16, 0.002)),
+                (unitary_covering_bounds(2, 0.05).upper_log,
+                 unitary_upper_ref(2, 0.05)),
+            ]
         assert len(cases) == 10
         for got, ref in cases:
             assert abs(got - float(ref)) <= 1e-12 * abs(float(ref))

@@ -403,8 +403,54 @@ class TestStepBudget:
         assert err.startswith("dynnets: error: adaptive propagator exceeded")
 
 
+def one_grid_sweep(h, t0, t1, n):
+    """The Magnus sweep of n uniform steps over [t0, t1]."""
+    skew = -1j * trotter_module._embedded_bases(h)
+    return trotter_module._magnus_sweeps(
+        [term.envelope for term in h.terms], skew,
+        [np.linspace(t0, t1, n + 1)])[0]
+
+
+def kinked_chain(times, values):
+    """mixed_envelope_chain(times[-1]) with the given piecewise-linear envelope."""
+    full = mixed_envelope_chain(times[-1])
+    terms = list(full.terms)
+    terms[1] = HamiltonianTerm(terms[1].support, terms[1].base,
+                               PiecewiseLinearEnvelope(times, values))
+    return TimeDependentHamiltonian(full.register, terms)
+
+
+def short_piece_chain():
+    """A 1e-9-long piece between breakpoints at 0.4 and 0.4 + 1e-9."""
+    return kinked_chain([0.0, 0.4, 0.4 + 1e-9, 1.0], [0.6, -0.9, 0.5, 0.4])
+
+
+def many_piece_chain():
+    """49 interior breakpoints, evenly spaced over [0, 1]."""
+    values = np.random.default_rng(49).uniform(-0.9, 0.9, size=51)
+    return kinked_chain(np.linspace(0.0, 1.0, 51), values)
+
+
+def recorded_grids(monkeypatch):
+    """Every list of grids exact_propagator passes to _magnus_sweeps."""
+    rounds = []
+    sweeps = trotter_module._magnus_sweeps
+
+    def recorded_sweeps(envelopes, skew, grids):
+        rounds.append([np.array(g) for g in grids])
+        return sweeps(envelopes, skew, grids)
+
+    monkeypatch.setattr(trotter_module, "_magnus_sweeps", recorded_sweeps)
+    return rounds
+
+
+def piece_counts(grid, cuts):
+    """Steps of grid on each piece between consecutive cuts."""
+    return np.diff(np.searchsorted(grid, cuts))
+
+
 class TestSweep:
-    """Stacked uniform Magnus sweeps against textbook Magnus steps."""
+    """Stacked Magnus sweeps against textbook Magnus steps."""
 
     @staticmethod
     def textbook_magnus(hamiltonian, t, h):
@@ -436,54 +482,52 @@ class TestSweep:
             return sum(float(term.envelope(t)) * b
                        for term, b in zip(h.terms, dense))
 
-        envelopes = [term.envelope for term in h.terms]
-        bases = trotter_module._embedded_bases(h)
         t0, t1 = 0.21, 0.93
         step = (t1 - t0) / n
         expect = np.eye(8, dtype=complex)
         for i in range(n):
             expect = (self.textbook_magnus(hamiltonian, t0 + i * step, step)
                       @ expect)
-        sweep = trotter_module._magnus_sweep(envelopes, bases, t0, t1, n)
+        sweep = one_grid_sweep(h, t0, t1, n)
         assert operator_norm(sweep - expect) <= 1e-13
 
     def test_sixth_order_convergence(self):
         # The chain's only breakpoint is at 0.9, so [1, 2] is smooth; a wrong
         # coefficient in the exponent leaves a lower-order error term.
         h = mixed_envelope_chain(2.0)
-        envelopes = [term.envelope for term in h.terms]
-        bases = trotter_module._embedded_bases(h)
-        reference = trotter_module._magnus_sweep(envelopes, bases, 1.0, 2.0,
-                                                 1024)
+        reference = one_grid_sweep(h, 1.0, 2.0, 1024)
         steps = np.array([4, 8, 16, 32])
-        errors = [operator_norm(trotter_module._magnus_sweep(
-            envelopes, bases, 1.0, 2.0, int(n)) - reference) for n in steps]
+        errors = [operator_norm(one_grid_sweep(h, 1.0, 2.0, int(n))
+                                - reference) for n in steps]
         slope = np.polyfit(np.log(steps), np.log(errors), 1)[0]
         assert -6.3 <= slope <= -5.7
 
     def test_chunked_matches_unchunked(self, monkeypatch):
         h = mixed_envelope_chain()
-        envelopes = [term.envelope for term in h.terms]
-        bases = trotter_module._embedded_bases(h)
-        whole = trotter_module._magnus_sweep(envelopes, bases, 0.0, 1.0, 37)
+        whole = one_grid_sweep(h, 0.0, 1.0, 37)
         # dim 8: three steps (nine 64-entry node matrices) per chunk, so 37
         # steps take 13 chunks, the last one a single step
         monkeypatch.setattr(trotter_module, "_SWEEP_ENTRIES", 9 * 64)
-        chunked = trotter_module._magnus_sweep(envelopes, bases, 0.0, 1.0, 37)
+        chunked = one_grid_sweep(h, 0.0, 1.0, 37)
         assert operator_norm(chunked - whole) <= 1e-14
 
     def test_stacked_requests_match_single_sweeps(self, monkeypatch):
+        # Stacked grids match one-grid sweeps, with chunks straddling the
+        # grid boundaries.
         h = mixed_envelope_chain()
         envelopes = [term.envelope for term in h.terms]
-        bases = trotter_module._embedded_bases(h)
-        requests = [(0.0, 0.45, 5), (0.0, 0.45, 10), (0.45, 1.0, 7)]
-        # three steps per chunk, so chunks straddle both request boundaries
+        skew = -1j * trotter_module._embedded_bases(h)
+        cuts = np.array([0.0, 0.45, 1.0])
+        grids = [trotter_module._step_edges(cuts, np.array([2, 3])),
+                 trotter_module._step_edges(cuts, np.array([4, 6])),
+                 np.sort(np.random.default_rng(3).uniform(0.0, 1.0, 8))]
+        # three steps per chunk: the grids' 5, 10 and 7 steps start at steps
+        # 0, 5 and 15, so chunks straddle both grid boundaries
         monkeypatch.setattr(trotter_module, "_SWEEP_ENTRIES", 9 * 64)
-        stacked = trotter_module._magnus_sweeps(envelopes, -1j * bases,
-                                                requests)
+        stacked = trotter_module._magnus_sweeps(envelopes, skew, grids)
         assert stacked.shape == (3, 8, 8)
-        for got, (t0, t1, n) in zip(stacked, requests):
-            single = trotter_module._magnus_sweep(envelopes, bases, t0, t1, n)
+        for got, grid in zip(stacked, grids):
+            single = trotter_module._magnus_sweeps(envelopes, skew, [grid])[0]
             assert operator_norm(got - single) <= 1e-14
 
     def test_one_norm_per_round_one_exponential_per_chunk(self, monkeypatch):
@@ -491,10 +535,10 @@ class TestSweep:
         per_chunk = 3
         events, exps = [], []
 
-        def recorded_sweeps(envelopes, skew, requests):
-            events.append(("sweep", list(requests)))
+        def recorded_sweeps(envelopes, skew, grids):
+            events.append(("sweep", [np.array(g) for g in grids]))
             exps.append([])
-            return sweeps(envelopes, skew, requests)
+            return sweeps(envelopes, skew, grids)
 
         def recorded_norm(stack):
             events.append(("norm", len(stack)))
@@ -510,50 +554,65 @@ class TestSweep:
         monkeypatch.setattr(trotter_module, "_opnorm_stack", recorded_norm)
         monkeypatch.setattr(trotter_module, "_exp_skew_series", recorded_exp)
         exact_propagator(mixed_envelope_chain(), 1.0)
-        # Each round is one sweep call and then one stacked norm, over the
-        # round's open segments.
-        kinds = [kind for kind, _ in events]
-        assert kinds == ["sweep", "norm"] * (len(kinds) // 2)
-        rounds = [requests for kind, requests in events if kind == "sweep"]
-        norms = [size for kind, size in events if kind == "norm"]
-        per_segment = {}
-        for requests, size in zip(rounds, norms):
-            counts = {}
-            for t0, t1, n in requests:
-                counts.setdefault((t0, t1), []).append(n)
-            assert size == len(counts)
-            for segment, ns in counts.items():
-                seen = per_segment.setdefault(segment, [])
-                # a fresh pair (n, 2n), or the fine count doubling the last
-                # round's fine sweep, which is its coarse one
-                assert (len(ns) == 2 and ns[1] == 2 * ns[0]
-                        or len(ns) == 1 and seen and ns[0] == 2 * seen[-1])
-                seen.extend(ns)
-        assert sorted(per_segment.values()) == [[4, 8, 18, 36], [4, 8, 20, 40]]
+        # Each round is one sweep call, over [coarse, fine] or over [fine]
+        # with the last round's fine grid as its coarse one, and then one
+        # norm of the one difference.
+        assert [kind for kind, _ in events] == ["sweep", "norm"] * (
+            len(events) // 2)
+        assert all(size == 1 for kind, size in events if kind == "norm")
+        rounds = [grids for kind, grids in events if kind == "sweep"]
+        assert len(rounds[0]) == 2
+        cuts = np.array([0.0, 0.45, 1.0])
+        last_fine = None
+        for grids in rounds:
+            counts = [piece_counts(g, cuts) for g in grids]
+            coarse = counts[0] if len(grids) == 2 else last_fine
+            assert len(grids) in (1, 2) and coarse is not None
+            np.testing.assert_array_equal(counts[-1], 2 * coarse)
+            last_fine = counts[-1]
+        assert [[len(g) - 1 for g in grids] for grids in rounds] == [
+            [9, 18], [38, 76]]
         # one exponent per step, at most a chunk's worth per stack, and one
         # stack per chunk of the round's steps laid end to end
-        for requests, stacks in zip(rounds, exps):
-            swept = sum(n for _, _, n in requests)
+        for grids, stacks in zip(rounds, exps):
+            swept = sum(len(g) - 1 for g in grids)
             assert sum(stacks) == swept
             assert max(stacks) <= per_chunk
             assert len(stacks) == -(-swept // per_chunk)
         assert max(max(stacks) for stacks in exps) == per_chunk
 
     def test_step_count_guard(self, monkeypatch):
-        # Total steps swept for this chain at tol 1e-11 are 138 (4, 8, 18, 36
-        # on one segment, 4, 8, 20, 40 on the other) with sixth-order steps,
-        # the fine sweep budgeted to tol / 2 and doubling from n = 4; a
-        # tighter budget, a lower order or a start at n = 8 (162) shows here.
-        steps = []
-
-        def recorded_sweeps(envelopes, skew, requests):
-            steps.extend(n for _, _, n in requests)
-            return sweeps(envelopes, skew, requests)
-
-        sweeps = trotter_module._magnus_sweeps
-        monkeypatch.setattr(trotter_module, "_magnus_sweeps", recorded_sweeps)
+        # Total steps swept for this chain at tol 1e-11 are 141 (9 and 18,
+        # then 38 and 76, over both pieces) with sixth-order steps, the fine
+        # sweep budgeted to tol / 2 and 4 steps per piece's share to start;
+        # a halved budget (153), a lower order or a start at 8 per share
+        # (165) shows here.
+        rounds = recorded_grids(monkeypatch)
         exact_propagator(mixed_envelope_chain(), 1.0, tol=1e-11)
-        assert sum(steps) <= 1.1 * 138
+        steps = sum(len(g) - 1 for grids in rounds for g in grids)
+        assert steps <= 1.05 * 141
+
+    @pytest.mark.parametrize("chain", [mixed_envelope_chain, short_piece_chain,
+                                       many_piece_chain])
+    def test_no_step_straddles_a_breakpoint(self, chain, monkeypatch):
+        h = chain()
+        rounds = recorded_grids(monkeypatch)
+        exact_propagator(h, 1.0, tol=1e-10)
+        inner = sorted({b for term in h.terms
+                        for b in term.envelope.breakpoints() if 0.0 < b < 1.0})
+        assert inner
+        for grid in (g for grids in rounds for g in grids):
+            assert grid[0] == 0.0 and grid[-1] == 1.0
+            assert np.all(np.diff(grid) > 0.0)
+            assert np.isin(inner, grid).all()
+
+    def test_breakpoint_free_steps_pinned(self, monkeypatch):
+        # A chain with no breakpoint sweeps one piece: 4 and 8 steps, then a
+        # predicted jump to 16 and 32.
+        rounds = recorded_grids(monkeypatch)
+        exact_propagator(runaway_chain(), 1.0)
+        assert [[len(g) - 1 for g in grids] for grids in rounds] == [
+            [4, 8], [16, 32]]
 
 
 class TestAgainstODESolver:
@@ -600,6 +659,15 @@ class TestAgainstODESolver:
         tightest = exact_propagator(h, t_final, tol=1e-12)
         assert operator_norm(tightest.array - reference) <= 1e-12
         u = exact_propagator(h, t_final, tol=tol)
+        assert operator_norm(u.array - reference) <= tol
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10])
+    @pytest.mark.parametrize("chain", [short_piece_chain, many_piece_chain])
+    def test_kinked_chains_within_tolerance(self, chain, tol):
+        # a piece 1e-9 long, and 50 pieces, each its own start count
+        h = chain()
+        reference = self.dop853(h, 1.0)
+        u = exact_propagator(h, 1.0, tol=tol)
         assert operator_norm(u.array - reference) <= tol
 
 
