@@ -31,7 +31,8 @@ class QuditRegister:
             raise ValueError("register needs at least one site")
         if d < 2:
             raise ValueError("local dimension must be at least 2")
-        if d ** L > _DENSE_DIM_LIMIT:
+        # d >= 2, so an L past the limit's bit length needs no power d^L
+        if L >= _DENSE_DIM_LIMIT.bit_length() or d ** L > _DENSE_DIM_LIMIT:
             raise ValueError(
                 f"dense dimension {d}^{L} exceeds the limit {_DENSE_DIM_LIMIT}")
         self.L, self.d = L, d

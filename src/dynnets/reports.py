@@ -233,9 +233,13 @@ def _minimal_gates(d: int, k: int, L: int, epsilon: float, target: float) -> int
     gates = math.ceil(
         target / (D * _lambert_w(math.log(target) + a / D - math.log(D))))
     if value(gates) < target:
-        return gates + 1
-    if value(gates - 1) >= target:
-        return gates - 1
+        gates += 1
+    elif value(gates - 1) >= target:
+        gates -= 1
+    if gates > 2 ** 53:
+        raise ValueError(
+            f"minimal gate count {gates:.3g} at L={L}, d={d}, k={k}, "
+            f"epsilon={epsilon} exceeds 2^53: float64 bounds cannot pin it")
     return gates
 
 
@@ -300,7 +304,8 @@ def crossover_analysis(d: int, k: int, epsilon: float, l_range,
     x ln x = b in a rescaled resource x, so the root is x = b / W(b) with
     W the Lambert W function. The gate count is the least integer whose
     bound meets the demand: the root's ceiling, moved by one if the bound
-    says so. The time is the largest float at or below the root (taken to
+    says so; a count past 2^53 is refused, as float64 bounds cannot pin
+    it. The time is the largest float at or below the root (taken to
     30 digits), never above it, since it is a lower bound on the time a
     measurement needs; when the validity window's edge already meets the
     demand, it is that edge. The time family is the canonical

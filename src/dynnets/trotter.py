@@ -6,7 +6,8 @@ commutators; Blanes, Casas, Oteo and Ros, Phys. Rep. 470, 2009), on one
 step grid whose pieces end at every envelope breakpoint, so that no step
 crosses a kink. Each step-doubling round makes one stacked sweep over that
 grid and the grid with every piece's count doubled, one norm of their
-difference, and Richardson extrapolation once it is within budget. A sweep
+difference, and Richardson extrapolation once it is within budget; else
+every count grows by the factor its sixth-order decay predicts. A sweep
 evaluates each envelope once on all its nodes, takes each chunk's alphas
 from one real GEMM onto the bases, and makes its exponentials in stacked
 calls; the exponents are small in norm, so each call is a truncated Taylor
@@ -414,10 +415,10 @@ def exact_propagator(h: TimeDependentHamiltonian, t_final: float,
     order, so ||fine - coarse|| is about 63 times the fine sweep's error;
     the pair is Richardson-combined (weight 1/63) once that difference is
     within 31.5 tol (the fine sweep within tol / 2) plus a rounding floor;
-    else every count scales by the jump the n^-6 decay of that difference
-    predicts, or doubles, when the fine sweep is the next coarse one. Every
-    factor is unitary to rounding and the steps multiply as a pairwise
-    tree, so the unitarity defect stays within 10 * tol.
+    else every count grows by the factor (difference / budget)^(1/6) its
+    n^-6 decay predicts, and by one step at least. Every factor is unitary
+    to rounding and the steps multiply as a pairwise tree, so the
+    unitarity defect stays within 10 * tol.
     """
     _check_final_time(t_final)
     if not _MIN_TOL <= tol < math.inf:
@@ -444,17 +445,13 @@ def exact_propagator(h: TimeDependentHamiltonian, t_final: float,
     # step; the additive floor keeps the loop from chasing that noise when
     # tol is tiny.
     noise_floor = 32.0 * np.finfo(float).eps * math.sqrt(dim)
-    coarse = None
     while True:
         if 2 * n.sum() > _MAX_STEPS:
             raise ValueError(f"adaptive propagator exceeded {_MAX_STEPS} "
                              f"steps on [0, {t_final}]")
-        grids = [_step_edges(cuts, 2 * n)]
-        if coarse is None:
-            grids.insert(0, _step_edges(cuts, n))
-        swept = _magnus_sweeps(envelopes, skew, grids)
-        fine = swept[-1]
-        diff = fine - (swept[0] if coarse is None else coarse)
+        coarse, fine = _magnus_sweeps(
+            envelopes, skew, [_step_edges(cuts, n), _step_edges(cuts, 2 * n)])
+        diff = fine - coarse
         if not np.isfinite(diff.view(float)).all():
             raise ValueError("Magnus sweep has non-finite entries")
         est = float(_opnorm_stack(diff[None])[0])
@@ -464,12 +461,9 @@ def exact_propagator(h: TimeDependentHamiltonian, t_final: float,
         if est <= budget:
             return UnitaryMatrix(fine + diff / 63.0, _validated=True)
         # est falls as n^-6, so counts grown by (est / budget)^(1/6) should
-        # pass; below a doubling, the fine sweep is the next coarse one.
-        grow = 1.1 * (est / budget) ** (1.0 / 6.0)
-        if grow > 2.0:
-            n, coarse = np.ceil(min(grow, _MAX_STEPS) * n).astype(int), None
-        else:
-            n, coarse = 2 * n, fine
+        # pass; by one step at least, or an est an ulp over would loop.
+        grow = min((est / budget) ** (1.0 / 6.0), _MAX_STEPS)
+        n = np.maximum(np.ceil(grow * n).astype(int), n + 1)
 
 
 def trotter_propagator(h: TimeDependentHamiltonian, t_final: float,

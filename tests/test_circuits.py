@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,6 +50,18 @@ class TestRegisterAndGate:
         QuditRegister(12, 2)  # 4096 allowed
         with pytest.raises(ValueError):
             QuditRegister(13, 2)
+
+    def test_huge_register_refused_before_its_power(self):
+        # computing 2^(10^8) before refusing it peaks at about 45 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"dense dimension 2\^100000000 "
+                               r"exceeds the limit 4096"):
+                QuditRegister(10 ** 8, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_gate_support_sorted_and_distinct(self):
         g = Gate((0, 1), haar_unitary(4, seed=0))

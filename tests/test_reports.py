@@ -265,6 +265,27 @@ class TestCrossoverCircuit:
             rep = crossover_analysis(2, 2, 0.001, [row.L], "circuit")
             assert rep.rows[0].min_gates == row.min_gates
 
+    def test_counts_past_two_to_the_53_refused(self, capsys):
+        # At d = 2, k = 1 the count at L = 30 lies below 2^53 and is exact;
+        # the one at L = 31, about 1.9e16, does not, and is refused.
+        from dynnets.circuits import circuit_covering_log_bound
+
+        row, = crossover_analysis(2, 1, 0.001, [30], "circuit").rows
+        assert row.min_gates == 4_975_139_285_908_954 < 2 ** 53
+        value = functools.partial(circuit_covering_log_bound, 2, 1, 30,
+                                  epsilon=0.001)
+        assert (value(row.min_gates).ln_value >= row.lower_log
+                > value(row.min_gates - 1).ln_value)
+        with pytest.raises(ValueError,
+                           match=r"L=31, d=2, k=1, epsilon=0\.001 exceeds 2\^53"):
+            crossover_analysis(2, 1, 0.001, [30, 31], "circuit")
+        code = cli_main(["crossover", "--d", "2", "--k", "1", "--eps", "0.001",
+                         "--lmin", "31", "--lmax", "33", "--resource",
+                         "circuit"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert "L=31, d=2, k=1" in err and "2^53" in err
+
     def test_single_size_has_no_fit(self):
         rep = crossover_analysis(2, 2, 0.001, [8], "circuit")
         assert rep.fit is None

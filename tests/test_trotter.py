@@ -554,24 +554,19 @@ class TestSweep:
         monkeypatch.setattr(trotter_module, "_opnorm_stack", recorded_norm)
         monkeypatch.setattr(trotter_module, "_exp_skew_series", recorded_exp)
         exact_propagator(mixed_envelope_chain(), 1.0)
-        # Each round is one sweep call, over [coarse, fine] or over [fine]
-        # with the last round's fine grid as its coarse one, and then one
-        # norm of the one difference.
+        # Each round is one sweep call over a fresh [coarse, fine] pair, and
+        # then one norm of the one difference.
         assert [kind for kind, _ in events] == ["sweep", "norm"] * (
             len(events) // 2)
         assert all(size == 1 for kind, size in events if kind == "norm")
         rounds = [grids for kind, grids in events if kind == "sweep"]
-        assert len(rounds[0]) == 2
         cuts = np.array([0.0, 0.45, 1.0])
-        last_fine = None
         for grids in rounds:
-            counts = [piece_counts(g, cuts) for g in grids]
-            coarse = counts[0] if len(grids) == 2 else last_fine
-            assert len(grids) in (1, 2) and coarse is not None
-            np.testing.assert_array_equal(counts[-1], 2 * coarse)
-            last_fine = counts[-1]
+            assert len(grids) == 2
+            coarse, fine = (piece_counts(g, cuts) for g in grids)
+            np.testing.assert_array_equal(fine, 2 * coarse)
         assert [[len(g) - 1 for g in grids] for grids in rounds] == [
-            [9, 18], [38, 76]]
+            [9, 18], [34, 68]]
         # one exponent per step, at most a chunk's worth per stack, and one
         # stack per chunk of the round's steps laid end to end
         for grids, stacks in zip(rounds, exps):
@@ -582,15 +577,15 @@ class TestSweep:
         assert max(max(stacks) for stacks in exps) == per_chunk
 
     def test_step_count_guard(self, monkeypatch):
-        # Total steps swept for this chain at tol 1e-11 are 141 (9 and 18,
-        # then 38 and 76, over both pieces) with sixth-order steps, the fine
+        # Total steps swept for this chain at tol 1e-11 are 129 (9 and 18,
+        # then 34 and 68, over both pieces) with sixth-order steps, the fine
         # sweep budgeted to tol / 2 and 4 steps per piece's share to start;
-        # a halved budget (153), a lower order or a start at 8 per share
-        # (165) shows here.
+        # a halved budget (141), a lower order or a start at 8 per share
+        # (153) shows here.
         rounds = recorded_grids(monkeypatch)
         exact_propagator(mixed_envelope_chain(), 1.0, tol=1e-11)
         steps = sum(len(g) - 1 for grids in rounds for g in grids)
-        assert steps <= 1.05 * 141
+        assert steps <= 1.05 * 129
 
     @pytest.mark.parametrize("chain", [mixed_envelope_chain, short_piece_chain,
                                        many_piece_chain])
@@ -607,12 +602,36 @@ class TestSweep:
             assert np.isin(inner, grid).all()
 
     def test_breakpoint_free_steps_pinned(self, monkeypatch):
-        # A chain with no breakpoint sweeps one piece: 4 and 8 steps, then a
-        # predicted jump to 16 and 32.
+        # A chain with no breakpoint sweeps one piece: 4 and 8 steps, then
+        # the predicted 15 and 30.
         rounds = recorded_grids(monkeypatch)
         exact_propagator(runaway_chain(), 1.0)
         assert [[len(g) - 1 for g in grids] for grids in rounds] == [
-            [4, 8], [16, 32]]
+            [4, 8], [15, 30]]
+
+    def test_every_piece_gains_a_step_per_round(self, monkeypatch):
+        # Round 1's estimate one ulp over its budget predicts a growth of
+        # (1 + 2^-52)^(1/6), which rounds to 1: without the one-step floor
+        # the counts would not move and the round would repeat forever.
+        tol = 1e-11
+        dim = 8
+        floor = 32.0 * np.finfo(float).eps * math.sqrt(dim)
+
+        def scripted_norm(stack):
+            budget = 31.5 * tol + floor * 2 * (len(rounds[-1][0]) - 1)
+            return np.array([np.nextafter(budget, np.inf)
+                             if len(rounds) == 1 else 0.0])
+
+        rounds = recorded_grids(monkeypatch)
+        monkeypatch.setattr(trotter_module, "_opnorm_stack", scripted_norm)
+        h = mixed_envelope_chain()
+        assert h.register.dim == dim
+        exact_propagator(h, 1.0, tol=tol)
+        cuts = np.array([0.0, 0.45, 1.0])
+        counts = [piece_counts(grids[0], cuts) for grids in rounds]
+        assert len(counts) == 2
+        np.testing.assert_array_equal(counts[0], [4, 5])
+        assert np.all(counts[1] >= counts[0] + 1)
 
 
 class TestAgainstODESolver:
