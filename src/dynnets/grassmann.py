@@ -15,6 +15,7 @@ from typing import Any
 import numpy as np
 
 from . import metric
+from .circuits import _integer
 from .linalg import (
     HERMITIAN_TOL,
     UnitaryMatrix,
@@ -385,13 +386,18 @@ def quotient_covering_check(order: int, subgroup_order: int,
 
 def empirical_grassmann_packing(n: int, m: int, epsilon: float, trials: int,
                                 seed: int) -> int:
-    """Greedy epsilon-packing count among Haar-random rank-n projectors."""
+    """Greedy epsilon-packing count among Haar-random rank-n projectors.
+
+    Refuses what ``empirical_packing_lower_bound`` refuses: non-integer
+    sizes, fewer than one trial, and an epsilon not positive and finite.
+    """
+    n, m, trials = _integer(n, "n"), _integer(m, "m"), _integer(trials, "trials")
     if not 1 <= n < m:
         raise ValueError("need 1 <= n < m")
     if m > 16:
         raise ValueError("ambient dimension capped at 16 for the empirical packing")
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError("epsilon must be positive and finite")
     if trials < 1:
         raise ValueError("need at least one trial")
     # one (trials, 2, m, m) draw: each trial's real, then imaginary part

@@ -23,6 +23,13 @@ HERMITIAN_TOL = 1e-10
 # (target, element) pairs per block of a nearest-element search: the block's
 # GEMM output of up2 bounds is 8 MB of float64
 _PAIR_BLOCK = 1 << 20
+# Candidates per block of a greedy packing. Min of 40 calls, one BLAS thread,
+# 2-core Xeon, ms per U(2) packing (300 candidates, eps 0.5) / Grassmann(2, 4)
+# packing (200, eps 0.5), three draws each: 16 -> 1.43-1.50 / 2.46-2.54,
+# 32 -> 1.07-1.11 / 2.33-2.41, 64 -> 0.89-0.99 / 2.23-2.34, 128 -> 1.30-1.35
+# / 2.38-2.51; one candidate at a time took 3.3-3.9 / 5.1-5.4. A block's
+# arrays are (kept + block) x block, within the (count, row) pool.
+_PACK_BLOCK = 64
 # Exactly Hermitian stacks above this dimension take their norm from eigvalsh
 _EIGH_MIN_DIM = 64
 # Gram entries per chunk of the unitarity check: 8192 U(2) matrices, 512 KB
@@ -198,28 +205,55 @@ def _greedy_packing(candidates: np.ndarray, rank: int, epsilon: float) -> int:
     operator norm, every difference having rank at most ``rank``. The
     bracket of ``_bracket_slack`` rejects on up2 <= epsilon^2 and accepts on
     lo2 > rank epsilon^2; only the pairs in between get an SVD, of their
-    difference taken from the kept rows (``_row_matrices``).
+    difference (kept element minus candidate, from ``_row_matrices``).
+
+    Candidates run in order, in blocks of ``_PACK_BLOCK``. The block's rows
+    go after the kept ones, and one GEMM of its target rows against both
+    brackets every pair of (block candidate, kept element or earlier block
+    candidate). A candidate with a sure conflict against a kept element is
+    dead. Every undecided pair whose two sides are alive gets its SVD in one
+    ``_opnorm_stack`` call. A scan in block order then keeps a live
+    candidate unless it conflicts with a kept element or with a block
+    predecessor the scan kept; a conflict with a rejected predecessor kills
+    nothing, which is why only conflicts with kept elements make a
+    candidate dead before the SVD. A GEMM sums in another order than a
+    row-by-row product, so a pair may move between sure and undecided, but
+    its verdict cannot flip: the slack bounds the rounding of any summation
+    order, and an undecided pair gets the SVD of the same difference.
     """
     rows = _search_rows(candidates)
     targets = _target_rows(rows)
     c = _bracket_slack(rows.shape[1] - 2)
     # rows end in (1 + c)|E|^2, so 2c |E|^2 is this times the row's last entry
     shrink = 2.0 * c / (1.0 + c)
-    kept_rows = np.empty_like(rows)
-    kept = _row_matrices(kept_rows, candidates.shape[-1])
+    pool = np.empty_like(rows)  # the kept rows, then the current block's
+    elements = _row_matrices(pool, candidates.shape[-1])
     eps2 = epsilon * epsilon
     count = 0
-    for cand, row, target in zip(candidates, rows, targets):
-        up2 = kept_rows[:count] @ target
-        if (up2 <= eps2).any():
-            continue
-        lo2 = up2 - shrink * (target[-2] + kept_rows[:count, -1])
-        undecided = lo2 <= rank * eps2
-        if (undecided.any()
-                and (_opnorm_stack(kept[:count][undecided] - cand) <= epsilon).any()):
-            continue
-        kept_rows[count] = row
-        count += 1
+    for start in range(0, len(rows), _PACK_BLOCK):
+        block = slice(start, min(start + _PACK_BLOCK, len(rows)))
+        size = block.stop - start
+        width = count + size
+        pool[count:width] = rows[block]
+        up2 = targets[block] @ pool[:width].T
+        lo2 = up2 - shrink * (targets[block, -2, None] + pool[:width, -1])
+        conflict = up2 <= eps2  # the sure ones; SVD verdicts join below
+        # column count + j is block candidate j: only j < i can block i
+        earlier = np.tri(size, k=-1, dtype=bool)
+        conflict[:, count:] &= earlier
+        alive = ~conflict[:, :count].any(axis=1)
+        doubtful = (lo2 <= rank * eps2) & ~conflict & alive[:, None]
+        doubtful[:, count:] &= earlier & alive
+        hits, cols = np.nonzero(doubtful)
+        conflict[hits, cols] = _opnorm_stack(
+            elements[cols] - candidates[start + hits]) <= epsilon
+        keep = alive & ~conflict[:, :count].any(axis=1)
+        inner = conflict[:, count:]
+        for i in np.flatnonzero(keep & inner.any(axis=1)):
+            keep[i] = not (inner[i] & keep).any()
+        kept = np.flatnonzero(keep)
+        pool[count:count + len(kept)] = rows[start + kept]
+        count += len(kept)
     return count
 
 

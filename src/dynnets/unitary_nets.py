@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .circuits import _integer
 from .linalg import (
     UnitaryMatrix,
     _check_unitary,
@@ -295,6 +296,7 @@ def empirical_packing_lower_bound(n: int, epsilon: float, trials: int,
     sandwich inequalities also a lower-bound witness for N_cov(epsilon/2)
     and an upper-bound check against any covering bound at epsilon/2.
     """
+    n, trials = _integer(n, "n"), _integer(trials, "trials")
     _check_net_args(n, epsilon)
     if trials < 1:
         raise ValueError("need at least one trial")

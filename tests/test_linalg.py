@@ -511,6 +511,48 @@ class TestGreedyPacking:
         for epsilon in (0.5, 1e-12):
             assert _greedy_packing(np.stack([u, u]), 3, epsilon) == 1
 
+    @pytest.mark.parametrize("block", [2, 64])
+    def test_conflict_with_rejected_predecessor_decides_nothing(
+            self, monkeypatch, block):
+        # Diagonal U(2) at epsilon 0.5; chords |1 - e^{ia}| = 0.45 and
+        # |1 - e^{ic}| = 0.6. k = 1 is kept. p = diag(e^{ia}, 1) and
+        # q = diag(1, e^{-ia}) are sure conflicts of k (Frobenius 0.45), so
+        # both are rejected. Then j = diag(e^{ia}, e^{ia}) and
+        # h = diag(1, e^{-ic}) each have a sure conflict only with p or q,
+        # and sit in k's undecided band (Frobenius 0.64 and 0.6, between 0.5
+        # and 0.5 sqrt(2)). The SVD against k rejects j (0.45) and keeps h
+        # (0.6): a sure conflict with a rejected predecessor must neither skip
+        # that SVD nor reject. f = -1 is far from all. At block 2, k is kept
+        # in the block before p and j; at block 64 all six share one block.
+        a, c = 2 * math.asin(0.225), 2 * math.asin(0.3)
+        phases = np.exp(1j * np.array([[math.pi, math.pi], [0, 0], [a, 0],
+                                       [a, a], [0, -a], [0, -c]]))
+        stack = phases[:, :, None] * np.eye(2)
+        monkeypatch.setattr(linalg, "_PACK_BLOCK", block)
+        assert _greedy_packing(stack, 2, 0.5) == _svd_greedy_count(stack, 0.5) == 3
+
+    @pytest.mark.parametrize("block", [1, 2, 7, 64, 1000])
+    def test_block_size_does_not_change_count(self, monkeypatch, block):
+        # lattice ties, Haar U(2) and Grassmann(2, 4) draws: with 200 draws
+        # at epsilon 0.5 the conflicts straddle every block edge
+        monkeypatch.setattr(linalg, "_PACK_BLOCK", block)
+        for m in (5, 12, 31):
+            roots = np.exp(2j * np.pi * np.arange(m) / m)
+            stack = np.concatenate([roots, roots * np.exp(1j * np.pi / m)])
+            stack = stack[np.random.default_rng(m).permutation(2 * m)][:, None, None]
+            for step in (1, 2, 3):
+                for eps in np.linalg.svd(stack[step:] - stack[:-step],
+                                         compute_uv=False)[:6, 0]:
+                    assert (_greedy_packing(stack, 1, eps)
+                            == _svd_greedy_count(stack, eps))
+        rng = np.random.default_rng(block)
+        unitaries = haar_stack(2, 200, rng)
+        bases = haar_stack(4, 200, rng)[..., :2]
+        projectors = bases @ np.conj(np.swapaxes(bases, -1, -2))
+        for stack, rank in ((unitaries, 2), (projectors, 4)):
+            assert (_greedy_packing(stack, rank, 0.5)
+                    == _svd_greedy_count(stack, 0.5))
+
 
 class TestMatrixExp:
     def test_skew_gives_unitary(self):

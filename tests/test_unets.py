@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from dynnets import unitary_nets
+from dynnets.grassmann import empirical_grassmann_packing
 from dynnets.linalg import (
     _exp_skew_stack,
     _search_rows,
@@ -330,6 +331,7 @@ class TestUnitaryNetType:
 
 _DIMENSION = r"^dimension must be at least 1$"
 _EPSILON = r"^epsilon must be positive and finite$"
+_INTEGER = r"^(n|m|trials) must be an integer, got "
 
 
 def _net_file(path, n, epsilon, count):
@@ -353,10 +355,22 @@ def _net_file(path, n, epsilon, count):
     (lambda p: load_net(_net_file(p, 1, math.inf, 1)), _EPSILON),
     (lambda p: empirical_packing_lower_bound(0, 0.5, 5, 1), _DIMENSION),
     (lambda p: empirical_packing_lower_bound(2, math.inf, 5, 1), _EPSILON),
+    (lambda p: empirical_packing_lower_bound(2.0, 0.5, 10, 1), _INTEGER),
+    (lambda p: empirical_packing_lower_bound(2, 0.5, 10.5, 1), _INTEGER),
+    (lambda p: empirical_packing_lower_bound(2, 0.5, True, 1), _INTEGER),
+    (lambda p: empirical_grassmann_packing(2, 4, math.inf, 5, 1), _EPSILON),
+    (lambda p: empirical_grassmann_packing(2, 4, 0.0, 5, 1), _EPSILON),
+    (lambda p: empirical_grassmann_packing(1.5, 4, 0.5, 10, 1), _INTEGER),
+    (lambda p: empirical_grassmann_packing(1, 4.0, 0.5, 10, 1), _INTEGER),
+    (lambda p: empirical_grassmann_packing(1, 4, 0.5, 10.5, 1), _INTEGER),
+    (lambda p: empirical_grassmann_packing(1, 4, 0.5, True, 1), _INTEGER),
 ], ids=["UnitaryNet-n0", "build-n0", "build-n-1", "ImplicitGridNet-n0",
         "load_net-n0", "UnitaryNet-inf", "UnitaryNet-zero", "build-inf",
         "build-minus-inf", "ImplicitGridNet-inf", "load_net-inf",
-        "packing-n0", "packing-inf"])
+        "packing-n0", "packing-inf", "packing-float-n", "packing-float-trials",
+        "packing-bool-trials", "grassmann-packing-inf", "grassmann-packing-zero",
+        "grassmann-packing-float-n", "grassmann-packing-float-m",
+        "grassmann-packing-float-trials", "grassmann-packing-bool-trials"])
 def test_net_constructors_refuse_bad_dimension_or_epsilon(tmp_path, call, message):
     with pytest.raises(ValueError, match=message):
         call(tmp_path / "net.bin")
