@@ -18,12 +18,13 @@ rounding, so unitarity drifts by rounding per step, far below the requested
 tolerance. Each Trotter factor is a single term, which commutes with itself
 at all times, so it is the closed-form exponential of the term's base times
 its envelope integral, from one eigendecomposition of the base per
-propagator. Per chunk of slices, one vectorized ``integrals`` call and one
-product per term make its factors, one stacked gate application puts them
-on every slice, and the same pairwise tree multiplies the slices. The
-first-order Trotter error is certified against delta_t * T * K * z * |h|^2,
-where z counts support overlaps (a term overlaps itself) and |h| is the
-largest sup-norm of a term over [0, T].
+propagator. One vectorized ``integrals`` call per term gives its thetas
+over every slice; per chunk of slices, one product per term makes its
+factors, one stacked gate application puts them on every slice, and the
+same pairwise tree multiplies the slices. The first-order Trotter error is
+certified against delta_t * T * K * z * |h|^2, where z counts support
+overlaps (a term overlaps itself) and |h| is the largest sup-norm of a term
+over [0, T].
 """
 
 from __future__ import annotations
@@ -476,13 +477,14 @@ def trotter_propagator(h: TimeDependentHamiltonian, t_final: float,
     integral of e over the slice, on its own support, and the only error is
     the term-splitting itself. Each term's B = V diag(w) V^dag is
     diagonalized once per call, and a factor is (V exp(-i theta w)) V^dag.
-    Per chunk of at most ``_SWEEP_ENTRIES`` matrix entries, one
-    ``integrals`` call per term gives the chunk's thetas, the first slice
-    starts from the product so far and the others from the identity, each
-    term's stack of factors is applied to all of them in one call, and a
-    pairwise tree multiplies them, the later slice on the left. So memory
-    stays flat in n_steps. From dim 128 a chunk is one slice, so this is
-    the term-by-term loop with no dense product.
+    One ``integrals`` call per term gives its thetas over all n_steps
+    slices. Per chunk of at most ``_SWEEP_ENTRIES`` matrix entries, the
+    first slice starts from the product so far and the others from the
+    identity, each term's stack of factors is applied to all of them in one
+    call, and a pairwise tree multiplies them, the later slice on the left.
+    So the matrices' memory stays flat in n_steps; only the thetas, one
+    float per term and slice, grow with it. From dim 128 a chunk is one
+    slice, so this is the term-by-term loop with no dense product.
     """
     _check_steps(n_steps)
     _check_final_time(t_final)
@@ -492,15 +494,16 @@ def trotter_propagator(h: TimeDependentHamiltonian, t_final: float,
     delta = t_final / n_steps
     per_chunk = max(1, _SWEEP_ENTRIES // reg.dim ** 2)
     eigs = [np.linalg.eigh(term.base) for term in h.terms]
+    edges = np.arange(n_steps + 1) * delta
+    thetas = [term.envelope.integrals(edges) for term in h.terms]
+    del edges  # only the thetas, K floats per slice, outlive this
     for start in range(0, n_steps, per_chunk):
         stop = min(start + per_chunk, n_steps)
-        edges = np.arange(start, stop + 1) * delta
         slices = np.concatenate(
             (u[None], np.broadcast_to(eye, (stop - start - 1,) + eye.shape)))
-        for term, (w, v) in zip(h.terms, eigs):
+        for term, (w, v), theta in zip(h.terms, eigs, thetas):
             # term's exponential over each of the chunk's slices
-            theta = term.envelope.integrals(edges)
-            phases = np.exp(-1j * np.multiply.outer(theta, w))
+            phases = np.exp(-1j * np.multiply.outer(theta[start:stop], w))
             factors = (v * phases[:, None, :]) @ v.conj().T
             slices = _apply_gate(factors, term.support, slices, reg.L, reg.d)
         u = _time_ordered_product(slices)

@@ -80,12 +80,15 @@ def unitary_covering_bounds(n: int, epsilon: float) -> UnitaryCoveringBounds:
     return UnitaryCoveringBounds(n, float(epsilon), lower, upper, True)
 
 
-def _check_net_args(n: int, epsilon: float) -> None:
-    """Refuse a net dimension below 1 or an epsilon that is not positive and finite."""
+def _check_net_args(n: int, epsilon: float) -> int:
+    """n as an int; refuse a non-integer n or one below 1, or an epsilon
+    that is not positive and finite."""
+    n = _integer(n, "n")
     if n < 1:
         raise ValueError("dimension must be at least 1")
     if not 0.0 < epsilon < math.inf:
         raise ValueError("epsilon must be positive and finite")
+    return n
 
 
 def _snap_one(net, u) -> tuple[UnitaryMatrix, float]:
@@ -107,7 +110,7 @@ class UnitaryNet:
     """
 
     def __init__(self, n: int, epsilon: float, matrices, construction_log=None):
-        _check_net_args(n, epsilon)
+        n = _check_net_args(n, epsilon)
         arr = np.asarray(matrices, dtype=complex)
         if arr.ndim != 3 or arr.shape[1:] != (n, n):
             raise ValueError(f"expected a (count, {n}, {n}) stack, got {arr.shape}")
@@ -116,7 +119,7 @@ class UnitaryNet:
         _check_unitary(arr)
         rows = _search_rows(arr)
         rows.setflags(write=False)
-        self.n = int(n)
+        self.n = n
         self.epsilon = float(epsilon)
         self.matrices = _row_matrices(rows, n)
         self._rows = rows
@@ -161,17 +164,20 @@ def build_unitary_net(n: int, epsilon: float) -> UnitaryNet:
     exp(X) = e^(ia) (cos r I + i (sin r / r) B) in closed form. a, e^(ia)
     and the diagonal of B depend on the diagonal coordinates alone and the
     off-diagonal entries of B on the others, so each is formed once per grid
-    row. One pass over (diagonal row, off-diagonal row) pairs keeps
-    |a| + r <= pi + eps; a kept point then gathers its two rows' parts of B
-    and its phase, and only cos r and sin r / r are its own. Diagonal rows go
-    outer, so elements keep grid order.
+    row. r depends only on the integer q = n |z|^2 - tr(z)^2, so r, cos r
+    and i sin r / r are tabulated once per value of q up to the box's
+    largest (597 values at n = 2, eps = 0.5). One pass over (diagonal row,
+    off-diagonal row) pairs gathers r and keeps |a| + r <= pi + eps; a kept
+    point then gathers its two rows' parts of B, its phase and its q's
+    entries of the table, and each of the n^2 entries of the elements is
+    one flat pass. Diagonal rows go outer, so elements keep grid order.
     """
     return UnitaryNet(n, epsilon, *_grid_elements(n, epsilon))
 
 
 def _grid_elements(n: int, epsilon: float) -> tuple[np.ndarray, dict]:
     """build_unitary_net's elements and log; its per-row arrays die on return."""
-    _check_net_args(n, epsilon)
+    n = _check_net_args(n, epsilon)
     if n > _GRID_DIM_LIMIT:
         raise ValueError(
             f"explicit grid construction supports n <= {_GRID_DIM_LIMIT}; "
@@ -199,12 +205,16 @@ def _grid_elements(n: int, epsilon: float) -> tuple[np.ndarray, dict]:
     q_diag = n * np.einsum("cd,cd->c", z_diag, z_diag) - trace * trace
     q_off = n * np.einsum("cd,cd->c", z_off, z_off)
     a = scale * trace / n
+    # r, cos r and i sin r / r once per q, from 0 to the box's largest
+    r = scale * np.sqrt(np.arange(q_diag.max() + q_off.max() + 1) / (2 * n))
+    cos_r = np.cos(r)
+    i_sinc = 1j * np.divide(np.sin(r), r, out=np.ones_like(r), where=r > 0)
     rows = max(1, _CHUNK // len(z_off))
     keep = np.empty((len(z_diag), len(z_off)), dtype=bool)
     for start in range(0, len(z_diag), rows):
         block = slice(start, start + rows)
-        r = scale * np.sqrt((q_diag[block, None] + q_off) / (2 * n))
-        keep[block] = np.abs(a[block, None]) + r <= math.pi + epsilon + 1e-12
+        keep[block] = (np.abs(a[block, None]) + r[q_diag[block, None] + q_off]
+                       <= math.pi + epsilon + 1e-12)
     kept = np.flatnonzero(keep)
     count = kept.size
     if count > _MAX_ELEMENTS:
@@ -215,19 +225,24 @@ def _grid_elements(n: int, epsilon: float) -> tuple[np.ndarray, dict]:
     # onto its part of the basis gives that row's share of -iX. Each entry
     # of -iX takes one coordinate, so the sum h_diag[d] + h_off[o] is exact.
     herm = (-1j * skew_basis(n)).reshape(dim, dim).view(float)
-    diag = np.arange(n)
-    h_diag = ((scale * z_diag) @ herm[:n]).view(complex).reshape(-1, n, n)
-    h_diag[:, diag, diag] -= a[:, None]
-    h_off = ((scale * z_off) @ herm[n:]).view(complex).reshape(-1, n, n)
+    h_diag = ((scale * z_diag) @ herm[:n]).view(complex)
+    h_diag[:, ::n + 1] -= a[:, None]
+    h_off = ((scale * z_off) @ herm[n:]).view(complex)
+    # one contiguous row per entry of -iX: each entry is its own 1-D pass
+    h_diag, h_off = h_diag.T.copy(), h_off.T.copy()
     phase = np.exp(1j * a)
     elements = np.empty((count, n, n), dtype=complex)
+    entries = elements.reshape(count, dim)
     for start in range(0, count, _CHUNK):
         d, o = np.divmod(kept[start:start + _CHUNK], len(z_off))
-        r = scale * np.sqrt((q_diag[d] + q_off[o]) / (2 * n))
-        sinc = np.divide(np.sin(r), r, out=np.ones_like(r), where=r > 0)
-        su2 = (1j * sinc)[:, None, None] * (h_diag[d] + h_off[o])
-        su2[:, diag, diag] += np.cos(r)[:, None]
-        elements[start:start + _CHUNK] = su2 * phase[d, None, None]
+        q = q_diag[d] + q_off[o]
+        cos_q, i_sinc_q, phase_d = cos_r[q], i_sinc[q], phase[d]
+        out = entries[start:start + _CHUNK]
+        for e in range(dim):
+            su2 = i_sinc_q * (h_diag[e, d] + h_off[e, o])
+            if e % (n + 1) == 0:  # a diagonal entry
+                su2 += cos_q
+            np.multiply(su2, phase_d, out=out[:, e])
 
     log = {
         "method": "lie-algebra-grid",
@@ -248,8 +263,7 @@ class ImplicitGridNet:
     """
 
     def __init__(self, n: int, epsilon: float):
-        _check_net_args(n, epsilon)
-        self.n = int(n)
+        self.n = n = _check_net_args(n, epsilon)
         self.epsilon = float(epsilon)
         self.spacing = 2.0 * epsilon / n
         # the basis as real [re, im] rows, so Re tr(B^dag X) = b . x
@@ -277,6 +291,7 @@ def empirical_covering_check(net: UnitaryNet, samples: int,
     Passes when the largest observed gap is at most the net's epsilon
     (with metric.COVERING_SLACK).
     """
+    samples = _integer(samples, "samples")
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
@@ -296,8 +311,7 @@ def empirical_packing_lower_bound(n: int, epsilon: float, trials: int,
     sandwich inequalities also a lower-bound witness for N_cov(epsilon/2)
     and an upper-bound check against any covering bound at epsilon/2.
     """
-    n, trials = _integer(n, "n"), _integer(trials, "trials")
-    _check_net_args(n, epsilon)
+    n, trials = _check_net_args(n, epsilon), _integer(trials, "trials")
     if trials < 1:
         raise ValueError("need at least one trial")
     # one (trials, 2, n, n) draw: each trial's real, then imaginary part

@@ -240,6 +240,78 @@ class TestMatrixClasses:
             build(a)
 
 
+_DEFECT = 1.05e-10
+_PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+_PAULI_Y = np.array([[0.0, -1j], [1j, 0.0]])
+# I + d P for each Gram term that the m <= 2 check sums on its own
+_DEFECT_TERMS = {"g11": np.diag([0.0, 1.0]).astype(complex),
+                 "re_g01": _PAULI_X, "im_g01": _PAULI_Y}
+
+
+class TestSmallGramCheck:
+    """The m <= 2 unitarity check on stacks of 32 or more matrices."""
+
+    @staticmethod
+    def _with_defect(u, term):
+        # U sqrt(1 + d P) has U^dag U - 1 = d P: for P = diag(0, 1), sigma_x
+        # or sigma_y the defect sits in g11, Re g01 or Im g01 alone
+        w, v = np.linalg.eigh(np.eye(2) + _DEFECT * _DEFECT_TERMS[term])
+        return u @ ((v * np.sqrt(w)) @ v.conj().T)
+
+    @pytest.mark.parametrize("term", sorted(_DEFECT_TERMS))
+    def test_refuses_a_defect_in_one_gram_term(self, term):
+        mats = haar_stack(2, 40, np.random.default_rng(5))
+        linalg._check_unitary(mats)
+        mats[37] = self._with_defect(mats[37], term)
+        gram = mats[37].conj().T @ mats[37] - np.eye(2)
+        assert np.abs(gram - _DEFECT * _DEFECT_TERMS[term]).max() < 1e-15
+        with pytest.raises(ValueError,
+                           match=r"^matrix is not unitary \(defect 1\.05\de-10\)$"):
+            linalg._check_unitary(mats)
+
+    @pytest.mark.parametrize("entry, message", [
+        (complex(0.5, np.nan), "non-finite"),
+        (complex(np.inf, 0.0), "non-finite"),
+        (complex(0.0, -np.inf), "non-finite"),
+    ], ids=["nan-imaginary", "inf-real", "inf-imaginary"])
+    def test_refuses_a_non_finite_entry(self, entry, message):
+        mats = haar_stack(2, 40, np.random.default_rng(6))
+        mats[37, 0, 1] = entry
+        with pytest.raises(ValueError, match=message):
+            linalg._check_unitary(mats)
+
+    @pytest.mark.filterwarnings("error")
+    def test_refuses_an_overflowing_defect(self):
+        mats = haar_stack(2, 40, np.random.default_rng(7))
+        mats[37] *= 1e200
+        with pytest.raises(ValueError,
+                           match=r"^matrix is not unitary \(defect overflows\)$"):
+            linalg._check_unitary(mats)
+
+    def test_refuses_a_two_by_one_basis_with_a_defect(self):
+        bases = np.ascontiguousarray(
+            haar_stack(2, 40, np.random.default_rng(8))[..., :1])
+        linalg._check_unitary(bases)
+        bases[37] *= math.sqrt(1.0 + _DEFECT)
+        with pytest.raises(ValueError,
+                           match=r"^matrix is not unitary \(defect 1\.05\de-10\)$"):
+            linalg._check_unitary(bases)
+
+    @pytest.mark.parametrize("first", [0, 39, 40, 79, 80, 99])
+    def test_names_the_first_defect_across_chunk_edges(self, monkeypatch, first):
+        # chunks of 40, 40 and 20 U(2): the last one is below 32 and takes
+        # the batched matmul
+        monkeypatch.setattr(linalg, "_GRAM_BLOCK", 160)
+        mats = haar_stack(2, 100, np.random.default_rng(9))
+        mats[first, :, 1] *= math.sqrt(1.0 + _DEFECT)
+        if first < 99:
+            # a larger defect further on is not the one named
+            mats[99, :, 1] *= math.sqrt(1.0 + 4e-10)
+        with pytest.raises(ValueError,
+                           match=r"^matrix is not unitary \(defect 1\.05\de-10\)$"):
+            linalg._check_unitary(mats)
+
+
 def non_c_layouts(m):
     """m itself, held as a transposed view, in Fortran order and as a strided view."""
     wide = np.zeros((m.shape[0], 2 * m.shape[1]), dtype=m.dtype)

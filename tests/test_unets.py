@@ -331,7 +331,7 @@ class TestUnitaryNetType:
 
 _DIMENSION = r"^dimension must be at least 1$"
 _EPSILON = r"^epsilon must be positive and finite$"
-_INTEGER = r"^(n|m|trials) must be an integer, got "
+_INTEGER = r"^(n|m|trials|samples) must be an integer, got "
 
 
 def _net_file(path, n, epsilon, count):
@@ -364,13 +364,23 @@ def _net_file(path, n, epsilon, count):
     (lambda p: empirical_grassmann_packing(1, 4.0, 0.5, 10, 1), _INTEGER),
     (lambda p: empirical_grassmann_packing(1, 4, 0.5, 10.5, 1), _INTEGER),
     (lambda p: empirical_grassmann_packing(1, 4, 0.5, True, 1), _INTEGER),
+    (lambda p: build_unitary_net(1.0, 0.5), _INTEGER),
+    (lambda p: build_unitary_net(True, 0.5), _INTEGER),
+    (lambda p: ImplicitGridNet(2.5, 0.4), _INTEGER),
+    (lambda p: UnitaryNet(1.0, 0.5, np.ones((1, 1, 1))), _INTEGER),
+    (lambda p: empirical_covering_check(
+        UnitaryNet(1, 2.0, np.ones((1, 1, 1))), 10.5, 1), _INTEGER),
+    (lambda p: empirical_covering_check(
+        UnitaryNet(1, 2.0, np.ones((1, 1, 1))), True, 1), _INTEGER),
 ], ids=["UnitaryNet-n0", "build-n0", "build-n-1", "ImplicitGridNet-n0",
         "load_net-n0", "UnitaryNet-inf", "UnitaryNet-zero", "build-inf",
         "build-minus-inf", "ImplicitGridNet-inf", "load_net-inf",
         "packing-n0", "packing-inf", "packing-float-n", "packing-float-trials",
         "packing-bool-trials", "grassmann-packing-inf", "grassmann-packing-zero",
         "grassmann-packing-float-n", "grassmann-packing-float-m",
-        "grassmann-packing-float-trials", "grassmann-packing-bool-trials"])
+        "grassmann-packing-float-trials", "grassmann-packing-bool-trials",
+        "build-float-n", "build-bool-n", "ImplicitGridNet-float-n",
+        "UnitaryNet-float-n", "covering-float-samples", "covering-bool-samples"])
 def test_net_constructors_refuse_bad_dimension_or_epsilon(tmp_path, call, message):
     with pytest.raises(ValueError, match=message):
         call(tmp_path / "net.bin")
