@@ -174,9 +174,15 @@ def conjugate_observable(circuit: Circuit, observable) -> np.ndarray:
     U is the circuit's cached ``circuit_unitary``. The result is the
     Hermitian part of the product, so it is exactly Hermitian, and so is the
     difference of two images, whose norm above dimension 64 then comes from
-    one eigvalsh (``operator_norm``).
+    one eigvalsh (``operator_norm``). Above dimension 64 an observable equal
+    to its conjugate transpose passes ``_require_hermitian`` by that one
+    test and enters the product as given, with no re-symmetrized copy. It
+    equals the copy in every entry, so the image is bit for bit the one
+    through the copy, except possibly in the sign of a zero entry and for
+    an observable with subnormal entries. Other observables enter as their
+    checked Hermitian part.
     """
-    obs = _require_hermitian(observable)
+    obs = _require_hermitian(observable, as_given=True)
     if obs.shape[0] != circuit.register.dim:
         raise ValueError(
             f"observable dimension {obs.shape[0]} does not match register "

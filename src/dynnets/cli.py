@@ -22,6 +22,7 @@ from .circuits import _DENSE_DIM_LIMIT, circuit_covering_log_bound
 from .grassmann import (
     KATO_DISTANCE_LIMIT,
     KATO_RATIO_LIMIT,
+    _basis_projectors,
     _kato_unitary,
     _projector_ranks,
     _random_bases,
@@ -145,10 +146,9 @@ def _random_projector_pairs(n: int, m: int, seeds_a: np.ndarray,
     by the exponential of random_skew_in_ball(m, thetas[i], seeds_b[i]).
     Returns the (k, m, m) stacks P and Q and the distances ||P - Q||.
     """
-    bases = _random_bases(n, m, seeds_a)
-    ps = _hermitian_part(bases @ np.conj(bases).swapaxes(-1, -2))
-    del bases
-    ranks = _projector_ranks(ps)
+    # checked bases: P needs no projector check (_basis_projectors); the
+    # rotation is unchecked, so Q gets one
+    ps = _basis_projectors(_random_bases(n, m, seeds_a))
     qs = np.empty_like(ps)
     dists = np.empty(len(ps))
     thetas = np.array(thetas, dtype=float)
@@ -160,7 +160,7 @@ def _random_projector_pairs(n: int, m: int, seeds_a: np.ndarray,
         q = rot @ p @ np.conj(rot).swapaxes(-1, -2)
         del rot
         q = _hermitian_part(q)
-        if np.any(_projector_ranks(q) != ranks[rows]):
+        if np.any(_projector_ranks(q) != n):
             raise ValueError("projectors must have equal rank")
         dist = _opnorm_stack(p - q)
         near = dist <= KATO_DISTANCE_LIMIT

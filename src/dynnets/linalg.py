@@ -381,24 +381,45 @@ class SkewHermitian:
         return f"SkewHermitian(dim={self.dim})"
 
 
-def _require_hermitian(o, name: str = "observable") -> np.ndarray:
+def _require_hermitian(o, name: str = "observable", *,
+                       as_given: bool = False) -> np.ndarray:
+    """Refuse a matrix unless ||O - O^dag|| <= 1e-10; return its Hermitian part.
+
+    Above ``_EIGH_MIN_DIM`` a matrix equal to its conjugate transpose is
+    settled by that one equality test: its defect is exactly 0, so the
+    verdict is the same. With ``as_given`` such a matrix comes back as it
+    is, without the copy; it equals its Hermitian part in every entry, and
+    bit for bit except in the sign of a zero and in subnormal entries,
+    which halving rounds. At n = 256 (one BLAS thread, 2-core Xeon, min of
+    15 x 50 calls, in two timing runs) the equality test took 0.29-0.36 ms,
+    the defect's Frobenius test 0.40-1.04 ms and the copy 0.52-0.98 ms.
+    Every other matrix, and every matrix up to dimension 64, takes the
+    defect test and comes back as a new array, ``_hermitian_part``.
+    """
     arr = _as_square_array(o, name)
+    if arr.shape[0] > _EIGH_MIN_DIM and np.array_equal(arr, arr.conj().T):
+        return arr if as_given else _hermitian_part(arr)
     if not _norm_within(arr - arr.conj().T, HERMITIAN_TOL):
         raise ValueError("matrix is not Hermitian within 1e-10")
     return _hermitian_part(arr)
 
 
 def _hermitian_part(x: np.ndarray) -> np.ndarray:
-    """(X + X^dag) / 2 over the last two axes of a (..., n, n) stack.
+    """X / 2 + X^dag / 2 over the last two axes of a (..., n, n) stack.
 
     Exactly Hermitian in IEEE arithmetic: entries (i, j) and (j, i) add the
-    same two real parts and opposite imaginary parts, and halving is exact.
-    The result is C-contiguous: numpy lays a plain sum of x and its
-    transpose out in Fortran order from n = 128 on, which ``operator_norm``
-    refuses, and that sum took 231 against 65 us at n = 128.
+    same two real parts and opposite imaginary parts. Each operand is halved
+    before the sum, so a finite input gives a finite result; (X + X^dag) / 2
+    overflows at entries near 1e308. Where the entries and their half-sums
+    are normal floats, halving is exact and commutes with the rounding of
+    the sum, so the result is bit for bit (X + X^dag) / 2. The result is
+    C-contiguous: numpy lays a plain sum of x and its transpose out in
+    Fortran order from n = 128 on, which ``operator_norm`` refuses, and that
+    sum took 231 against 65 us at n = 128.
     """
-    h = np.add(x, x.conj().swapaxes(-1, -2), order="C")
-    h *= 0.5
+    half = np.multiply(x, 0.5)
+    h = np.conjugate(half.swapaxes(-1, -2), order="C")
+    h += half
     return h
 
 
@@ -407,7 +428,8 @@ def spectral_width(o) -> float:
     eigenvalues = np.linalg.eigvalsh(_require_hermitian(o))
     if eigenvalues.size == 0:
         raise ValueError("empty spectrum has no width")
-    return 0.5 * float(eigenvalues[-1] - eigenvalues[0])
+    # halved before the difference, which overflows near 1e308
+    return float(0.5 * eigenvalues[-1] - 0.5 * eigenvalues[0])
 
 
 def matrix_exp(x) -> np.ndarray:

@@ -20,7 +20,14 @@ from dynnets.circuits import (
     discretize_circuit,
     topology_count_log,
 )
-from dynnets.linalg import UnitaryMatrix, haar_unitary, operator_norm, spectral_width
+from dynnets import linalg
+from dynnets.linalg import (
+    UnitaryMatrix,
+    _hermitian_part,
+    haar_unitary,
+    operator_norm,
+    spectral_width,
+)
 from dynnets.trotter import (
     ConstantEnvelope,
     HamiltonianTerm,
@@ -274,6 +281,64 @@ class TestConjugateObservable:
         c = Circuit(QuditRegister(2, 2), [])
         with pytest.raises(ValueError):
             conjugate_observable(c, SZ)
+
+
+class TestExactlyHermitianObservable:
+    """Above dimension 64 an exactly Hermitian observable skips the defect test."""
+
+    @staticmethod
+    def _setup(monkeypatch, L, defect):
+        # a circuit, its unitary, an observable off Hermitian by an
+        # anti-Hermitian term with ||O - O^dag|| = defect (-0.0 on the
+        # imaginary diagonal when exact), and the _norm_within calls
+        rng = np.random.default_rng(L)
+        c = random_circuit(rng, L, 2 * L, 2)
+        m = 2 ** L
+        g = rng.normal(size=(4, m, m))
+        obs = _hermitian_part(g[0] + 1j * g[1])
+        if defect:
+            r = _hermitian_part(g[2] + 1j * g[3])
+            obs += (0.5j * defect / operator_norm(r)) * r
+        else:
+            obs.imag[np.diag_indices(m)] = -0.0
+        u = circuit_unitary(c).array
+        calls = []
+        norm_within = linalg._norm_within
+
+        def spy(stack, tol):
+            calls.append(stack.shape)
+            return norm_within(stack, tol)
+
+        monkeypatch.setattr(linalg, "_norm_within", spy)
+        return c, u, obs, calls
+
+    @staticmethod
+    def _assert_bits_equal(a, b):
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+    @pytest.mark.parametrize("L, defect", [(7, 0.0), (7, 5e-11), (6, 0.0)])
+    def test_image_is_the_one_through_the_hermitian_part(
+            self, monkeypatch, L, defect):
+        c, u, obs, calls = self._setup(monkeypatch, L, defect)
+        exact = L == 7 and not defect
+        assert np.array_equal(obs, obs.conj().T) == (not defect)
+        if not defect:
+            assert np.signbit(obs.imag.diagonal()).all()
+        else:
+            assert 0.9 * defect < operator_norm(obs - obs.conj().T) <= defect
+        expect = _hermitian_part(u.conj().T @ _hermitian_part(obs) @ u)
+        self._assert_bits_equal(conjugate_observable(c, obs), expect)
+        # the defect test runs unless the observable is exactly Hermitian
+        # above dimension 64, which then enters the product uncopied
+        assert calls == ([] if exact else [obs.shape])
+        assert (linalg._require_hermitian(obs, as_given=True) is obs) == exact
+
+    def test_refuses_a_defect_past_the_tolerance(self, monkeypatch):
+        c, _, obs, calls = self._setup(monkeypatch, 7, 2e-10)
+        with pytest.raises(ValueError,
+                           match=r"^matrix is not Hermitian within 1e-10$"):
+            conjugate_observable(c, obs)
+        assert calls == [obs.shape]
 
 
 class TestUnitaryCache:

@@ -17,6 +17,8 @@ from dynnets.grassmann import (
     KATO_DISTANCE_LIMIT,
     KATO_RATIO_LIMIT,
     Projector,
+    _basis_projectors,
+    _projector_ranks,
     kato_deviation,
     kato_unitary,
     product_covering_check,
@@ -519,6 +521,25 @@ class TestStackedHandlersMatchPairByPair:
         assert out == emit_report(expect)
         if (n, m, seed) == (1, 2, 3):
             assert draws == trials + 1
+
+    def test_kato_projectors_pass_the_skipped_check(self, capsys,
+                                                    monkeypatch):
+        # P comes from checked bases without the projector check; running
+        # that check on every P passes, and stdout stays byte for byte
+        argv = ["verify", "kato", "--n", "4", "--m", "16", "--trials", "200",
+                "--seed", "1"]
+        code, out, _ = run_cli(argv, capsys)
+        checked = []
+
+        def basis_projectors(bases):
+            ps = _basis_projectors(bases)
+            np.testing.assert_array_equal(_projector_ranks(ps), 4)
+            checked.append(len(ps))
+            return ps
+
+        monkeypatch.setattr(cli, "_basis_projectors", basis_projectors)
+        assert run_cli(argv, capsys) == (code, out, "")
+        assert code == 0 and sum(checked) == 200
 
     @pytest.mark.parametrize("n, m, seed", [(1, 2, 3), (2, 5, 9)])
     def test_kato_pairs(self, n, m, seed):

@@ -6,6 +6,7 @@ import pytest
 from dynnets.grassmann import (
     Projector,
     Subspace,
+    _projector_ranks,
     _random_bases,
     empirical_grassmann_packing,
     kato_deviation,
@@ -19,7 +20,7 @@ from dynnets.grassmann import (
     quotient_distance_bounds,
     random_subspace,
 )
-from dynnets.linalg import haar_unitary, matrix_exp, operator_norm
+from dynnets.linalg import UNITARY_TOL, haar_unitary, matrix_exp, operator_norm
 from dynnets.metric import FiniteMetricSpace, brute_force_covering_number
 
 KATO_RATIO = 5.0 / math.sqrt(2.0)
@@ -176,6 +177,38 @@ class TestSubspaceAndProjector:
         np.testing.assert_array_equal(s1.basis, s2.basis)
         np.testing.assert_allclose(s1.basis.conj().T @ s1.basis, np.eye(2),
                                    atol=1e-12)
+
+
+class TestProjectorFromCheckedBasis:
+    """projector_from_subspace skips the checks that its basis's check implies."""
+
+    @staticmethod
+    def _edge_basis(m, scale):
+        # column 0 times 1 + scale: a Gram defect of about 2 scale
+        basis = random_subspace(m // 2, m, 11).basis.copy()
+        basis[:, 0] *= 1.0 + scale
+        return basis
+
+    @pytest.mark.parametrize("m", [72, 128])
+    def test_matches_the_checked_projector_at_the_gram_edge(self, m):
+        basis = self._edge_basis(m, 4e-11)
+        defect = operator_norm(basis.conj().T @ basis - np.eye(m // 2))
+        assert 0.75 * UNITARY_TOL < defect <= UNITARY_TOL
+        p = projector_from_subspace(Subspace(basis))
+        checked = Projector(basis @ basis.conj().T)
+        assert p.rank == checked.rank == m // 2
+        assert np.array_equal(p.matrix.view(np.int64),
+                              checked.matrix.view(np.int64))
+        assert p.matrix.flags.c_contiguous and not p.matrix.flags.writeable
+        # the skipped check, run on the result
+        np.testing.assert_array_equal(_projector_ranks(p.matrix[None]),
+                                      [m // 2])
+
+    @pytest.mark.parametrize("m", [72, 128])
+    def test_refuses_a_basis_past_the_gram_edge(self, m):
+        with pytest.raises(ValueError, match=r"^matrix is not unitary "
+                                             r"\(defect 2\.000e-10\)$"):
+            Subspace(self._edge_basis(m, 1e-10))
 
 
 class TestProjectorDistance:

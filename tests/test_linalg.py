@@ -165,6 +165,20 @@ class TestHermitianNorm:
         np.testing.assert_array_equal(_opnorm_stack(stack), expected)
         np.testing.assert_array_equal(_opnorm_stack(stack[1:]), expected[1:])
 
+    @pytest.mark.parametrize("m", [2, 128])
+    def test_hermitian_part_of_entries_near_overflow(self, m):
+        # (X + X^dag) / 2 overflows here; numpy's warnings are errors in
+        # this suite
+        g = np.random.default_rng(m).uniform(-1.0, 1.0, size=(2, m, m))
+        x = 1.7e308 * (g[0] + 1j * g[1])
+        h = _hermitian_part(x)
+        assert np.isfinite(h.view(float)).all()
+        assert np.array_equal(h, h.conj().T)
+        # at a quarter of the scale the old formula stays finite, and
+        # scaling by 4 is exact on normal floats
+        y = x / 4
+        np.testing.assert_array_equal(h, 4 * (0.5 * (y + y.conj().T)))
+
     def test_hermitian_part_is_exact(self):
         g = np.random.default_rng(3).standard_normal((2, 4, 9, 9))
         x = g[0] + 1j * g[1]
@@ -950,3 +964,12 @@ class TestSpectrum:
     def test_rejects_nonhermitian(self):
         with pytest.raises(ValueError):
             spectral_width(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("m", [2, 128])
+    def test_spectral_width_of_entries_near_overflow(self, m):
+        # eigenvalues +-sqrt(2) 1e308: both the Hermitian part and the
+        # spread overflowed, to nan after numpy warnings
+        x = np.zeros((m, m))
+        x[:2, :2] = [[1e308, 1e308], [1e308, -1e308]]
+        assert spectral_width(x) == pytest.approx(math.sqrt(2.0) * 1e308,
+                                                  rel=1e-12)
