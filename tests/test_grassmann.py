@@ -189,7 +189,9 @@ class TestProjectorFromCheckedBasis:
         basis[:, 0] *= 1.0 + scale
         return basis
 
-    @pytest.mark.parametrize("m", [72, 128])
+    # at m = 5 OpenBLAS's B B^dag is not exactly Hermitian, so the stored
+    # Hermitian part differs from the raw product there
+    @pytest.mark.parametrize("m", [5, 72, 128])
     def test_matches_the_checked_projector_at_the_gram_edge(self, m):
         basis = self._edge_basis(m, 4e-11)
         defect = operator_norm(basis.conj().T @ basis - np.eye(m // 2))
@@ -199,6 +201,7 @@ class TestProjectorFromCheckedBasis:
         assert p.rank == checked.rank == m // 2
         assert np.array_equal(p.matrix.view(np.int64),
                               checked.matrix.view(np.int64))
+        assert np.array_equal(p.matrix, p.matrix.conj().T)
         assert p.matrix.flags.c_contiguous and not p.matrix.flags.writeable
         # the skipped check, run on the result
         np.testing.assert_array_equal(_projector_ranks(p.matrix[None]),
