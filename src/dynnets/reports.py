@@ -3,10 +3,9 @@
 The crossover analysis pits the log-domain covering lower bound for half-rank
 projectors in a d^L-dimensional space against the covering upper bounds of
 two resource families (gate count, evolution time), returning the minimal
-resource at which the upper bound first matches the geometric demand, in
-closed form through the Lambert W function.
-Reports serialize byte-identically: fixed key order and 17-significant-digit
-floats.
+resource at which the upper bound first matches the geometric demand; both
+solve y ln y = b with one decimal root finder. Reports serialize
+byte-identically: fixed key order and 17-significant-digit floats.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from decimal import Context, Decimal, localcontext
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -34,10 +33,6 @@ from .trotter import (
 # the CrossoverRow field that holds each resource's minimal value
 _RESOURCE_FIELDS = {"circuit": "min_gates", "time": "min_time"}
 _RESOURCES = tuple(_RESOURCE_FIELDS)
-# digits of the minimal time's root: y = b / W(b) from the float W is good
-# to about 1e-15 and one Newton step squares that, so this precision, not
-# the start, limits the root (to about 1e-29)
-_ROOT_DIGITS = Context(prec=30)
 
 
 @dataclass(frozen=True)
@@ -217,58 +212,66 @@ def _lambert_w(ln_b: float) -> float:
     return u
 
 
-def _minimal_gates(d: int, k: int, L: int, epsilon: float, target: float) -> int:
-    def value(n_gates: int) -> float:
-        return circuit_covering_log_bound(d, k, L, n_gates, epsilon).ln_value
+def _root(ln_b: float, b: Callable[[], Decimal],
+          resource: Callable[[Decimal, Decimal], Decimal]
+          ) -> tuple[Decimal, Decimal]:
+    """resource(y, ln y) at the root y of y ln y = b(), and its error.
 
-    # value(Ng) = Ng (a + D ln Ng) with a = value(1) and D = d^(2k). In
-    # x = Ng e^(a/D) that reads x ln x = b = target e^(a/D) / D, so the
-    # real root is Ng = x e^(-a/D) = target / (D W(b)). Its float error
-    # stays below one gate up to about 1e16 gates, so one step either way
-    # makes the ceiling exact.
-    a = value(1)  # before int_power, so that an overflow names its inputs
+    Newton's method on u e^u = b for u = ln y = W(b), from the float W, in
+    decimal arithmetic of prec = 25 more digits than the float root b / W
+    has, shared with b and resource. Each step squares the relative error,
+    so the first step under 10^(-prec/2) leaves u and y = b / u good to the
+    precision; the error, resource 10^(4 - prec), allows 10^4 roundings.
+    """
+    w = _lambert_w(ln_b)
+    prec = 26 + int((ln_b - math.log(w)) / math.log(10.0))
+    with localcontext(Context(prec=prec)):
+        b_exact = b()
+        u, last = Decimal(w), 0
+        while abs(u - last) >= u.scaleb(-prec // 2):
+            u, last = (u * u + b_exact / u.exp()) / (u + 1), u
+        value = resource(b_exact / u, u)
+        return value, value.scaleb(4 - prec)
+
+
+def _minimal_gates(d: int, k: int, L: int, epsilon: float, target: float) -> int:
+    # The bound at Ng gates is Ng (a + D ln Ng), with D = d^(2k) and a =
+    # k ln L + D ln(14 / eps) its value at one gate (taken before int_power,
+    # so that an overflow names its inputs). In x = Ng e^(a/D) that reads
+    # x ln x = b = target e^(a/D) / D, so Ng = x e^(-a/D) = target / (D ln x).
+    a = circuit_covering_log_bound(d, k, L, 1, epsilon).ln_value
     if a >= target:
         return 1
     D = int_power(d, 2 * k)
-    gates = math.ceil(
-        target / (D * _lambert_w(math.log(target) + a / D - math.log(D))))
-    if value(gates) < target:
-        gates += 1
-    elif value(gates - 1) >= target:
-        gates -= 1
-    if gates > 2 ** 53:
-        raise ValueError(
-            f"minimal gate count {gates:.3g} at L={L}, d={d}, k={k}, "
-            f"epsilon={epsilon} exceeds 2^53: float64 bounds cannot pin it")
-    return gates
+    demand = Decimal(target)
+    root, error = _root(
+        math.log(target) + a / D - math.log(D),
+        lambda: demand * 14 * (k * Decimal(L).ln() / D).exp()
+        / (D * Decimal(epsilon)),
+        lambda x, ln_x: demand / (D * ln_x))
+    if abs(root - round(root)) <= error:
+        raise ValueError(f"minimal gate count at L={L}, d={d}, k={k}, epsilon="
+                         f"{epsilon} is within {error:.1e} of an integer")
+    return math.ceil(root)
 
 
 def _minimal_time(d: int, k: int, L: int, K: int, z: int, h_max: float,
                   epsilon: float, target: float) -> float:
-    def value(t: float) -> float:
-        return evolution_covering_log_bound(L, d, k, K, z, h_max, t,
-                                            epsilon).ln_value
-
     edge = _min_covered_time(K, z, h_max, epsilon) * (1.0 + 1e-12)
-    if value(edge) >= target:  # before int_power, as in _minimal_gates
-        return edge
+    if evolution_covering_log_bound(L, d, k, K, z, h_max, edge,
+                                    epsilon).ln_value >= target:
+        return edge  # checked before int_power, as in _minimal_gates
     # value(T) = k K ln L + (D eps / 28) y ln y with D = d^(2k) and
     # y = 112 T^2 K c / eps^2, so y ln y = b = 28 (target - k K ln L) /
-    # (D eps), y = b / W(b) and T^2 = y eps^2 / (112 K c). A measurement
-    # needs at least this time, so T must not pass the root; a float check
-    # cannot promise that, as the bound's own rounding moves its float root
-    # by up to 2 ulp. So one Newton step on y ln y = b from the float W
-    # takes y to 30 digits, and the root is rounded down to a float.
+    # (D eps) and T^2 = y eps^2 / (112 K c), rounded down to a float.
     D = int_power(d, 2 * k)
-    w = _lambert_w(math.log(28.0) + math.log(target - k * K * math.log(L))
-                   - math.log(D) - math.log(epsilon))
-    with localcontext(_ROOT_DIGITS):
-        eps = Decimal(epsilon)
-        b = 28 * (Decimal(target) - k * K * Decimal(L).ln()) / (D * eps)
-        y = b / Decimal(w)
-        y = (y + b) / (y.ln() + 1)
-        root = (y * eps ** 2 / (
-            112 * K * _first_order_constant(K, z, Decimal(h_max)))).sqrt()
+    eps = Decimal(epsilon)
+    root, _ = _root(
+        math.log(28.0) + math.log(target - k * K * math.log(L))
+        - math.log(D) - math.log(epsilon),
+        lambda: 28 * (Decimal(target) - k * K * Decimal(L).ln()) / (D * eps),
+        lambda y, _: (y * eps ** 2 / (
+            112 * K * _first_order_constant(K, z, Decimal(h_max)))).sqrt())
     t = float(root)
     return t if Decimal(t) <= root else math.nextafter(t, 0.0)
 
@@ -299,23 +302,24 @@ def crossover_analysis(d: int, k: int, epsilon: float, l_range,
     """Minimal resource (gates or time) meeting the projector-covering demand.
 
     For each L the demand is the log-domain covering lower bound for
-    half-rank projectors in dimension m = d^L; the resource is the root of
-    covering upper bound = demand, in closed form. Both log bounds read
-    x ln x = b in a rescaled resource x, so the root is x = b / W(b) with
-    W the Lambert W function. The gate count is the least integer whose
-    bound meets the demand: the root's ceiling, moved by one if the bound
-    says so; a count past 2^53 is refused, as float64 bounds cannot pin
-    it. The time is the largest float at or below the root (taken to
-    30 digits), never above it, since it is a lower bound on the time a
-    measurement needs; when the validity window's edge already meets the
-    demand, it is that edge. The time family is the canonical
-    nearest-neighbor chain: K = L - 1 terms and configurable z (default 3)
-    and h_max (default 1.0), entering as the first-order constant
-    c = K z h_max^2. Finite-size trend only; no asymptotic claim is made.
+    half-rank projectors in dimension m = d^L, taken as the exact value of
+    its float. Both covering upper bounds read y ln y = b in a rescaled
+    resource y, which _root solves in decimal arithmetic of 25 more digits
+    than the root has. The gate count is the root's ceiling, the least
+    integer whose exact bound meets the demand, refused only when the root
+    lies within its own error bound, 10^(4 - prec) of it, of an integer.
+    The time is the largest float at or below the root, as it is a lower
+    bound on the time a measurement needs, or the validity window's edge
+    when that meets the demand already. Its family is the nearest-neighbor
+    chain: K = L - 1 terms, z (default 3) and h_max (default 1.0), in the
+    first-order constant c = K z h_max^2. An L whose d^(2L) leaves float64
+    is refused from the range's ends, before the range is built.
+    Finite-size trend only; no asymptotic claim is made.
     """
     if resource not in _RESOURCES:
         raise ValueError(f"resource must be one of {_RESOURCES}")
-    ls = sorted(set(int(x) for x in l_range))
+    ls = (l_range if isinstance(l_range, range) and l_range.step > 0
+          else sorted(set(int(x) for x in l_range)))
     if not ls:
         raise ValueError("L range is empty")
     if d < 2 or k < 1:
@@ -344,6 +348,10 @@ def crossover_analysis(d: int, k: int, epsilon: float, l_range,
         # d >= 2, so every L >= 1 gives 1 <= m // 2 < m = d^L
         raise ValueError(
             f"dimension d^L = {d ** ls[0]} too small for half-rank split")
+    if 2 * ls[-1] * math.log2(d) >= 1024:
+        raise ValueError(
+            f"the demand's d^(2L) overflows float64 from L = "
+            f"{math.ceil(512 / math.log2(d))} on at d = {d}, got L = {ls[-1]}")
 
     rows = []
     for L in ls:
@@ -373,15 +381,9 @@ def crossover_analysis(d: int, k: int, epsilon: float, l_range,
     }
     if resource == "time":
         metadata["family"] = {"K": "L - 1", "z": z, "h_max": h_max}
-    return CrossoverReport(
-        resource=resource,
-        d=d,
-        k=k,
-        epsilon=float(epsilon),
-        rows=tuple(rows),
-        fit=fit,
-        metadata=metadata,
-    )
+    return CrossoverReport(resource=resource, d=d, k=k,
+                           epsilon=float(epsilon), rows=tuple(rows), fit=fit,
+                           metadata=metadata)
 
 
 def _json_scalar(value) -> str:
@@ -442,10 +444,8 @@ def emit_report(report, format: str = "json", path=None) -> str:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["L", "m", "lower_log", _RESOURCE_FIELDS[report.resource]])
         for row in report.rows:
-            value = row.value(report.resource)
-            cell = (str(value) if isinstance(value, int)
-                    else f"{float(value):.17g}")
-            writer.writerow([row.L, row.m, f"{row.lower_log:.17g}", cell])
+            writer.writerow([row.L, row.m, _json_scalar(row.lower_log),
+                             _json_scalar(row.value(report.resource))])
         text = buf.getvalue()
     else:
         raise ValueError(f"unknown report format {format!r}")

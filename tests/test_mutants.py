@@ -1,0 +1,110 @@
+"""Defects injected by monkeypatch that the certified checks must refuse.
+
+Each check runs on a deterministic worst-case family, next to the random
+draws of the acceptance criteria, and each mutant records the factor from
+which its check catches it. No source is edited and no production option
+takes part.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+import dynnets.trotter as trotter_module
+from dynnets.circuits import QuditRegister
+from dynnets.linalg import _exp_skew_stack, skew_basis
+from dynnets.trotter import (
+    CertificateViolation,
+    ConstantEnvelope,
+    HamiltonianTerm,
+    TimeDependentHamiltonian,
+    certify_trotter,
+)
+from dynnets.unitary_nets import ImplicitGridNet
+
+SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SZ = np.diag([1.0, -1.0]).astype(complex)
+
+
+def corner_signs(n, one_per_gauge):
+    """Sign patterns over the n^2 coordinates of skew_basis(n).
+
+    Coordinate n, the real part of entry (0, 1), stays +1: X and -X give
+    adjoint targets, whose snaps are adjoint and equally far. With
+    one_per_gauge, both coordinates of every entry (0, l) stay +1: a
+    conjugation by diag(1, i^m1, ..., i^m(n-1)) turns entry (k, l) by
+    (m_k - m_l) quarter turns, a signed permutation of its two coordinates
+    that the rounding commutes with, and picks one pattern per class.
+    """
+    fixed = range(n, 3 * n - 2) if one_per_gauge else (n,)
+    free = [i for i in range(n * n) if i not in fixed]
+    signs = np.ones((2 ** len(free), n * n))
+    signs[:, free] = list(itertools.product((-1.0, 1.0), repeat=len(free)))
+    return signs
+
+
+def corner_gaps(net, signs):
+    """Snap distances of exp(X), X = +-spacing/2 (1 - 1e-6) per coordinate.
+
+    Each X lies just inside the grid cell around 0, where the rounding
+    error is largest.
+    """
+    coords = signs * (0.5 * net.spacing * (1.0 - 1e-6))
+    x = np.tensordot(coords, skew_basis(net.n), axes=1)
+    return net._snap(_exp_skew_stack(x))[1]
+
+
+# (n, epsilon, worst corner gap); the gap is 0.990 and 0.956 of epsilon
+CORNER_CASES = [(2, 0.5, 0.49481), (4, 0.4, 0.38241)]
+
+
+@pytest.mark.parametrize("n, epsilon, worst", CORNER_CASES)
+def test_implicit_grid_corners_within_epsilon(n, epsilon, worst):
+    net = ImplicitGridNet(n, epsilon)
+    gaps = corner_gaps(net, corner_signs(n, False))
+    assert len(gaps) == 2 ** (n * n - 1)
+    assert gaps.max() <= epsilon
+    assert gaps.max() == pytest.approx(worst, abs=1e-5)
+    # one pattern per gauge class reaches the same worst gap
+    reps = corner_gaps(net, corner_signs(n, True))
+    assert len(reps) == 2 ** (n * n - 2 * n + 2)
+    assert reps.max() == pytest.approx(gaps.max(), abs=1e-12)
+
+
+@pytest.mark.parametrize("n, epsilon, worst", CORNER_CASES)
+def test_implicit_grid_wider_spacing_caught(n, epsilon, worst):
+    # The corner family catches a spacing x f from f = 1.011 (n = 2) and
+    # f = 1.047 (n = 4) on; at x 1.05 the worst gap reads 0.5190 and 0.4013
+    net = ImplicitGridNet(n, epsilon)
+    net.spacing *= 1.05
+    assert corner_gaps(net, corner_signs(n, True)).max() > epsilon
+
+
+def pauli_pair():
+    """XX on sites (0, 1) and ZZ on (1, 2) of 3 qubits, constant 1.0.
+
+    The two terms anticommute, so the first-order Trotter error is as
+    large as their overlap allows.
+    """
+    return TimeDependentHamiltonian(QuditRegister(3, 2), [
+        HamiltonianTerm((0, 1), np.kron(SX, SX), ConstantEnvelope(1.0)),
+        HamiltonianTerm((1, 2), np.kron(SZ, SZ), ConstantEnvelope(1.0)),
+    ])
+
+
+def test_pauli_pair_certificate():
+    cert = certify_trotter(pauli_pair(), 0.25, 8)
+    assert cert.bound == 0.03125
+    assert cert.measured == pytest.approx(7.6516e-3, rel=1e-4)
+    # so the bound catches a constant x f for every f below 0.2449: 0.24
+    # is caught and 0.245 is not
+    assert 0.24 < cert.measured / cert.bound < 0.245
+
+
+def test_trotter_constant_shrunk_caught(monkeypatch):
+    constant = trotter_module._first_order_constant
+    monkeypatch.setattr(trotter_module, "_first_order_constant",
+                        lambda K, z, h_max: 0.24 * constant(K, z, h_max))
+    with pytest.raises(CertificateViolation):
+        certify_trotter(pauli_pair(), 0.25, 8)

@@ -2,6 +2,8 @@ import functools
 import itertools
 import json
 import math
+import time
+from decimal import Decimal, localcontext
 
 import mpmath as mp
 import numpy as np
@@ -26,6 +28,18 @@ SZ = np.diag([1.0, -1.0]).astype(complex)
 # minimal gate counts for d=2, k=2, eps=0.001, L=8..14, cross-checked
 # against a 50-digit bisection of the closed-form log bounds
 CROSSOVER_GATES = (217, 798, 2954, 10996, 41127, 154454, 582159)
+
+# (eps, d, k, L): five counts that a fix-up against the float bound left
+# below the exact minimum, by one gate ((1e-4, 3, 2, 20): two), and one
+# count past 2^53
+EXACT_GATES = {
+    (1e-3, 2, 1, 30): 4_975_139_285_908_955,
+    (1e-3, 2, 2, 31): 5_019_592_185_309_843,
+    (1e-4, 3, 1, 19): 6_047_183_372_115_836,
+    (1e-4, 3, 2, 19): 706_892_247_869_939,
+    (1e-4, 3, 2, 20): 6_078_262_541_455_353,
+    (1e-3, 2, 1, 48): 223_521_382_987_324_172_162_725_479,
+}
 
 
 def magnetization_matrix(L):
@@ -251,40 +265,64 @@ class TestCrossoverCircuit:
                 assert (row.min_gates == 1
                         or value(row.min_gates - 1) < row.lower_log)
 
-    @pytest.mark.parametrize("shift", [-0.99, 0.99])
-    def test_root_off_by_under_one_gate(self, circuit_report, monkeypatch,
-                                        shift):
-        # the closed-form root lands within a gate of the exact one; moved
-        # by up to 0.99 gates either way, one step against the bound still
-        # gives the least count
-        lambert_w = reports_module._lambert_w
-        for row in circuit_report.rows:
-            scale = 1.0 - shift / row.min_gates
-            monkeypatch.setattr(reports_module, "_lambert_w",
-                                lambda ln_b, s=scale: lambert_w(ln_b) * s)
-            rep = crossover_analysis(2, 2, 0.001, [row.L], "circuit")
-            assert rep.rows[0].min_gates == row.min_gates
+    def test_least_integer_by_mpmath(self):
+        # the demand taken as the exact value of its float, and the bound
+        # at 25 digits past the count's own: every count is the least
+        # integer whose bound meets the demand
+        for epsilon, (d, k) in itertools.product(
+                (1e-3, 1e-4), ((2, 1), (2, 2), (3, 1), (3, 2))):
+            report = crossover_analysis(d, k, epsilon, range(2, 49),
+                                        "circuit")
+            assert len(report.rows) == 47
+            for row in report.rows:
+                gates = row.min_gates
+                with mp.workdps(len(str(gates)) + 25):
+                    def value(n_gates):
+                        n = mp.mpf(n_gates)
+                        return n * (k * mp.log(row.L) + d ** (2 * k)
+                                    * mp.log(14 * n / mp.mpf(epsilon)))
 
-    def test_counts_past_two_to_the_53_refused(self, capsys):
-        # At d = 2, k = 1 the count at L = 30 lies below 2^53 and is exact;
-        # the one at L = 31, about 1.9e16, does not, and is refused.
-        from dynnets.circuits import circuit_covering_log_bound
+                    assert value(gates) >= row.lower_log, row
+                    assert gates == 1 or value(gates - 1) < row.lower_log, row
+                key = (epsilon, d, k, row.L)
+                assert EXACT_GATES.get(key, gates) == gates, key
 
-        row, = crossover_analysis(2, 1, 0.001, [30], "circuit").rows
-        assert row.min_gates == 4_975_139_285_908_954 < 2 ** 53
-        value = functools.partial(circuit_covering_log_bound, 2, 1, 30,
-                                  epsilon=0.001)
-        assert (value(row.min_gates).ln_value >= row.lower_log
-                > value(row.min_gates - 1).ln_value)
-        with pytest.raises(ValueError,
-                           match=r"L=31, d=2, k=1, epsilon=0\.001 exceeds 2\^53"):
-            crossover_analysis(2, 1, 0.001, [30, 31], "circuit")
-        code = cli_main(["crossover", "--d", "2", "--k", "1", "--eps", "0.001",
-                         "--lmin", "31", "--lmax", "33", "--resource",
-                         "circuit"])
+    def test_counts_past_two_to_the_53_reported(self, capsys):
+        # counts above 2^53 were refused until the root became exact; JSON
+        # and CSV carry each count as its exact integer
+        gates = [row.min_gates for row in
+                 crossover_analysis(2, 1, 0.001, range(31, 34),
+                                    "circuit").rows]
+        assert gates[0] > 2 ** 53
+        argv = ["crossover", "--d", "2", "--k", "1", "--eps", "0.001",
+                "--lmin", "31", "--lmax", "33", "--resource", "circuit"]
+        assert cli_main(argv) == 0
         out, err = capsys.readouterr()
-        assert code == 1 and out == ""
-        assert "L=31, d=2, k=1" in err and "2^53" in err
+        assert err == ""
+        assert [row["min_gates"] for row in json.loads(out)["rows"]] == gates
+        assert cli_main(argv + ["--format", "csv"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert [line.split(",")[3] for line in out.splitlines()[1:]] == [
+            str(g) for g in gates]
+
+    def test_root_within_its_error_of_an_integer_refused(self, monkeypatch):
+        root = reports_module._root
+
+        def near_integer(*args, offset):
+            value, error = root(*args)
+            with localcontext(prec=60):
+                return Decimal(math.ceil(value)) + offset * error, error
+
+        monkeypatch.setattr(reports_module, "_root", functools.partial(
+            near_integer, offset=Decimal("0.5")))
+        with pytest.raises(ValueError, match=r"L=10, d=2, k=2, epsilon=0\.001 "
+                           r"is within \d\.\de-\d+ of an integer"):
+            crossover_analysis(2, 2, 0.001, [10], "circuit")
+        monkeypatch.setattr(reports_module, "_root", functools.partial(
+            near_integer, offset=Decimal(2)))
+        row, = crossover_analysis(2, 2, 0.001, [10], "circuit").rows
+        assert row.min_gates == CROSSOVER_GATES[2] + 1
 
     def test_single_size_has_no_fit(self):
         rep = crossover_analysis(2, 2, 0.001, [8], "circuit")
@@ -411,6 +449,25 @@ class TestCrossoverTime:
             crossover_analysis(2, 2, 0.001, [8, 9], "time", params=params)
 
 
+class TestSharedRoot:
+    """The one root of y ln y = b behind both resources' minima."""
+
+    @pytest.mark.parametrize("shift", [-0.01, 0.01])
+    @pytest.mark.parametrize("resource, d, k, sizes", [
+        ("circuit", 2, 1, [8, 14, 30, 31, 48]),
+        ("time", 2, 2, range(2, 13)),
+    ], ids=["circuit", "time"])
+    def test_rough_start(self, monkeypatch, resource, d, k, sizes, shift):
+        # Newton's method runs until it converges, so a float start 1% off
+        # gives the same counts and the same time floats
+        exact = crossover_analysis(d, k, 0.001, sizes, resource)
+        lambert_w = reports_module._lambert_w
+        monkeypatch.setattr(reports_module, "_lambert_w",
+                            lambda ln_b: lambert_w(ln_b) * (1.0 + shift))
+        rough = crossover_analysis(d, k, 0.001, sizes, resource)
+        assert rough.rows == exact.rows
+
+
 class TestReportValidation:
     def test_nonmonotone_times_reported(self, capsys):
         # the minimal time is not monotone in L here: L = 2 needs more
@@ -421,6 +478,26 @@ class TestReportValidation:
         assert code == 0 and err == ""
         times = [row["min_time"] for row in json.loads(out)["rows"]]
         assert len(times) == 8 and times[0] > times[1]
+
+    @pytest.mark.parametrize("resource", ["circuit", "time"])
+    @pytest.mark.parametrize("d, lmin, first", [(2, 2, 512),
+                                                (3, 999999990, 324)])
+    def test_sizes_past_float64_refused_up_front(self, capsys, resource, d,
+                                                 lmin, first):
+        # the range's ends are checked before it is built; the whole range
+        # once took 327 MB before the first size was refused at lmax = 3e6
+        start = time.perf_counter()
+        code = cli_main(["crossover", "--d", str(d), "--k", "1", "--eps",
+                         "0.001", "--lmin", str(lmin), "--lmax",
+                         "1000000000", "--resource", resource])
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert (f"d^(2L) overflows float64 from L = {first} on at d = {d}, "
+                f"got L = 1000000000") in err
+        with pytest.raises(ValueError, match=f"from L = {first} on at d = "
+                           f"{d}, got L = {first}$"):
+            crossover_analysis(d, 1, 0.001, [8, first], resource)
 
     def test_row_without_value_rejected(self):
         rows = (CrossoverRow(4, 16, 10.0, 50, None),)
