@@ -274,22 +274,27 @@ class ProjectorCoveringBounds:
         return asdict(self)
 
 
+def _projector_lower_log(n: int, m: int, epsilon: float) -> float:
+    """ln of the rank-n covering lower bound 19^(-m^2) (9/(5 eps))^(2n(m-n))."""
+    return finite_log(
+        lambda: -float(m * m) * math.log(19.0)
+        + 2.0 * n * (m - n) * math.log(9.0 / (5.0 * epsilon)),
+        math.isinf(9.0 / (5.0 * epsilon)), n=n, m=m, epsilon=epsilon)
+
+
 def projector_covering_bounds(n: int, m: int, epsilon: float) -> ProjectorCoveringBounds:
     """Two-sided covering-number bounds for the rank-n projector manifold."""
+    n, m = _integer(n, "n"), _integer(m, "m")
     if not 1 <= n < m:
         raise ValueError("need 1 <= n < m")
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
+    lower = _projector_lower_log(n, m, epsilon)
     # 9/(5 eps) > 3/(4 eps): the first to leave float64 range
-    tiny = math.isinf(9.0 / (5.0 * epsilon))
-    lower = finite_log(
-        lambda: -float(m * m) * math.log(19.0)
-        + 2.0 * n * (m - n) * math.log(9.0 / (5.0 * epsilon)),
-        tiny, n=n, m=m, epsilon=epsilon)
     upper = finite_log(
         lambda: float(m * m) * math.log(38.0)
         + 2.0 * n * (m - n) * math.log(3.0 / (4.0 * epsilon)),
-        tiny, n=n, m=m, epsilon=epsilon)
+        math.isinf(9.0 / (5.0 * epsilon)), n=n, m=m, epsilon=epsilon)
     return ProjectorCoveringBounds(
         n=n,
         m=m,

@@ -21,7 +21,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .circuits import _integer, circuit_covering_log_bound
-from .grassmann import projector_covering_bounds
+from .grassmann import _projector_lower_log
 from .linalg import _hermitian_part, _require_hermitian
 from .logdomain import int_power
 from .trotter import (
@@ -303,7 +303,8 @@ def crossover_analysis(d: int, k: int, epsilon: float, l_range,
 
     For each L the demand is the log-domain covering lower bound for
     half-rank projectors in dimension m = d^L, taken as the exact value of
-    its float. Both covering upper bounds read y ln y = b in a rescaled
+    its float; the projector upper bound is never read, so it is not
+    computed. Both covering upper bounds read y ln y = b in a rescaled
     resource y, which _root solves in decimal arithmetic of 25 more digits
     than the root has. The gate count is the root's ceiling, the least
     integer whose exact bound meets the demand, refused only when the root
@@ -353,26 +354,28 @@ def crossover_analysis(d: int, k: int, epsilon: float, l_range,
             f"the demand's d^(2L) overflows float64 from L = "
             f"{math.ceil(512 / math.log2(d))} on at d = {d}, got L = {ls[-1]}")
 
+    if not epsilon > 0:
+        raise ValueError("epsilon must be positive")
+    if not epsilon <= 1.0 / 71.0:
+        raise ValueError(
+            f"epsilon {epsilon} outside the lower bound's validity "
+            f"window (needs epsilon <= 1/71)")
+
     rows = []
     for L in ls:
         m = d ** L
-        demand = projector_covering_bounds(m // 2, m, epsilon)
-        if not demand.lower_valid:
-            raise ValueError(
-                f"epsilon {epsilon} outside the lower bound's validity "
-                f"window (needs epsilon <= 1/71)")
-        if demand.lower_log <= 0:
+        demand = _projector_lower_log(m // 2, m, epsilon)
+        if demand <= 0:
             raise ValueError(
                 f"covering lower bound is vacuous at L={L}: the half-rank "
                 f"demand is positive only for epsilon < 9/1805 "
                 f"(~{9 / 1805:.6f}), got {epsilon}")
         if resource == "circuit":
-            gates = _minimal_gates(d, k, L, epsilon, demand.lower_log)
-            rows.append(CrossoverRow(L, m, demand.lower_log, gates, None))
+            gates = _minimal_gates(d, k, L, epsilon, demand)
+            rows.append(CrossoverRow(L, m, demand, gates, None))
         else:
-            t = _minimal_time(d, k, L, L - 1, z, h_max, epsilon,
-                              demand.lower_log)
-            rows.append(CrossoverRow(L, m, demand.lower_log, None, t))
+            t = _minimal_time(d, k, L, L - 1, z, h_max, epsilon, demand)
+            rows.append(CrossoverRow(L, m, demand, None, t))
 
     fit = _growth_fit(ls, [r.value(resource) for r in rows])
     metadata: dict[str, Any] = {

@@ -10,8 +10,10 @@ the grid points of the coordinate box that the norm bound implies.
 Explicit nets stop at U(2): a U(3) box fits the candidate cap only above
 epsilon = 3.54, and at epsilon >= 2 a single element covers U(n), since any
 two unitaries lie within 2 of each other.
-An implicit variant materializes only the grid element nearest (in log
-coordinates) to a query, which makes discretization feasible for n >= 3.
+An implicit variant, ``ImplicitGridNet``, holds the grid's spacing and
+checks for both kinds and materializes only the grid element nearest (in
+log coordinates) to a query, which makes discretization feasible for
+n >= 3.
 Both kinds snap a whole stack of unitaries in one call, to elements that
 pass ``linalg._check_unitary``; their one-matrix methods wrap the call.
 """
@@ -66,6 +68,7 @@ class UnitaryCoveringBounds:
 
 def unitary_covering_bounds(n: int, epsilon: float) -> UnitaryCoveringBounds:
     """ln of (3/(4 eps))^(n^2) <= N(U(n), eps) <= (7/eps)^(n^2) for eps <= 1/10."""
+    n = _integer(n, "n")
     if n < 1:
         raise ValueError("dimension must be at least 1")
     if not epsilon > 0:
@@ -148,10 +151,12 @@ def _box(dim: int, m: int) -> np.ndarray:
 def build_unitary_net(n: int, epsilon: float) -> UnitaryNet:
     """Explicit grid net: certified epsilon-covering of U(n) for n <= 2.
 
-    Grid spacing is 2*eps/n in Frobenius-orthonormal coordinates on u(n), so
-    rounding any principal logarithm to the grid moves it by at most eps;
-    grid points are kept when their operator norm is at most pi + eps, which
-    retains every possible rounding image. The count is checked against
+    The grid is ``ImplicitGridNet(n, epsilon)``'s: its spacing 2*eps/n in
+    Frobenius-orthonormal coordinates on u(n), its argument checks and its
+    basis, so rounding any principal logarithm to the grid moves it by at
+    most eps and every implicit snap is an element of this net. Grid points
+    are kept when their operator norm is at most pi + eps, which retains
+    every possible rounding image. The count is checked against
     ``_MAX_ELEMENTS`` and construction fails rather than degrading the radius.
 
     ||X|| bounds every entry of -iX, so every kept point lies in the box
@@ -166,24 +171,30 @@ def build_unitary_net(n: int, epsilon: float) -> UnitaryNet:
     off-diagonal entries of B on the others, so each is formed once per grid
     row. r depends only on the integer q = n |z|^2 - tr(z)^2, so r, cos r
     and i sin r / r are tabulated once per value of q up to the box's
-    largest (597 values at n = 2, eps = 0.5). One pass over (diagonal row,
-    off-diagonal row) pairs gathers r and keeps |a| + r <= pi + eps; a kept
-    point then gathers its two rows' parts of B, its phase and its q's
-    entries of the table, and each of the n^2 entries of the elements is
-    one flat pass. Diagonal rows go outer, so elements keep grid order.
+    largest (597 values at n = 2, eps = 0.5). |a| takes one value per
+    |tr(z)|, and |a| + r[q] is nondecreasing in q, so the keep pass finds
+    for each trace level the last q that passes and keeps a (diagonal row,
+    off-diagonal row) pair by one integer compare of their q parts against
+    it. A kept point then gathers its two rows' parts of B, its phase and
+    its q's entries of the table, and each of the n^2 entries of the
+    elements is one flat pass. Diagonal rows go outer, so elements keep
+    grid order.
     """
     return UnitaryNet(n, epsilon, *_grid_elements(n, epsilon))
 
 
 def _grid_elements(n: int, epsilon: float) -> tuple[np.ndarray, dict]:
-    """build_unitary_net's elements and log; its per-row arrays die on return."""
-    n = _check_net_args(n, epsilon)
-    if n > _GRID_DIM_LIMIT:
+    """build_unitary_net's elements and log; its per-row arrays die on return.
+
+    The grid, its argument checks and its basis are ``ImplicitGridNet``'s.
+    """
+    if _integer(n, "n") > _GRID_DIM_LIMIT:  # before any basis is built
         raise ValueError(
             f"explicit grid construction supports n <= {_GRID_DIM_LIMIT}; "
             f"use ImplicitGridNet for n = {n}")
+    grid = ImplicitGridNet(n, epsilon)
+    n, spacing = grid.n, grid.spacing
     dim = n * n
-    spacing = 2.0 * epsilon / n
     # Past about 9e307 the spacing overflows to inf, and the box then holds
     # only the origin; a finite stand-in keeps its 0 * spacing from being NaN.
     scale = min(spacing, np.finfo(float).max)
@@ -209,13 +220,16 @@ def _grid_elements(n: int, epsilon: float) -> tuple[np.ndarray, dict]:
     r = scale * np.sqrt(np.arange(q_diag.max() + q_off.max() + 1) / (2 * n))
     cos_r = np.cos(r)
     i_sinc = 1j * np.divide(np.sin(r), r, out=np.ones_like(r), where=r > 0)
-    rows = max(1, _CHUNK // len(z_off))
-    keep = np.empty((len(z_diag), len(z_off)), dtype=bool)
-    for start in range(0, len(z_diag), rows):
-        block = slice(start, start + rows)
-        keep[block] = (np.abs(a[block, None]) + r[q_diag[block, None] + q_off]
-                       <= math.pi + epsilon + 1e-12)
-    kept = np.flatnonzero(keep)
+    # |a| is level[|tr z|] bit for bit, and level + r[q] is nondecreasing in
+    # q, so |a| + r <= pi + eps holds exactly for q up to last[|tr z|]. The
+    # table pairs every level with every q; a pair that no grid point has
+    # may overflow to inf near eps = 9e307, which fails the test as it should.
+    level = scale * np.arange(n * m_diag + 1) / n
+    with np.errstate(over="ignore"):
+        last = np.count_nonzero(level[:, None] + r <= math.pi + epsilon + 1e-12,
+                                axis=1) - 1
+    kept = np.flatnonzero(q_off <= (last[np.abs(trace)] - q_diag)[:, None])
+    del level, last  # one entry per trace level: 6 MB each at (1, 2e-6)
     count = kept.size
     if count > _MAX_ELEMENTS:
         raise ValueError(
@@ -224,7 +238,7 @@ def _grid_elements(n: int, epsilon: float) -> tuple[np.ndarray, dict]:
     # -i times the basis as real pairs: a real GEMM of a row's coordinates
     # onto its part of the basis gives that row's share of -iX. Each entry
     # of -iX takes one coordinate, so the sum h_diag[d] + h_off[o] is exact.
-    herm = (-1j * skew_basis(n)).reshape(dim, dim).view(float)
+    herm = (-1j * grid._basis.view(complex)).view(float)
     h_diag = ((scale * z_diag) @ herm[:n]).view(complex)
     h_diag[:, ::n + 1] -= a[:, None]
     h_off = ((scale * z_off) @ herm[n:]).view(complex)
@@ -255,15 +269,24 @@ def _grid_elements(n: int, epsilon: float) -> tuple[np.ndarray, dict]:
 
 
 class ImplicitGridNet:
-    """The same Lie-algebra grid as build_unitary_net, materialized on demand.
+    """The Lie-algebra grid of both nets, materialized on demand.
 
-    Instead of enumerating every grid point, ``round`` maps a unitary to the
-    grid element obtained by rounding its principal-log coordinates, which is
-    guaranteed to lie within epsilon in operator norm. Usable at any n.
+    This class holds the grid's one spacing rule, 2 eps / n in
+    Frobenius-orthonormal coordinates of ``skew_basis(n)``, and its argument
+    checks; ``build_unitary_net`` enumerates the same grid. Instead of
+    enumerating every grid point, ``round`` maps a unitary to the grid
+    element obtained by rounding its principal-log coordinates, which is
+    guaranteed to lie within epsilon in operator norm. Usable for n up to 66:
+    the basis holds n^4 complex entries, refused above ``_CANDIDATE_CAP``
+    before it is built.
     """
 
     def __init__(self, n: int, epsilon: float):
         self.n = n = _check_net_args(n, epsilon)
+        if n ** 4 > _CANDIDATE_CAP:
+            raise ValueError(
+                f"basis too large: n = {n} needs n^4 = {n ** 4} entries, "
+                f"more than {_CANDIDATE_CAP}")
         self.epsilon = float(epsilon)
         self.spacing = 2.0 * epsilon / n
         # the basis as real [re, im] rows, so Re tr(B^dag X) = b . x

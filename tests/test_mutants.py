@@ -21,7 +21,7 @@ from dynnets.trotter import (
     TimeDependentHamiltonian,
     certify_trotter,
 )
-from dynnets.unitary_nets import ImplicitGridNet
+from dynnets.unitary_nets import ImplicitGridNet, _haar_qr, build_unitary_net
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -44,15 +44,19 @@ def corner_signs(n, one_per_gauge):
     return signs
 
 
-def corner_gaps(net, signs):
-    """Snap distances of exp(X), X = +-spacing/2 (1 - 1e-6) per coordinate.
+def corner_targets(net, signs):
+    """exp(X), X = +-spacing/2 (1 - 1e-6) per coordinate of the net's grid.
 
     Each X lies just inside the grid cell around 0, where the rounding
     error is largest.
     """
     coords = signs * (0.5 * net.spacing * (1.0 - 1e-6))
-    x = np.tensordot(coords, skew_basis(net.n), axes=1)
-    return net._snap(_exp_skew_stack(x))[1]
+    return _exp_skew_stack(np.tensordot(coords, skew_basis(net.n), axes=1))
+
+
+def corner_gaps(net, signs):
+    """Snap distances of the corner targets."""
+    return net._snap(corner_targets(net, signs))[1]
 
 
 # (n, epsilon, worst corner gap); the gap is 0.990 and 0.956 of epsilon
@@ -79,6 +83,46 @@ def test_implicit_grid_wider_spacing_caught(n, epsilon, worst):
     net = ImplicitGridNet(n, epsilon)
     net.spacing *= 1.05
     assert corner_gaps(net, corner_signs(n, True)).max() > epsilon
+
+
+def one_grid(n, epsilon, haar_count):
+    """Implicit snaps of Haar and corner targets, held against the explicit net.
+
+    Returns each image's distance to ``build_unitary_net(n, epsilon)`` and
+    to its target. Both nets take one grid from ``ImplicitGridNet``, so every
+    image is an explicit element, and the snap's epsilon bound is then the
+    explicit net's covering certificate.
+    """
+    net = ImplicitGridNet(n, epsilon)
+    g = np.random.default_rng(n).standard_normal((2, haar_count, n, n))
+    targets = np.concatenate([_haar_qr(g[0], g[1]),
+                              corner_targets(net, corner_signs(n, False))])
+    images, gaps = net._snap(targets)
+    return build_unitary_net(n, epsilon)._snap(images)[1], gaps
+
+
+@pytest.mark.parametrize("n, epsilon", [(1, 0.1), (2, 0.5), (2, 0.8)])
+def test_implicit_snaps_are_explicit_elements(n, epsilon):
+    member, gaps = one_grid(n, epsilon, 2000)
+    assert member.max() <= 1e-12
+    assert gaps.max() <= epsilon
+
+
+def test_explicit_wider_spacing_caught(monkeypatch):
+    # ImplicitGridNet holds the one spacing rule, so x 1.05 on it reaches
+    # the explicit build: the images stay its elements, and the corner
+    # image gap reads 0.5190 > 0.5 (caught from x 1.011 on, 0.50013)
+    init = ImplicitGridNet.__init__
+
+    def wider(self, n, epsilon):
+        init(self, n, epsilon)
+        self.spacing *= 1.05
+
+    monkeypatch.setattr(ImplicitGridNet, "__init__", wider)
+    assert build_unitary_net(2, 0.5).construction_log["spacing"] == 0.525
+    member, gaps = one_grid(2, 0.5, 0)
+    assert member.max() <= 1e-12
+    assert gaps.max() > 0.5
 
 
 def pauli_pair():

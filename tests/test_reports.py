@@ -499,6 +499,30 @@ class TestReportValidation:
                            f"{d}, got L = {first}$"):
             crossover_analysis(d, 1, 0.001, [8, first], resource)
 
+    @pytest.mark.parametrize("resource", ["circuit", "time"])
+    def test_last_size_within_float64_answered(self, capsys, resource):
+        # the demand at L = 511 is finite (3.61e307); the upper projector
+        # bound, which overflows there, is not computed
+        code = cli_main(["crossover", "--d", "2", "--k", "1", "--eps", "0.001",
+                         "--lmin", "511", "--lmax", "511", "--resource",
+                         resource])
+        out, err = capsys.readouterr()
+        assert code == 0 and err == ""
+        (row,) = json.loads(out)["rows"]
+        assert row["L"] == 511 and row["m"] == 2 ** 511
+        assert row["lower_log"] == pytest.approx(3.6104e307, rel=1e-4)
+        if resource == "time":
+            assert row["min_time"] == pytest.approx(2.0175e147, rel=1e-4)
+            return
+        gates = row["min_gates"]
+        assert len(str(gates)) == 305
+        with mp.workdps(330):
+            def value(n_gates):
+                n = mp.mpf(n_gates)
+                return n * (mp.log(511) + 4 * mp.log(14 * n / mp.mpf(0.001)))
+
+            assert value(gates - 1) < row["lower_log"] <= value(gates)
+
     def test_row_without_value_rejected(self):
         rows = (CrossoverRow(4, 16, 10.0, 50, None),)
         with pytest.raises(ValueError, match="lacks a time value"):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dynnets import unitary_nets
-from dynnets.grassmann import empirical_grassmann_packing
+from dynnets.grassmann import empirical_grassmann_packing, projector_covering_bounds
 from dynnets.linalg import (
     _exp_skew_stack,
     _search_rows,
@@ -143,6 +143,13 @@ class TestBuildUnitaryNet:
         assert len(net) == 1
         assert np.array_equal(net.matrices[0], np.eye(n))
 
+    def test_spacing_near_overflow(self):
+        # the keep pass's table pairs trace level 2 with every q, and some
+        # of those sums (not of any grid point) overflow to inf
+        net = build_unitary_net(2, 8.9e307)
+        assert len(net) == 17
+        assert net.construction_log["candidates"] == 81
+
     @pytest.mark.parametrize("n, eps", [(2, 0.02), (1, 1e-9)])
     def test_refused_before_any_box(self, monkeypatch, n, eps):
         calls = []
@@ -154,6 +161,13 @@ class TestBuildUnitaryNet:
         monkeypatch.setattr(unitary_nets, "_box", recording_box)
         with pytest.raises(ValueError, match="more than 20000000 grid"):
             build_unitary_net(n, eps)
+        assert calls == []
+
+    @pytest.mark.parametrize("n", [3, 67, 10 ** 9])
+    def test_refused_before_any_basis(self, monkeypatch, n):
+        calls = _record_basis_calls(monkeypatch)
+        with pytest.raises(ValueError, match=f"use ImplicitGridNet for n = {n}$"):
+            build_unitary_net(n, 0.5)
         assert calls == []
 
     def test_u3_fails_projected_count(self):
@@ -226,6 +240,18 @@ class TestPhaseLineBuild:
         monkeypatch.setattr(unitary_nets, "_CHUNK", 1000)
         net = build_unitary_net(2, 0.5)
         np.testing.assert_array_equal(net.matrices, u2_net.matrices)
+
+
+def _record_basis_calls(monkeypatch):
+    """List of the n of each skew_basis(n) call, which raises instead."""
+    calls = []
+
+    def recording_basis(n):
+        calls.append(n)
+        raise AssertionError("basis built")
+
+    monkeypatch.setattr(unitary_nets, "skew_basis", recording_basis)
+    return calls
 
 
 def _record_eigensolver_calls(monkeypatch):
@@ -372,6 +398,11 @@ def _net_file(path, n, epsilon, count):
         UnitaryNet(1, 2.0, np.ones((1, 1, 1))), 10.5, 1), _INTEGER),
     (lambda p: empirical_covering_check(
         UnitaryNet(1, 2.0, np.ones((1, 1, 1))), True, 1), _INTEGER),
+    (lambda p: unitary_covering_bounds(2.5, 0.05), _INTEGER),
+    (lambda p: unitary_covering_bounds(True, 0.05), _INTEGER),
+    (lambda p: projector_covering_bounds(1.5, 4, 0.01), _INTEGER),
+    (lambda p: projector_covering_bounds(1, 4.0, 0.01), _INTEGER),
+    (lambda p: projector_covering_bounds(1, True, 0.01), _INTEGER),
 ], ids=["UnitaryNet-n0", "build-n0", "build-n-1", "ImplicitGridNet-n0",
         "load_net-n0", "UnitaryNet-inf", "UnitaryNet-zero", "build-inf",
         "build-minus-inf", "ImplicitGridNet-inf", "load_net-inf",
@@ -380,7 +411,10 @@ def _net_file(path, n, epsilon, count):
         "grassmann-packing-float-n", "grassmann-packing-float-m",
         "grassmann-packing-float-trials", "grassmann-packing-bool-trials",
         "build-float-n", "build-bool-n", "ImplicitGridNet-float-n",
-        "UnitaryNet-float-n", "covering-float-samples", "covering-bool-samples"])
+        "UnitaryNet-float-n", "covering-float-samples", "covering-bool-samples",
+        "unitary-bounds-float-n", "unitary-bounds-bool-n",
+        "projector-bounds-float-n", "projector-bounds-float-m",
+        "projector-bounds-bool-m"])
 def test_net_constructors_refuse_bad_dimension_or_epsilon(tmp_path, call, message):
     with pytest.raises(ValueError, match=message):
         call(tmp_path / "net.bin")
@@ -448,6 +482,20 @@ class TestImplicitGridNet:
         again, dist = net.round(element)
         assert dist <= 1e-9
         np.testing.assert_allclose(again.array, element.array, atol=1e-9)
+
+    @pytest.mark.parametrize("n", [67, 128, 10 ** 9])
+    def test_basis_too_large_refused_before_building(self, monkeypatch, n):
+        calls = _record_basis_calls(monkeypatch)
+        with pytest.raises(ValueError, match=f"^basis too large: n = {n} "):
+            ImplicitGridNet(n, 0.4)
+        assert calls == []
+
+    def test_largest_basis_passes_the_size_check(self, monkeypatch):
+        # 66^4 = 18,974,736 entries fit the cap, so the basis is asked for
+        calls = _record_basis_calls(monkeypatch)
+        with pytest.raises(AssertionError, match="basis built"):
+            ImplicitGridNet(66, 0.4)
+        assert calls == [66]
 
     def test_identity_rounds_to_identity(self):
         net = ImplicitGridNet(3, 0.4)
