@@ -241,6 +241,8 @@ def circuit_covering_log_bound(d: int, k: int, L: int, n_gates: int,
     Requires eps <= Ng/5 so that the per-gate net scale eps/(2 Ng) stays
     within the validity window of the unitary-group covering bound.
     """
+    d, k = _integer(d, "d"), _integer(k, "k")
+    L, n_gates = _integer(L, "L"), _integer(n_gates, "n_gates")
     if d < 2 or k < 1 or L < 1 or n_gates < 1:
         raise ValueError("d >= 2, k >= 1, L >= 1, and n_gates >= 1 required")
     if not epsilon > 0:
@@ -268,6 +270,7 @@ def circuit_covering_log_bound(d: int, k: int, L: int, n_gates: int,
 
 def topology_count_log(L: int, k: int, n_gates: int) -> float:
     """ln of the support-placement count L^(k Ng)."""
+    L, k, n_gates = _integer(L, "L"), _integer(k, "k"), _integer(n_gates, "n_gates")
     if L < 1 or k < 1 or n_gates < 0:
         raise ValueError("L >= 1, k >= 1, n_gates >= 0 required")
     return k * n_gates * math.log(L)

@@ -414,8 +414,8 @@ def _hermitian_part(x: np.ndarray) -> np.ndarray:
     are normal floats, halving is exact and commutes with the rounding of
     the sum, so the result is bit for bit (X + X^dag) / 2. The result is
     C-contiguous: numpy lays a plain sum of x and its transpose out in
-    Fortran order from n = 128 on, which ``operator_norm`` refuses, and that
-    sum took 231 against 65 us at n = 128.
+    Fortran order from n = 128 on, and that sum took 231 against 65 us at
+    n = 128.
     """
     half = np.multiply(x, 0.5)
     h = np.conjugate(half.swapaxes(-1, -2), order="C")

@@ -320,9 +320,10 @@ def crossover_analysis(d: int, k: int, epsilon: float, l_range,
     if resource not in _RESOURCES:
         raise ValueError(f"resource must be one of {_RESOURCES}")
     ls = (l_range if isinstance(l_range, range) and l_range.step > 0
-          else sorted(set(int(x) for x in l_range)))
+          else sorted(set(_integer(x, "L") for x in l_range)))
     if not ls:
         raise ValueError("L range is empty")
+    d, k = _integer(d, "d"), _integer(k, "k")
     if d < 2 or k < 1:
         raise ValueError("d >= 2 and k >= 1 required")
     params = dict(params or {})

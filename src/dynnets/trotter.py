@@ -36,7 +36,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .circuits import (QuditRegister, _apply_gate, _check_on_register,
-                       _checked_support, _encode_matrix, _parse_json)
+                       _checked_support, _encode_matrix, _integer, _parse_json)
 from .linalg import (
     UnitaryMatrix,
     _exp_skew_series,
@@ -617,6 +617,8 @@ def evolution_covering_log_bound(L: int, d: int, k: int, K: int, z: int,
     (d^(2k) eps / 28) y ln y with y = 112 scale / eps^2, which is what lets
     the crossover solve for T in closed form (Lambert W).
     """
+    L, d, k = _integer(L, "L"), _integer(d, "d"), _integer(k, "k")
+    K, z = _integer(K, "K"), _integer(z, "z")
     if L < 1 or d < 2 or k < 1 or K < 1 or z < 1:
         raise ValueError("L >= 1, d >= 2, k >= 1, K >= 1, z >= 1 required")
     if not (h_max > 0 and t_final > 0 and epsilon > 0):

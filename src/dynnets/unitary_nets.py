@@ -11,9 +11,9 @@ Explicit nets stop at U(2): a U(3) box fits the candidate cap only above
 epsilon = 3.54, and at epsilon >= 2 a single element covers U(n), since any
 two unitaries lie within 2 of each other.
 An implicit variant, ``ImplicitGridNet``, holds the grid's spacing and
-checks for both kinds and materializes only the grid element nearest (in
-log coordinates) to a query, which makes discretization feasible for
-n >= 3.
+checks for both kinds and materializes only the grid element that a
+query's principal log rounds to, entry by entry, so it stores nothing
+that grows with n and serves discretization at any n.
 Both kinds snap a whole stack of unitaries in one call, to elements that
 pass ``linalg._check_unitary``; their one-matrix methods wrap the call.
 """
@@ -152,9 +152,10 @@ def build_unitary_net(n: int, epsilon: float) -> UnitaryNet:
     """Explicit grid net: certified epsilon-covering of U(n) for n <= 2.
 
     The grid is ``ImplicitGridNet(n, epsilon)``'s: its spacing 2*eps/n in
-    Frobenius-orthonormal coordinates on u(n), its argument checks and its
-    basis, so rounding any principal logarithm to the grid moves it by at
-    most eps and every implicit snap is an element of this net. Grid points
+    the Frobenius-orthonormal coordinates of ``skew_basis(n)`` on u(n) and
+    its argument checks, so rounding any principal logarithm to the grid
+    moves it by at most eps and every implicit snap is an element of this
+    net. Grid points
     are kept when their operator norm is at most pi + eps, which retains
     every possible rounding image. The count is checked against
     ``_MAX_ELEMENTS`` and construction fails rather than degrading the radius.
@@ -186,7 +187,8 @@ def build_unitary_net(n: int, epsilon: float) -> UnitaryNet:
 def _grid_elements(n: int, epsilon: float) -> tuple[np.ndarray, dict]:
     """build_unitary_net's elements and log; its per-row arrays die on return.
 
-    The grid, its argument checks and its basis are ``ImplicitGridNet``'s.
+    The grid's spacing and argument checks are ``ImplicitGridNet``'s; its
+    coordinates are those of ``skew_basis(n)``, built here for n <= 2 only.
     """
     if _integer(n, "n") > _GRID_DIM_LIMIT:  # before any basis is built
         raise ValueError(
@@ -238,7 +240,7 @@ def _grid_elements(n: int, epsilon: float) -> tuple[np.ndarray, dict]:
     # -i times the basis as real pairs: a real GEMM of a row's coordinates
     # onto its part of the basis gives that row's share of -iX. Each entry
     # of -iX takes one coordinate, so the sum h_diag[d] + h_off[o] is exact.
-    herm = (-1j * grid._basis.view(complex)).view(float)
+    herm = (-1j * skew_basis(n).reshape(dim, dim)).view(float)
     h_diag = ((scale * z_diag) @ herm[:n]).view(complex)
     h_diag[:, ::n + 1] -= a[:, None]
     h_off = ((scale * z_off) @ herm[n:]).view(complex)
@@ -276,27 +278,31 @@ class ImplicitGridNet:
     checks; ``build_unitary_net`` enumerates the same grid. Instead of
     enumerating every grid point, ``round`` maps a unitary to the grid
     element obtained by rounding its principal-log coordinates, which is
-    guaranteed to lie within epsilon in operator norm. Usable for n up to 66:
-    the basis holds n^4 complex entries, refused above ``_CANDIDATE_CAP``
-    before it is built.
+    guaranteed to lie within epsilon in operator norm. Each coordinate is
+    one entry's part, so the rounding goes entry by entry and the net
+    stores nothing that grows with n.
     """
 
     def __init__(self, n: int, epsilon: float):
         self.n = n = _check_net_args(n, epsilon)
-        if n ** 4 > _CANDIDATE_CAP:
-            raise ValueError(
-                f"basis too large: n = {n} needs n^4 = {n ** 4} entries, "
-                f"more than {_CANDIDATE_CAP}")
         self.epsilon = float(epsilon)
         self.spacing = 2.0 * epsilon / n
-        # the basis as real [re, im] rows, so Re tr(B^dag X) = b . x
-        self._basis = skew_basis(n).reshape(n * n, n * n).view(float)
 
     def _snap(self, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Grid element and its distance for each of a (count, n, n) stack."""
-        x = _log_unitary_stack(targets).reshape(-1, self.n ** 2).view(float)
-        snapped = self.spacing * np.round(x @ self._basis.T / self.spacing)
-        grid = (snapped @ self._basis).view(complex).reshape(targets.shape)
+        n = self.n
+        # In skew_basis(n) the coordinates of X are Im X_kk, and sqrt(2)
+        # Re X_kl and sqrt(2) Im X_kl for k < l, so the grid rounds each
+        # real part of X (as [re, im] pairs) by the spacing times its
+        # weight w: 1 on the diagonal, 1/sqrt(2) off it. X is exactly
+        # skew-Hermitian and round-half-even is odd, so the lower triangle
+        # rounds to minus the upper one's conjugate and the diagonal's real
+        # parts stay 0. Each entry part, (spacing k) w, is then the one
+        # nonzero term of the rounded coordinates' basis sum.
+        w = np.repeat(np.where(np.eye(n, dtype=bool), 1.0, 1.0 / np.sqrt(2.0)),
+                      2, axis=1)
+        x = _log_unitary_stack(targets).view(float)
+        grid = (self.spacing * np.round(x / (self.spacing * w)) * w).view(complex)
         elements = _exp_skew_stack(grid)
         _check_unitary(elements)
         return elements, _opnorm_stack(elements - targets)

@@ -82,6 +82,11 @@ class TestRegisterAndGate:
         with pytest.raises(ValueError):
             Circuit(QuditRegister(2, 2), [Gate((0, 1), haar_unitary(2, seed=0))])
 
+    def test_gates_must_be_gate_instances(self):
+        with pytest.raises(ValueError, match="^circuit gates must be Gate "
+                                             "instances$"):
+            Circuit(QuditRegister(2, 2), [np.eye(2)])
+
     def test_support_out_of_range(self):
         with pytest.raises(ValueError):
             Circuit(QuditRegister(2, 2), [Gate((5,), haar_unitary(2, seed=0))])
@@ -92,6 +97,8 @@ class TestRegisterAndGate:
         ("3", 2, "L must be an integer, got '3'"),
         (2, 2.0, "d must be an integer, got 2.0"),
         (2, np.True_, "d must be an integer, got np.True_"),
+        (0, 2, "register needs at least one site"),
+        (2, 1, "local dimension must be at least 2"),
     ])
     def test_register_refuses_non_integers(self, L, d, message):
         with pytest.raises(ValueError) as exc:
@@ -470,6 +477,16 @@ class TestDiscretizeCircuit:
         with pytest.raises(ValueError):
             discretize_circuit(c, net)
 
+    @pytest.mark.parametrize("net, message", [
+        (UnitaryNet(2, 0.5, np.eye(2)[None]),
+         "^gate on 2 sites exceeds the net's 1 sites$"),
+        (ImplicitGridNet(8, 0.3), "^net acts on 3 sites but the register has 2$"),
+    ], ids=["two-site-gate-on-U2", "U8-on-two-qubits"])
+    def test_net_wider_or_narrower_than_the_gates_refused(self, net, message):
+        c = Circuit(QuditRegister(2, 2), [Gate((0, 1), np.eye(4))])
+        with pytest.raises(ValueError, match=message):
+            discretize_circuit(c, net)
+
 
 class TestCircuitCoveringLogBound:
     def test_frozen_value(self):
@@ -500,6 +517,14 @@ class TestCircuitCoveringLogBound:
         with pytest.raises(ValueError, match="epsilon must be positive"):
             circuit_covering_log_bound(2, 2, 4, 5, math.nan)
 
+    @pytest.mark.parametrize("position", [0, 1, 2, 3])
+    def test_rejects_sizes_below_their_minimum(self, position):
+        args = [2, 2, 4, 5, 0.1]
+        args[position] = 1 if position == 0 else 0
+        with pytest.raises(ValueError, match="^d >= 2, k >= 1, L >= 1, and "
+                                             "n_gates >= 1 required$"):
+            circuit_covering_log_bound(*args)
+
     def test_gates_exceed_sites_flag(self):
         assert circuit_covering_log_bound(
             2, 1, 4, 5, 0.1).context["hypothesis_gates_exceed_sites"]
@@ -514,6 +539,12 @@ class TestTopologyCountLog:
     def test_example_value(self):
         np.testing.assert_allclose(topology_count_log(4, 2, 5),
                                    10.0 * math.log(4.0), rtol=1e-14)
+
+    @pytest.mark.parametrize("L, k, n_gates", [(0, 2, 5), (4, 0, 5), (4, 2, -1)])
+    def test_rejects_sizes_below_their_minimum(self, L, k, n_gates):
+        with pytest.raises(ValueError, match="^L >= 1, k >= 1, n_gates >= 0 "
+                                             "required$"):
+            topology_count_log(L, k, n_gates)
 
     def test_monotone(self):
         base = topology_count_log(4, 2, 5)

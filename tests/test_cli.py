@@ -34,7 +34,7 @@ from dynnets.linalg import (
     operator_norm,
     random_skew_in_ball,
 )
-from dynnets.logdomain import EpsilonTooSmall, int_power
+from dynnets.logdomain import EpsilonTooSmall, LogBound, int_power
 from dynnets.reports import crossover_analysis, emit_report
 from dynnets.trotter import (
     CertificateViolation,
@@ -166,6 +166,11 @@ class TestBounds:
             int_power(2, 10 ** 400)
         assert int_power(2, 1025) == 2 ** 1025
         assert int_power(3, 40) == 3 ** 40
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_log_bound_refuses_a_non_finite_value(self, value):
+        with pytest.raises(ValueError, match="^log-domain value must be finite$"):
+            LogBound(value)
 
     def test_tevol_vanishing_scale_is_out_of_validity(self):
         # h_max ** 2 underflows to 0: no epsilon is small enough
@@ -661,6 +666,8 @@ class TestUsageErrors:
           "--radius", "NaN"], "--radius"),
         (["verify", "trotter", "--hamiltonian", "chain.json", "--T=-inf",
           "--nt", "4"], "--T"),
+        (["verify", "nets", "--n", "1", "--eps", "abc", "--samples", "10",
+          "--seed", "1"], "--eps"),
     ])
     def test_non_finite_float_names_flag(self, capsys, argv, flag):
         code, out, err = run_cli(argv, capsys)

@@ -171,6 +171,29 @@ class TestSubspaceAndProjector:
         with pytest.raises(ValueError, match=r"^need 1 <= n <= m$"):
             random_subspace(n, m, 1)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: _random_bases(3, 2, [0]), r"^need 1 <= n <= m$"),
+        (lambda: Subspace(np.ones(3)),
+         "^basis must be a 2-d array of column vectors$"),
+        (lambda: Subspace(np.ones((2, 3))),
+         r"^need 1 <= dim <= ambient, got basis shape \(2, 3\)$"),
+        (lambda: Projector([[1, 1], [0, 0]]),
+         "^projector must be Hermitian within 1e-10$"),
+        (lambda: projector_distance(
+            line_pair(0.5)[0], projector_from_subspace(Subspace(np.eye(3)[:, :1]))),
+         "^projectors act on different spaces$"),
+        (lambda: principal_angles(Subspace(np.eye(2)[:, :1]),
+                                  Subspace(np.eye(3)[:, :1])),
+         "^subspaces live in different ambient spaces$"),
+        (lambda: principal_angles(Subspace(np.eye(3)[:, :1]),
+                                  Subspace(np.eye(3)[:, :2])),
+         "^subspaces must have equal dimension$"),
+    ], ids=["random-bases-n-above-m", "basis-1d", "basis-wide", "non-hermitian",
+            "distance-ambient", "angles-ambient", "angles-dimension"])
+    def test_mismatched_shapes_refused(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
     def test_random_subspace_deterministic(self):
         s1 = random_subspace(2, 5, seed=8)
         s2 = random_subspace(2, 5, seed=8)

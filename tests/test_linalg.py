@@ -73,6 +73,9 @@ class TestOperatorNorm:
     def test_zero(self):
         assert operator_norm(np.zeros((4, 4))) == 0.0
 
+    def test_empty_matrix(self):
+        assert operator_norm(np.zeros((0, 0))) == 0.0
+
     def test_large_matrix_power_iteration(self):
         # a dimension above 64, with a well-separated top singular value
         rng = np.random.default_rng(2)
@@ -660,6 +663,12 @@ class TestMatrixExp:
     def test_zero_gives_identity(self):
         np.testing.assert_array_equal(matrix_exp(np.zeros((3, 3))), np.eye(3))
 
+    def test_checked_skew_input_takes_the_same_path(self):
+        x = np.array([[0.3j, 0.2 + 0.1j], [-0.2 + 0.1j, -0.1j]])
+        u = matrix_exp(SkewHermitian(x))
+        np.testing.assert_array_equal(u, matrix_exp(x))
+        np.testing.assert_allclose(u @ u.conj().T, np.eye(2), atol=1e-15)
+
 
 def skew_stack(rng, n, norm1, count=6):
     """count skew-Hermitian n x n matrices with largest 1-norm norm1."""
@@ -857,6 +866,10 @@ class TestSkewBasis:
         rebuilt = np.tensordot(coeffs.real, basis, axes=1)
         np.testing.assert_allclose(rebuilt, x, atol=1e-12)
 
+    def test_rejects_zero_dimension(self):
+        with pytest.raises(ValueError, match="^dimension must be at least 1$"):
+            skew_basis(0)
+
 
 class TestPrincipalLog:
     def test_roundtrip(self):
@@ -964,6 +977,10 @@ class TestSpectrum:
     def test_rejects_nonhermitian(self):
         with pytest.raises(ValueError):
             spectral_width(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_empty_spectrum_refused(self):
+        with pytest.raises(ValueError, match="^empty spectrum has no width$"):
+            spectral_width(np.zeros((0, 0)))
 
     @pytest.mark.parametrize("m", [2, 128])
     def test_spectral_width_of_entries_near_overflow(self, m):

@@ -117,6 +117,17 @@ class TestFiniteMetricSpace:
         if size > 2:
             assert not all(verdicts)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: FiniteMetricSpace([0, 1], np.zeros((3, 3))),
+         r"^distance matrix shape \(3, 3\) does not match 2 points$"),
+        (lambda: FiniteMetricSpace([0, 1], [[0.0, np.inf], [np.inf, 0.0]]),
+         "^distances must be finite$"),
+        (lambda: FiniteMetricSpace.cycle(0), "^cycle needs at least one point$"),
+    ], ids=["shape", "non-finite", "empty-cycle"])
+    def test_rejects_malformed_input(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
     def test_rejects_duplicate_points(self):
         with pytest.raises(ValueError):
             FiniteMetricSpace([0, 0], np.zeros((2, 2)))
@@ -195,6 +206,15 @@ class TestVerifiers:
         space = FiniteMetricSpace([0.0, 1.0], lambda x, y: abs(x - y))
         assert not verify_packing(space, [0.0, 1.0], 1.0)  # needs > epsilon
         assert verify_packing(space, [0.0, 1.0], 0.999)
+
+    def test_empty_space_and_empty_or_repeated_subsets(self):
+        empty = FiniteMetricSpace([], np.zeros((0, 0)))
+        assert verify_covering(empty, [], 1.0)
+        space = FiniteMetricSpace.cycle(3)
+        assert not verify_covering(space, [], 1.0)
+        assert not verify_packing(space, [0, 0], 0.5)
+        with pytest.raises(ValueError, match="^empty metric space$"):
+            greedy_maximal_packing(empty, 1.0, seed=0)
 
     def test_unknown_point_rejected(self):
         space = FiniteMetricSpace.cycle(4)

@@ -7,6 +7,7 @@ takes part.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -123,6 +124,51 @@ def test_explicit_wider_spacing_caught(monkeypatch):
     member, gaps = one_grid(2, 0.5, 0)
     assert member.max() <= 1e-12
     assert gaps.max() > 0.5
+
+
+def deep_holes(spacing):
+    """exp(X) at the U(2) grid's deep holes with ||X||_F < 2, each once.
+
+    In skew_basis(2) order X has the coordinates (sigma a, sigma a, s/2,
+    tau s/2), a = s sqrt(2) / 4, sigma, tau = +-1, shifted by s Z^4. Its
+    trace part then lies s/2 off the grid and its traceless diagonal part
+    on it, and both off-diagonal coordinates lie s/2 off it. tau = -1 is
+    tau = +1 shifted by -s in the last coordinate, so the shifts of
+    tau = +1 give every point once.
+    """
+    offset = np.array([math.sqrt(2.0) / 4.0, math.sqrt(2.0) / 4.0, 0.5, 0.5])
+    reach = math.ceil(2.0 / spacing) + 1
+    shifts = np.array(list(itertools.product(range(-reach, reach + 1),
+                                             repeat=4)), dtype=float)
+    coords = spacing * np.concatenate([shifts + offset,
+                                       shifts + offset * [-1, -1, 1, 1]])
+    coords = coords[np.linalg.norm(coords, axis=1) < 2.0]
+    return _exp_skew_stack(np.tensordot(coords, skew_basis(2), axes=1))
+
+
+def test_explicit_net_deep_holes():
+    # 0.840 eps, where criterion 5's 10,000 Haar draws reach 0.376
+    net = build_unitary_net(2, 0.5)
+    gaps = net._snap(deep_holes(net.construction_log["spacing"]))[1]
+    assert gaps.max() <= 0.5
+    assert len(gaps) == 2616
+    assert gaps.max() == pytest.approx(0.41993, abs=1e-5)
+
+
+def test_explicit_wider_spacing_caught_by_nearest(monkeypatch):
+    # The deep holes' nearest gap reads 0.5202 at x 1.25, 1.0007 eps at
+    # x 1.2 (too thin to pin) and 0.961 eps at x 1.15; x 1.05 (0.880 eps)
+    # is caught only by the certificate in test_explicit_wider_spacing_caught
+    init = ImplicitGridNet.__init__
+
+    def wider(self, n, epsilon):
+        init(self, n, epsilon)
+        self.spacing *= 1.25
+
+    monkeypatch.setattr(ImplicitGridNet, "__init__", wider)
+    net = build_unitary_net(2, 0.5)
+    assert net.construction_log["spacing"] == 0.625
+    assert net._snap(deep_holes(0.625))[1].max() > 0.5
 
 
 def pauli_pair():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import dynnets.reports as reports_module
+import dynnets.trotter as trotter_module
 from dynnets.cli import main as cli_main
 from dynnets.linalg import operator_norm
 from dynnets.reports import (
@@ -348,6 +349,21 @@ class TestCrossoverCircuit:
             crossover_analysis(2, 2, 0.001, range(8, 10), "depth")
         with pytest.raises(ValueError, match="empty"):
             crossover_analysis(2, 2, 0.001, [], "circuit")
+
+    @pytest.mark.parametrize("d, k, epsilon, message", [
+        (1, 2, 0.001, "^d >= 2 and k >= 1 required$"),
+        (2, 0, 0.001, "^d >= 2 and k >= 1 required$"),
+        (2, 2, 0.0, "^epsilon must be positive$"),
+    ])
+    def test_bad_sizes_and_epsilon_refused(self, d, k, epsilon, message):
+        with pytest.raises(ValueError, match=message):
+            crossover_analysis(d, k, epsilon, [8, 9], "time")
+
+    def test_time_at_the_window_edge(self):
+        # at L = 2, k = 5 the smallest covered time already meets the demand
+        rep = crossover_analysis(2, 5, 1e-3, [2], "time")
+        edge = trotter_module._min_covered_time(1, 3, 1.0, 1e-3) * (1 + 1e-12)
+        assert rep.rows[0].min_time == edge == 4.564354645880949e-4
         with pytest.raises(ValueError, match="unknown"):
             crossover_analysis(2, 2, 0.001, [8], "circuit",
                                params={"coupling": 2.0})

@@ -116,6 +116,22 @@ class TestEnvelopes:
         with pytest.raises(ValueError):
             envelope_from_json({"kind": "spline"})
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: CosineEnvelope(math.inf, 1.0),
+         "^envelope parameters must be finite$"),
+        (lambda: PiecewiseLinearEnvelope([0.0], [1.0]),
+         "^need matching 1-d times/values with >= 2 breakpoints$"),
+        (lambda: PiecewiseLinearEnvelope([0.0, math.nan], [1.0, 1.0]),
+         "^breakpoints must be finite$"),
+        (lambda: TimeDependentHamiltonian(QuditRegister(1, 2), []),
+         "^Hamiltonian needs at least one term$"),
+        (lambda: TimeDependentHamiltonian(QuditRegister(1, 2), [SX]),
+         "^terms must be HamiltonianTerm instances$"),
+    ], ids=["cosine-inf", "pwl-one-point", "pwl-nan", "no-terms", "not-a-term"])
+    def test_malformed_input_refused(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
 
 class TestTermNormSup:
     def test_constant_zz(self):
@@ -312,6 +328,10 @@ class TestExactPropagator:
                                   ConstantEnvelope(1.0))])
         u = exact_propagator(h, 1.0)
         np.testing.assert_allclose(u.array, np.eye(4), atol=1e-11)
+
+    def test_zero_time_is_the_identity(self):
+        u = exact_propagator(qubit_pair_hamiltonian(), 0.0)
+        assert np.array_equal(u.array, np.eye(4))
 
     def test_qubit_x_rotation(self):
         reg = QuditRegister(1, 2)
@@ -1007,6 +1027,14 @@ class TestEvolutionCoveringLogBound:
     def test_validity_window(self):
         with pytest.raises(ValueError, match="epsilon"):
             evolution_covering_log_bound(4, 2, 2, 1, 1, 0.1, 0.1, 0.5)
+
+    @pytest.mark.parametrize("position", [0, 1, 2, 3, 4])
+    def test_rejects_sizes_below_their_minimum(self, position):
+        args = [4, 2, 2, 3, 3, 1.0, 1.0, 0.1]
+        args[position] = 1 if position == 1 else 0
+        with pytest.raises(ValueError, match="^L >= 1, d >= 2, k >= 1, K >= 1, "
+                                             "z >= 1 required$"):
+            evolution_covering_log_bound(*args)
 
     @pytest.mark.parametrize("position", [5, 6, 7])
     def test_rejects_nan(self, position):

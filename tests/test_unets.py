@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from dynnets import unitary_nets
+from dynnets.circuits import circuit_covering_log_bound, topology_count_log
 from dynnets.grassmann import empirical_grassmann_packing, projector_covering_bounds
 from dynnets.linalg import (
     _exp_skew_stack,
@@ -27,6 +28,8 @@ from dynnets.unitary_nets import (
     save_net,
     unitary_covering_bounds,
 )
+from dynnets.reports import crossover_analysis
+from dynnets.trotter import evolution_covering_log_bound
 
 
 @pytest.fixture(scope="module")
@@ -236,6 +239,12 @@ class TestPhaseLineBuild:
         data = build_unitary_net(n, eps).matrices.tobytes()
         assert hashlib.sha256(data).hexdigest() == digest
 
+    def test_retained_count_over_the_cap_refused(self, monkeypatch):
+        # U(1) at 0.05 keeps 63 elements of its 63 candidates
+        monkeypatch.setattr(unitary_nets, "_MAX_ELEMENTS", 50)
+        with pytest.raises(ValueError, match="retained element count exceeds 50$"):
+            build_unitary_net(1, 0.05)
+
     def test_chunked_lines_give_the_same_net(self, monkeypatch, u2_net):
         monkeypatch.setattr(unitary_nets, "_CHUNK", 1000)
         net = build_unitary_net(2, 0.5)
@@ -403,6 +412,43 @@ def _net_file(path, n, epsilon, count):
     (lambda p: projector_covering_bounds(1.5, 4, 0.01), _INTEGER),
     (lambda p: projector_covering_bounds(1, 4.0, 0.01), _INTEGER),
     (lambda p: projector_covering_bounds(1, True, 0.01), _INTEGER),
+    (lambda p: circuit_covering_log_bound(2, 1, 3, 2.5, 0.01),
+     r"^n_gates must be an integer, got 2\.5$"),
+    (lambda p: circuit_covering_log_bound(2, 1, 3, True, 0.01),
+     r"^n_gates must be an integer, got True$"),
+    (lambda p: circuit_covering_log_bound(2.5, 1, 3, 2, 0.01),
+     r"^d must be an integer, got 2\.5$"),
+    (lambda p: circuit_covering_log_bound(2, 1, 3.7, 2, 0.01),
+     r"^L must be an integer, got 3\.7$"),
+    (lambda p: evolution_covering_log_bound(4, 2, 2, 2.5, 3, 1.0, 1.0, 0.01),
+     r"^K must be an integer, got 2\.5$"),
+    (lambda p: evolution_covering_log_bound(4, 2, 2, 3, 2.5, 1.0, 1.0, 0.01),
+     r"^z must be an integer, got 2\.5$"),
+    (lambda p: evolution_covering_log_bound(4, 2.5, 2, 3, 3, 1.0, 1.0, 0.01),
+     r"^d must be an integer, got 2\.5$"),
+    (lambda p: topology_count_log(3, 1, 2.5),
+     r"^n_gates must be an integer, got 2\.5$"),
+    (lambda p: crossover_analysis(2, 2, 1e-3, [8.5, 9], "time"),
+     r"^L must be an integer, got 8\.5$"),
+    (lambda p: crossover_analysis(2.5, 2, 1e-3, [8, 9], "time"),
+     r"^d must be an integer, got 2\.5$"),
+    (lambda p: crossover_analysis(2, 1.5, 1e-3, [8, 9], "circuit"),
+     r"^k must be an integer, got 1\.5$"),
+    (lambda p: UnitaryNet(2, 0.5, np.eye(2)[None]).nearest(np.eye(3)),
+     r"^expected a 2-dimensional unitary$"),
+    (lambda p: UnitaryNet(2, 0.5, np.eye(3)[None]),
+     r"^expected a \(count, 2, 2\) stack, got \(1, 3, 3\)$"),
+    (lambda p: empirical_covering_check(
+        UnitaryNet(1, 2.0, np.ones((1, 1, 1))), 0, 1),
+     r"^need at least one sample$"),
+    (lambda p: empirical_packing_lower_bound(2, 0.5, 0, 1),
+     r"^need at least one trial$"),
+    (lambda p: empirical_grassmann_packing(4, 4, 0.5, 10, 1),
+     r"^need 1 <= n < m$"),
+    (lambda p: empirical_grassmann_packing(1, 17, 0.5, 10, 1),
+     r"^ambient dimension capped at 16 for the empirical packing$"),
+    (lambda p: empirical_grassmann_packing(1, 4, 0.5, 0, 1),
+     r"^need at least one trial$"),
 ], ids=["UnitaryNet-n0", "build-n0", "build-n-1", "ImplicitGridNet-n0",
         "load_net-n0", "UnitaryNet-inf", "UnitaryNet-zero", "build-inf",
         "build-minus-inf", "ImplicitGridNet-inf", "load_net-inf",
@@ -414,7 +460,15 @@ def _net_file(path, n, epsilon, count):
         "UnitaryNet-float-n", "covering-float-samples", "covering-bool-samples",
         "unitary-bounds-float-n", "unitary-bounds-bool-n",
         "projector-bounds-float-n", "projector-bounds-float-m",
-        "projector-bounds-bool-m"])
+        "projector-bounds-bool-m", "circuit-bound-float-gates",
+        "circuit-bound-bool-gates", "circuit-bound-float-d",
+        "circuit-bound-float-L", "evolution-bound-float-K",
+        "evolution-bound-float-z", "evolution-bound-float-d",
+        "topology-float-gates", "crossover-float-L", "crossover-float-d",
+        "crossover-float-k", "nearest-wrong-dimension",
+        "UnitaryNet-wrong-shape", "covering-zero-samples", "packing-zero-trials",
+        "grassmann-packing-full-rank", "grassmann-packing-m17",
+        "grassmann-packing-zero-trials"])
 def test_net_constructors_refuse_bad_dimension_or_epsilon(tmp_path, call, message):
     with pytest.raises(ValueError, match=message):
         call(tmp_path / "net.bin")
@@ -483,20 +537,17 @@ class TestImplicitGridNet:
         assert dist <= 1e-9
         np.testing.assert_allclose(again.array, element.array, atol=1e-9)
 
-    @pytest.mark.parametrize("n", [67, 128, 10 ** 9])
-    def test_basis_too_large_refused_before_building(self, monkeypatch, n):
+    def test_large_dimension_rounds_without_a_basis(self, monkeypatch):
+        # the snap rounds the log entry by entry, so no n^4 basis is built
+        # and nothing caps n
         calls = _record_basis_calls(monkeypatch)
-        with pytest.raises(ValueError, match=f"^basis too large: n = {n} "):
-            ImplicitGridNet(n, 0.4)
+        net = ImplicitGridNet(128, 0.3)
+        targets = np.array([haar_unitary(128, seed=s).array for s in (1, 2)])
+        elements, dists = net._snap(targets)
         assert calls == []
-
-    def test_largest_basis_passes_the_size_check(self, monkeypatch):
-        # 66^4 = 18,974,736 entries fit the cap, so the basis is asked for
-        calls = _record_basis_calls(monkeypatch)
-        with pytest.raises(AssertionError, match="basis built"):
-            ImplicitGridNet(66, 0.4)
-        assert calls == [66]
-
+        assert dists.max() <= 0.3
+        assert np.abs(np.linalg.norm(elements - targets, ord=2, axis=(1, 2))
+                      - dists).max() <= 1e-12
     def test_identity_rounds_to_identity(self):
         net = ImplicitGridNet(3, 0.4)
         element, dist = net.round(np.eye(3).astype(complex))
@@ -551,6 +602,14 @@ class TestNetSerialization:
         mats[4 * 9_000:4 * 9_001] *= 1.1
         path.write_bytes(data[:header] + mats.tobytes())
         with pytest.raises(ValueError, match=r"not unitary \(defect 2\.100e-01\)"):
+            load_net(path)
+
+    def test_load_rejects_a_cut_payload(self, tmp_path):
+        path = tmp_path / "net.bin"
+        save_net(build_unitary_net(1, 0.1), path)
+        path.write_bytes(path.read_bytes()[:-16])
+        with pytest.raises(ValueError, match="^net file payload has 512 bytes, "
+                                             "expected 528$"):
             load_net(path)
 
     def test_load_rejects_corrupt_file(self, tmp_path):
