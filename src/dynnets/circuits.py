@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 
 import numpy as np
 
 from .linalg import UnitaryMatrix, _hermitian_part, _require_hermitian
-from .logdomain import LogBound, finite_log, int_power
+from .logdomain import LogBound, _integer, finite_log, int_power
 
 _DENSE_DIM_LIMIT = 4096
 
@@ -50,13 +49,6 @@ class QuditRegister:
 
     def __repr__(self) -> str:
         return f"QuditRegister(L={self.L}, d={self.d})"
-
-
-def _integer(value, what: str) -> int:
-    """``value`` as an int; a bool, float, string or other non-integer raises."""
-    if isinstance(value, bool) or not hasattr(value, "__index__"):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return operator.index(value)
 
 
 def _checked_support(support, what: str) -> tuple[int, ...]:
@@ -182,7 +174,7 @@ def conjugate_observable(circuit: Circuit, observable) -> np.ndarray:
     an observable with subnormal entries. Other observables enter as their
     checked Hermitian part.
     """
-    obs = _require_hermitian(observable, as_given=True)
+    obs = _require_hermitian(observable)
     if obs.shape[0] != circuit.register.dim:
         raise ValueError(
             f"observable dimension {obs.shape[0]} does not match register "

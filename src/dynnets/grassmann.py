@@ -15,7 +15,6 @@ from typing import Any
 import numpy as np
 
 from . import metric
-from .circuits import _integer
 from .linalg import (
     HERMITIAN_TOL,
     UnitaryMatrix,
@@ -28,7 +27,7 @@ from .linalg import (
     _norm_within,
     operator_norm,
 )
-from .logdomain import finite_log
+from .logdomain import _integer, finite_log
 
 _PROJECTOR_TOL = 1e-9
 KATO_DISTANCE_LIMIT = 1.0 / math.sqrt(2.0)
@@ -68,8 +67,8 @@ class Projector:
     """A Hermitian idempotent matrix with a well-defined integer rank.
 
     The input is checked (``_projector_ranks``), then stored as its
-    Hermitian part (X + X^dag) / 2, which is exactly Hermitian, as
-    ``_require_hermitian`` stores observables. The difference of two
+    Hermitian part (X + X^dag) / 2, which is exactly Hermitian, as every
+    matrix ``_require_hermitian`` returns is. The difference of two
     projectors is then exactly Hermitian too, and above dimension 64
     ``projector_distance`` takes its norm by eigvalsh. A projector built
     from a checked basis (``projector_from_subspace``) skips the check and
@@ -118,6 +117,7 @@ def _projector_ranks(stack: np.ndarray) -> np.ndarray:
 
 def random_subspace(n: int, m: int, seed: int) -> Subspace:
     """Haar-random n-dimensional subspace of C^m."""
+    n, m = _integer(n, "n"), _integer(m, "m")
     if not 1 <= n <= m:
         raise ValueError("need 1 <= n <= m")
     return Subspace(_haar_from_seeds(m, [seed])[0, :, :n])
@@ -385,6 +385,8 @@ def quotient_covering_check(order: int, subgroup_order: int,
     G = Z_order with the circular hop metric, H the subgroup of the given
     order, and the quotient metric d'([x],[y]) = min_h d(x, y + h).
     """
+    order = _integer(order, "order")
+    subgroup_order = _integer(subgroup_order, "subgroup_order")
     if order < 1 or subgroup_order < 1 or order % subgroup_order != 0:
         raise ValueError("subgroup order must divide the group order")
     if not epsilon > 0:

@@ -17,6 +17,8 @@ import math
 import numpy as np
 import scipy.linalg
 
+from .logdomain import _integer
+
 UNITARY_TOL = 1e-10
 SKEW_TOL = 1e-12
 HERMITIAN_TOL = 1e-10
@@ -381,24 +383,23 @@ class SkewHermitian:
         return f"SkewHermitian(dim={self.dim})"
 
 
-def _require_hermitian(o, name: str = "observable", *,
-                       as_given: bool = False) -> np.ndarray:
-    """Refuse a matrix unless ||O - O^dag|| <= 1e-10; return its Hermitian part.
+def _require_hermitian(o, name: str = "observable") -> np.ndarray:
+    """Refuse a matrix unless ||O - O^dag|| <= 1e-10; return it exactly Hermitian.
 
     Above ``_EIGH_MIN_DIM`` a matrix equal to its conjugate transpose is
     settled by that one equality test: its defect is exactly 0, so the
-    verdict is the same. With ``as_given`` such a matrix comes back as it
-    is, without the copy; it equals its Hermitian part in every entry, and
-    bit for bit except in the sign of a zero and in subnormal entries,
-    which halving rounds. At n = 256 (one BLAS thread, 2-core Xeon, min of
-    15 x 50 calls, in two timing runs) the equality test took 0.29-0.36 ms,
-    the defect's Frobenius test 0.40-1.04 ms and the copy 0.52-0.98 ms.
-    Every other matrix, and every matrix up to dimension 64, takes the
-    defect test and comes back as a new array, ``_hermitian_part``.
+    verdict is the same, and it comes back as it is, without a copy. It
+    equals its Hermitian part in every entry, and bit for bit except in the
+    sign of a zero and in subnormal entries, which halving rounds. At
+    n = 256 (one BLAS thread, 2-core Xeon, min of 15 x 50 calls, in two
+    timing runs) the equality test took 0.29-0.36 ms, the defect's
+    Frobenius test 0.40-1.04 ms and the copy 0.52-0.98 ms. Every other
+    matrix, and every matrix up to dimension 64, takes the defect test and
+    comes back as a new array, ``_hermitian_part``.
     """
     arr = _as_square_array(o, name)
     if arr.shape[0] > _EIGH_MIN_DIM and np.array_equal(arr, arr.conj().T):
-        return arr if as_given else _hermitian_part(arr)
+        return arr
     if not _norm_within(arr - arr.conj().T, HERMITIAN_TOL):
         raise ValueError("matrix is not Hermitian within 1e-10")
     return _hermitian_part(arr)
@@ -495,6 +496,7 @@ def _exp_skew_series(stack: np.ndarray) -> np.ndarray:
 
 def haar_unitary(n: int, seed: int) -> UnitaryMatrix:
     """Haar-distributed random unitary via QR of a complex Ginibre matrix."""
+    n = _integer(n, "n")
     return UnitaryMatrix(_haar_from_seeds(n, [seed])[0], _validated=True)
 
 
@@ -531,6 +533,7 @@ def random_skew_in_ball(n: int, radius: float, seed: int) -> SkewHermitian:
     Antihermitizes a complex Gaussian matrix, then rescales to u * radius
     where u is uniform on (0, 1].
     """
+    n = _integer(n, "n")
     return SkewHermitian(_skew_ball_stack(n, radius, [seed])[0],
                          _validated=True)
 
@@ -566,6 +569,7 @@ def skew_basis(n: int) -> np.ndarray:
     i E_kk, and for k < l the pairs (E_kl - E_lk)/sqrt(2) and
     i (E_kl + E_lk)/sqrt(2).
     """
+    n = _integer(n, "n")
     if n < 1:
         raise ValueError("dimension must be at least 1")
     basis = np.zeros((n * n, n, n), dtype=complex)

@@ -1,8 +1,10 @@
-"""Log-domain carrier for covering-number bounds too large for float64."""
+"""Log-domain carrier for covering-number bounds too large for float64, and
+the integer check of the sizes they and the rest of the package take."""
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
@@ -40,6 +42,13 @@ def finite_log(evaluate: Callable[[], float], epsilon_alone_overflows: bool,
         raise EpsilonTooSmall(inputs["epsilon"])
     named = ", ".join(f"{name} = {arg!r}" for name, arg in inputs.items())
     raise ValueError(f"the log of the bound overflows float64 at {named}")
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as an int; a bool, float, string or other non-integer raises."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 def int_power(base: int, exponent: int) -> int:

@@ -23,6 +23,8 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
+from .logdomain import _integer
+
 COVERING_SLACK = 1e-12
 _METRIC_TOL = 1e-12
 EXACT_SEARCH_LIMIT = 15
@@ -111,6 +113,7 @@ class FiniteMetricSpace:
     @classmethod
     def cycle(cls, n: int) -> "FiniteMetricSpace":
         """Cycle graph Z_n with the circular hop metric min(|i-j|, n-|i-j|)."""
+        n = _integer(n, "n")
         if n < 1:
             raise ValueError("cycle needs at least one point")
         idx = np.arange(n)

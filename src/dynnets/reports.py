@@ -20,10 +20,10 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .circuits import _integer, circuit_covering_log_bound
+from .circuits import circuit_covering_log_bound
 from .grassmann import _projector_lower_log
 from .linalg import _hermitian_part, _require_hermitian
-from .logdomain import int_power
+from .logdomain import _integer, int_power
 from .trotter import (
     _first_order_constant,
     _min_covered_time,
@@ -142,6 +142,7 @@ def degeneracy_profile_extensive_z(L: int) -> SpectrumProfile:
 
     Eigenvalues -L, -L+2, ..., L with binomial degeneracies C(L, i).
     """
+    L = _integer(L, "L")
     if L < 1:
         raise ValueError("need at least one site")
     eig = tuple(float(-L + 2 * i) for i in range(L + 1))

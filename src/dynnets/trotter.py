@@ -36,7 +36,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .circuits import (QuditRegister, _apply_gate, _check_on_register,
-                       _checked_support, _encode_matrix, _integer, _parse_json)
+                       _checked_support, _encode_matrix, _parse_json)
 from .linalg import (
     UnitaryMatrix,
     _exp_skew_series,
@@ -44,7 +44,8 @@ from .linalg import (
     _require_hermitian,
     operator_norm,
 )
-from .logdomain import EpsilonTooSmall, LogBound, finite_log, int_power
+from .logdomain import (EpsilonTooSmall, LogBound, _integer, finite_log,
+                        int_power)
 
 _SQRT15 = math.sqrt(15.0)
 # A Magnus step's Gauss nodes, as fractions of the step.
@@ -168,17 +169,13 @@ class PiecewiseLinearEnvelope:
         self._check_domain(float(arr.min()), float(arr.max()))
         return np.interp(arr, self.times, self.values)
 
-    def _window(self, t0: float, t1: float) -> tuple[np.ndarray, np.ndarray]:
-        """Window endpoints and the breakpoints strictly inside, with values."""
-        self._check_domain(t0, t1)
-        nodes = np.array([t0] + [t for t in self.times.tolist() if t0 < t < t1]
-                         + [t1])
-        return nodes, np.interp(nodes, self.times, self.values)
-
     def sup_abs(self, t0: float, t1: float) -> float:
         # Piecewise-linear |e| peaks at window endpoints or interior breakpoints.
-        _, v = self._window(*sorted((t0, t1)))
-        return float(np.max(np.abs(v)))
+        t0, t1 = sorted((t0, t1))
+        self._check_domain(t0, t1)
+        ends = np.interp([t0, t1], self.times, self.values)
+        inner = self.values[(self.times > t0) & (self.times < t1)]
+        return float(np.max(np.abs(np.concatenate((ends, inner)))))
 
     def integral(self, t0: float, t1: float) -> float:
         if t1 < t0:
@@ -244,7 +241,9 @@ class HamiltonianTerm:
 
     def __init__(self, support, base, envelope):
         self.support = _checked_support(support, "term")
-        self.base = _require_hermitian(base, "term base")
+        # a copy: an exactly Hermitian base above dimension 64 comes back as
+        # given, and freezing it would freeze the caller's array
+        self.base = _require_hermitian(base, "term base").copy()
         self.base.setflags(write=False)
         self.envelope = envelope
 
@@ -279,34 +278,22 @@ def _check_final_time(t_final: float) -> None:
                          f"got {t_final}")
 
 
-def _check_steps(n_steps: int) -> None:
+def _check_steps(n_steps: int) -> int:
+    n_steps = _integer(n_steps, "n_steps")
     if n_steps < 1:
         raise ValueError(f"n_steps must be at least 1, got {n_steps}")
+    return n_steps
 
 
 def term_norm_sup(term: HamiltonianTerm, t_final: float) -> float:
-    """sup over [0, T] of ||e(t) * base||, from the envelope's exact sup_abs."""
-    return _term_norm_sups([term], t_final)[0]
+    """sup over [0, T] of ||e(t) * base||, from the envelope's exact sup_abs.
 
-
-def _term_norm_sups(terms: Sequence[HamiltonianTerm],
-                    t_final: float) -> list[float]:
-    """``term_norm_sup`` of each term, from one ``_opnorm_stack`` per base dimension.
-
-    Each base was checked finite and square on construction, so each norm is
-    the one ``operator_norm`` returns for it, bit for bit: the SVD up to
-    dimension 64, where the bound side's norms must stay.
+    The base was checked finite and square on construction, so its norm is
+    the one ``operator_norm`` returns for it, bit for bit.
     """
     _check_final_time(t_final)
-    by_dim: dict[int, list[int]] = {}
-    for i, term in enumerate(terms):
-        by_dim.setdefault(term.base.shape[0], []).append(i)
-    sups = [0.0] * len(terms)
-    for idx in by_dim.values():
-        norms = _opnorm_stack(np.stack([terms[i].base for i in idx]))
-        for i, norm in zip(idx, norms.tolist()):
-            sups[i] = norm * terms[i].envelope.sup_abs(0.0, t_final)
-    return sups
+    return (float(_opnorm_stack(term.base))
+            * term.envelope.sup_abs(0.0, t_final))
 
 
 def commutation_degree(h: TimeDependentHamiltonian) -> int:
@@ -398,10 +385,9 @@ def _magnus_sweeps(envelopes, skew: np.ndarray, grids) -> np.ndarray:
 
 def _step_edges(cuts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Edges of counts[i] uniform steps on each [cuts[i], cuts[i + 1]]."""
-    owner = np.repeat(np.arange(len(counts)), counts)
-    step = np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]
-    width = np.diff(cuts) / counts
-    return np.append(cuts[owner] + step * width[owner], cuts[-1])
+    return np.concatenate(
+        [np.linspace(a, b, n, endpoint=False)
+         for a, b, n in zip(cuts[:-1], cuts[1:], counts)] + [cuts[-1:]])
 
 
 def exact_propagator(h: TimeDependentHamiltonian, t_final: float,
@@ -486,7 +472,7 @@ def trotter_propagator(h: TimeDependentHamiltonian, t_final: float,
     float per term and slice, grow with it. From dim 128 a chunk is one
     slice, so this is the term-by-term loop with no dense product.
     """
-    _check_steps(n_steps)
+    n_steps = _check_steps(n_steps)
     _check_final_time(t_final)
     reg = h.register
     eye = np.eye(reg.dim, dtype=complex)
@@ -583,19 +569,19 @@ def certify_trotter(h: TimeDependentHamiltonian, t_final: float,
     exceeding the bound by more than 1e-9 raises CertificateViolation (it
     would falsify the bound, so it must never be silently returned).
     """
-    _check_steps(n_steps)
+    n_steps = _check_steps(n_steps)
     exact = exact_propagator(h, t_final, tol=1e-11)
     approx = trotter_propagator(h, t_final, n_steps)
     measured = operator_norm(approx.array - exact.array)
     k_terms = h.n_terms
     z = commutation_degree(h)
-    h_max = max(_term_norm_sups(h.terms, t_final))
+    h_max = max(term_norm_sup(term, t_final) for term in h.terms)
     bound = _trotter_error(t_final, n_steps, k_terms, z, h_max)
     if measured > bound + 1e-9:
         raise CertificateViolation(measured, bound)
     return TrotterCertificate(
         T=float(t_final),
-        n_steps=int(n_steps),
+        n_steps=n_steps,
         delta_t=float(t_final / n_steps),
         K=k_terms,
         z=z,

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import _integer
 from .linalg import (
     UnitaryMatrix,
     _check_unitary,
@@ -40,7 +39,7 @@ from .linalg import (
     _search_rows,
     skew_basis,
 )
-from .logdomain import finite_log
+from .logdomain import _integer, finite_log
 from .metric import COVERING_SLACK
 
 _GRID_DIM_LIMIT = 2
@@ -195,11 +194,8 @@ def _grid_elements(n: int, epsilon: float) -> tuple[np.ndarray, dict]:
             f"explicit grid construction supports n <= {_GRID_DIM_LIMIT}; "
             f"use ImplicitGridNet for n = {n}")
     grid = ImplicitGridNet(n, epsilon)
-    n, spacing = grid.n, grid.spacing
+    n, spacing, scale = grid.n, grid.spacing, grid._scale
     dim = n * n
-    # Past about 9e307 the spacing overflows to inf, and the box then holds
-    # only the origin; a finite stand-in keeps its 0 * spacing from being NaN.
-    scale = min(spacing, np.finfo(float).max)
     # clamped so floor stays finite when the spacing underflows; a clamped
     # side alone exceeds the cap
     reach = min((math.pi + epsilon) / spacing, _CANDIDATE_CAP) + 1e-9
@@ -288,6 +284,16 @@ class ImplicitGridNet:
         self.epsilon = float(epsilon)
         self.spacing = 2.0 * epsilon / n
 
+    @property
+    def _scale(self) -> float:
+        """The spacing as the grid's arithmetic takes it.
+
+        Past about 9e307 the spacing overflows to inf, and every point
+        rounds to the origin; this finite stand-in keeps the origin's
+        0 * spacing from being NaN.
+        """
+        return min(self.spacing, np.finfo(float).max)
+
     def _snap(self, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Grid element and its distance for each of a (count, n, n) stack."""
         n = self.n
@@ -302,7 +308,8 @@ class ImplicitGridNet:
         w = np.repeat(np.where(np.eye(n, dtype=bool), 1.0, 1.0 / np.sqrt(2.0)),
                       2, axis=1)
         x = _log_unitary_stack(targets).view(float)
-        grid = (self.spacing * np.round(x / (self.spacing * w)) * w).view(complex)
+        scale = self._scale
+        grid = (scale * np.round(x / (scale * w)) * w).view(complex)
         elements = _exp_skew_stack(grid)
         _check_unitary(elements)
         return elements, _opnorm_stack(elements - targets)

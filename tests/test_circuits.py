@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import dynnets
 from dynnets import circuits
 from dynnets.circuits import (
     Circuit,
@@ -108,6 +109,65 @@ class TestRegisterAndGate:
     def test_register_takes_numpy_integers(self):
         reg = QuditRegister(np.int64(3), np.uint8(2))
         assert (reg.L, reg.d) == (3, 2) and type(reg.L) is type(reg.d) is int
+
+
+def _one_site_hamiltonian():
+    return TimeDependentHamiltonian(
+        QuditRegister(1, 2), [HamiltonianTerm((0,), SZ, ConstantEnvelope(1.0))])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: dynnets.certify_trotter(_one_site_hamiltonian(), 1.0, 4.0),
+     "n_steps must be an integer, got 4.0"),
+    (lambda: dynnets.certify_trotter(_one_site_hamiltonian(), 1.0, True),
+     "n_steps must be an integer, got True"),
+    (lambda: dynnets.trotter_propagator(_one_site_hamiltonian(), 1.0, 2.0),
+     "n_steps must be an integer, got 2.0"),
+    (lambda: dynnets.quotient_covering_check(8, 2.0, 1.0),
+     "subgroup_order must be an integer, got 2.0"),
+    (lambda: dynnets.quotient_covering_check(True, True, 1.0),
+     "order must be an integer, got True"),
+    (lambda: dynnets.degeneracy_profile_extensive_z(2.5),
+     "L must be an integer, got 2.5"),
+    (lambda: dynnets.FiniteMetricSpace.cycle(2.0),
+     "n must be an integer, got 2.0"),
+    (lambda: dynnets.haar_unitary(2.0, 0), "n must be an integer, got 2.0"),
+    (lambda: dynnets.skew_basis(2.0), "n must be an integer, got 2.0"),
+    (lambda: dynnets.random_subspace(1, 2.0, 0),
+     "m must be an integer, got 2.0"),
+    (lambda: dynnets.random_skew_in_ball(2.0, 0.5, 0),
+     "n must be an integer, got 2.0"),
+], ids=["certify-float", "certify-bool", "trotter-float", "quotient-float",
+        "quotient-bool", "degeneracy", "cycle", "haar", "skew-basis",
+        "subspace", "skew-ball"])
+def test_sizes_refuse_non_integers(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+_REPRS = [
+    (lambda: QuditRegister(2, 3), "QuditRegister(L=2, d=3)"),
+    (lambda: Gate((0, 1), np.eye(4)), "Gate(support=(0, 1), dim=4)"),
+    (lambda: Circuit(QuditRegister(2, 2), [Gate((1,), SX)] * 3),
+     "Circuit(register=QuditRegister(L=2, d=2), n_gates=3)"),
+    (lambda: dynnets.random_subspace(1, 3, 0), "Subspace(n=1, m=3)"),
+    (lambda: dynnets.Projector(np.diag([1.0, 0.0, 1.0])),
+     "Projector(rank=2, m=3)"),
+    (lambda: haar_unitary(2, 0), "UnitaryMatrix(dim=2)"),
+    (lambda: dynnets.random_skew_in_ball(3, 0.5, 0), "SkewHermitian(dim=3)"),
+    (_one_site_hamiltonian,
+     "TimeDependentHamiltonian(register=QuditRegister(L=1, d=2), n_terms=1)"),
+    (lambda: build_unitary_net(1, 0.5),
+     "UnitaryNet(n=1, epsilon=0.5, count=7)"),
+    (lambda: ImplicitGridNet(2, 0.25), "ImplicitGridNet(n=2, epsilon=0.25)"),
+]
+
+
+@pytest.mark.parametrize("build, text", _REPRS,
+                         ids=[text.split("(")[0] for _, text in _REPRS])
+def test_repr(build, text):
+    assert repr(build()) == text
 
 
 def _gate_on(register, support, dim):
@@ -338,7 +398,7 @@ class TestExactlyHermitianObservable:
         # the defect test runs unless the observable is exactly Hermitian
         # above dimension 64, which then enters the product uncopied
         assert calls == ([] if exact else [obs.shape])
-        assert (linalg._require_hermitian(obs, as_given=True) is obs) == exact
+        assert (linalg._require_hermitian(obs) is obs) == exact
 
     def test_refuses_a_defect_past_the_tolerance(self, monkeypatch):
         c, _, obs, calls = self._setup(monkeypatch, 7, 2e-10)

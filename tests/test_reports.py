@@ -598,6 +598,22 @@ class TestEmitReport:
         with pytest.raises(ValueError, match="finite"):
             emit_report({"x": float("inf")})
 
+    def test_unserializable_value_refused(self):
+        with pytest.raises(TypeError) as exc:
+            emit_report({"x": [1.0, 2j]})
+        assert str(exc.value) == "cannot serialize complex in a report"
+
+    def test_empty_containers(self):
+        assert emit_report({}) == "{}\n"
+        text = emit_report({"a": {}, "b": [], "c": ()})
+        assert text == '{\n  "a": {},\n  "b": [],\n  "c": []\n}\n'
+
+    @pytest.mark.parametrize("report", [None, 3, [("a", 1)]])
+    def test_non_report_refused(self, report):
+        with pytest.raises(TypeError) as exc:
+            emit_report(report)
+        assert str(exc.value) == "report must expose as_dict() or be a dict"
+
     def test_strings_roundtrip(self):
         text = 'say "hi" \\ caf\u00e9 \u03b5-net \b\t\n\f\r \x00\x1f\x7f'
         report = {text: [text, "\u2028"], "plain": "ok"}

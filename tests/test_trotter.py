@@ -147,6 +147,15 @@ class TestTermNormSup:
         term = HamiltonianTerm((0,), np.zeros((2, 2)), CosineEnvelope(1.0, 1.0))
         assert term_norm_sup(term, 1.0) == 0.0
 
+    def test_exactly_hermitian_base_above_64_is_copied(self):
+        # such a base passes the Hermitian check as given; the term freezes
+        # a copy, not the caller's array
+        base = np.diag(np.linspace(-1.0, 1.0, 128)).astype(complex)
+        term = HamiltonianTerm(tuple(range(7)), base, ConstantEnvelope(1.0))
+        assert base.flags.writeable and not term.base.flags.writeable
+        assert np.array_equal(term.base, base)
+        assert term_norm_sup(term, 1.0) == operator_norm(base)
+
 
 _coef = st.floats(-5.0, 5.0)
 
@@ -956,7 +965,7 @@ class TestCertifyTrotter:
 
     def test_h_max_is_the_largest_term_norm(self):
         # site and bond terms with different base norms and envelope sups:
-        # the stacked norms must land on their own terms, bit for bit
+        # each sup is its own base's norm times its envelope's, bit for bit
         rng = np.random.default_rng(8)
         reg = QuditRegister(3, 2)
         terms = [HamiltonianTerm(sup, scale * random_hermitian(rng, 2 ** len(sup)),
@@ -967,7 +976,6 @@ class TestCertifyTrotter:
         sups = [operator_norm(t.base) * t.envelope.sup_abs(0.0, 0.8)
                 for t in terms]
         assert [term_norm_sup(t, 0.8) for t in terms] == sups
-        assert trotter_module._term_norm_sups(terms, 0.8) == sups
         assert certify_trotter(h, 0.8, 4).h_max == max(sups)
 
     def test_certificate_dict_keys(self):

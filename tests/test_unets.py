@@ -139,12 +139,18 @@ class TestBuildUnitaryNet:
     @pytest.mark.parametrize("eps", [1e308, 1.7e308])
     def test_huge_epsilon_gives_identity(self, n, eps):
         # 2 eps / n overflows to inf and the box holds only the origin, whose
-        # coordinates times an inf spacing would be NaN
+        # coordinates times an inf spacing would be NaN; the implicit round
+        # takes every unitary to that origin as well
+        u = haar_unitary(n, 3).array
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             net = build_unitary_net(n, eps)
+            rounded = [ImplicitGridNet(n, eps).round(v)[0].array
+                       for v in (np.eye(n), u)]
         assert len(net) == 1
         assert np.array_equal(net.matrices[0], np.eye(n))
+        for element in rounded:
+            assert np.array_equal(element, np.eye(n))
 
     def test_spacing_near_overflow(self):
         # the keep pass's table pairs trace level 2 with every q, and some
